@@ -1,7 +1,6 @@
-"""Pure-Python integer kernel: deterministic primality and trial division.
+"""Integer kernel: deterministic primality and wheel trial division.
 
-This is the fallback twin of the compiled `_speedups` extension.  Both
-backends must return bit-identical answers; the compiled one is only faster.
+`BACKEND` names the implementation in every report's artifact envelope.
 """
 
 from math import isqrt
@@ -47,7 +46,8 @@ def smallest_factor_below(n, limit):
     """Smallest prime factor of n that is <= min(isqrt(n), limit), else 0.
 
     n >= 2.  A return of 0 means n has no prime factor within the trial
-    horizon; it does NOT mean n is prime unless limit >= isqrt(n).
+    horizon; it does NOT mean n is prime unless limit >= isqrt(n).  The
+    wheel primes 2, 3 and 5 are tested whatever the horizon.
     """
     if n % 2 == 0:
         return 2

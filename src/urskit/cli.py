@@ -29,7 +29,7 @@ from .arith import (
 )
 from .heights import DEFAULT_DISPLAY_DIGITS
 from .polys import RatPoly, TrinomialFamily, validate_family
-from .report import SchemaError, magnitude_json, render_table, stable_json
+from .report import SchemaError, render_table, stable_json
 from .sharing import SearchBudgetError, search_shared_pairs, share_check
 from .subspace import (
     VIOLATED,
@@ -426,41 +426,7 @@ def cmd_trace(args) -> int:
     )
     payload = {
         "validation": validation.to_json_dict(),
-        "rows": [
-            {
-                "x": rational_str(r.x),
-                "y": rational_str(r.y),
-                "u": None if r.u is None else rational_str(r.u),
-                "shares": r.shares,
-                "eta": None if r.eta is None else rational_str(r.eta),
-                "zeta": None if r.zeta is None else rational_str(r.zeta),
-                "identity_ok": r.identity_ok,
-                "h_x": magnitude_json(r.h_x, args.digits),
-                "h_y": magnitude_json(r.h_y, args.digits),
-                "h_u": None if r.h_u is None else magnitude_json(r.h_u, args.digits),
-                "h_eta": None if r.h_eta is None else magnitude_json(r.h_eta, args.digits),
-                "h_zeta": None
-                if r.h_zeta is None
-                else magnitude_json(r.h_zeta, args.digits),
-                "n1_x": None if r.n1_x is None else magnitude_json(r.n1_x, args.digits),
-                "n1_y": None if r.n1_y is None else magnitude_json(r.n1_y, args.digits),
-                "n2_eta": None
-                if r.n2_eta is None
-                else magnitude_json(r.n2_eta, args.digits),
-                "n2_zeta": None
-                if r.n2_zeta is None
-                else magnitude_json(r.n2_zeta, args.digits),
-                "n2_u": None if r.n2_u is None else magnitude_json(r.n2_u, args.digits),
-                "n_xm_a": None
-                if r.n_xm_a is None
-                else magnitude_json(r.n_xm_a, args.digits),
-                "n_ym_a": None
-                if r.n_ym_a is None
-                else magnitude_json(r.n_ym_a, args.digits),
-                "flags": list(r.flags),
-            }
-            for r in rows
-        ],
+        "rows": [r.to_json_dict(args.digits) for r in rows],
         "checks": {
             "roth_chain": roth.to_json_dict(),
             "unit_height": unit_h.to_json_dict(),

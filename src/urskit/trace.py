@@ -11,7 +11,7 @@ functions); any sharper constant only strengthens the reported slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .arith import SContext, is_s_unit, ord_at, rational_str
@@ -26,6 +26,7 @@ from .heights import (
     height,
 )
 from .polys import RatPoly, TrinomialFamily, validate_family
+from .report import magnitude_json
 from .sharing import SearchBudgetError, _parallel_pair_scan, s_integer_box, share_check
 
 
@@ -106,6 +107,11 @@ class TraceRow:
     n_ym_a: Magnitude | None
     flags: tuple[str, ...]
 
+    def to_json_dict(self, digits: int = 6) -> dict:
+        """One key per field: rationals as 'a/b', magnitudes exact plus a
+        display log, tuples as lists, None and booleans as they are."""
+        return {f.name: _row_json(getattr(self, f.name), digits) for f in fields(self)}
+
     def sort_key(self):
         return (
             self.x.numerator,
@@ -113,6 +119,17 @@ class TraceRow:
             self.y.numerator,
             self.y.denominator,
         )
+
+
+def _row_json(value, digits: int):
+    # Fraction is an ABC subclass, so test it last: isinstance on it is slow
+    if isinstance(value, Magnitude):
+        return magnitude_json(value, digits)
+    if value is None or isinstance(value, bool):
+        return value
+    if isinstance(value, tuple):
+        return list(value)
+    return rational_str(value)
 
 
 def _maybe_counting(S, value, level=None):

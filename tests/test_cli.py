@@ -119,6 +119,37 @@ def test_trace_reports_identity(tmp_path, capsys):
     assert checks["roth_chain"]["ok"] and checks["trunc_bounds"]["ok"]
     assert data["dependence"]["basis"] == [[1, 0, 0], [0, 0, 1]]
 
+    # P(2)/P(0) = 193 is no S-unit: heights only, every count unset
+    pairs = write(tmp_path, "pairs.json", [{"x": "2", "y": "0"}])
+    code, out, _ = run(
+        ["trace", *BASE, "--pairs", pairs, "--digits", "3", "--format", "json"], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["rows"] == [
+        {
+            "x": "2",
+            "y": "0",
+            "u": "193",
+            "shares": False,
+            "eta": "-192",
+            "zeta": "0",
+            "identity_ok": True,
+            "h_x": {"exact": "2", "log": "0.693"},
+            "h_y": {"exact": "1", "log": "0.000"},
+            "h_u": {"exact": "193", "log": "5.263"},
+            "h_eta": {"exact": "192", "log": "5.257"},
+            "h_zeta": {"exact": "1", "log": "0.000"},
+            "n1_x": None,
+            "n1_y": None,
+            "n2_eta": None,
+            "n2_zeta": None,
+            "n2_u": None,
+            "n_xm_a": None,
+            "n_ym_a": None,
+            "flags": ["not_sharing", "zeta_zero", "y_zero"],
+        }
+    ]
+
 
 def test_trace_invalid_family_exit(tmp_path, capsys):
     pairs = write(tmp_path, "pairs.json", [{"x": "0", "y": "-1"}])

@@ -1,9 +1,11 @@
-"""Backend equivalence: the compiled kernel must match the pure one bit for bit."""
+"""Integer kernel: primality and trial division against naive references."""
 
-import pytest
+from math import isqrt
 
-from urskit import _kernel
-from urskit._kernel import pure
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from urskit import _kernel as kernel
 
 
 def _reference_is_prime(n):
@@ -17,50 +19,76 @@ def _reference_is_prime(n):
     return True
 
 
-def test_pure_is_prime_small_range():
+def _reference_smallest_factor(n, limit):
+    """First divisor of n by plain trial division up to min(isqrt(n), limit);
+    the wheel primes 2, 3 and 5 are tried whatever the horizon."""
+    for d in range(2, max(5, min(isqrt(n), limit)) + 1):
+        if n % d == 0:
+            return d
+    return 0
+
+
+SMALL_PRIMES = [p for p in range(2, 2000) if _reference_is_prime(p)]
+
+
+def test_is_prime_small_range():
     for n in range(2000):
-        assert pure.is_prime(n) == _reference_is_prime(n), n
+        assert kernel.is_prime(n) == _reference_is_prime(n), n
 
 
-def test_pure_is_prime_known_values():
-    assert pure.is_prime(2**31 - 1)  # Mersenne prime
-    assert not pure.is_prime(561)  # Carmichael
-    assert not pure.is_prime(3215031751)  # strong pseudoprime to 2,3,5,7
-    assert pure.is_prime(1_000_000_007)
+def test_is_prime_known_values():
+    assert kernel.is_prime(2**31 - 1)  # Mersenne prime
+    assert not kernel.is_prime(561)  # Carmichael
+    assert not kernel.is_prime(3215031751)  # strong pseudoprime to 2,3,5,7
+    assert kernel.is_prime(1_000_000_007)
 
 
-def test_smallest_factor_below_pure():
-    assert pure.smallest_factor_below(91, 10) == 7
-    assert pure.smallest_factor_below(91, 6) == 0  # horizon too small
-    assert pure.smallest_factor_below(2**2 * 3, 100) == 2
-    assert pure.smallest_factor_below(49, 7) == 7
+def test_smallest_factor_below_examples():
+    assert kernel.smallest_factor_below(91, 10) == 7
+    assert kernel.smallest_factor_below(91, 6) == 0  # horizon too small
+    assert kernel.smallest_factor_below(2**2 * 3, 100) == 2
+    assert kernel.smallest_factor_below(49, 7) == 7
     # prime: no factor at or below isqrt
-    assert pure.smallest_factor_below(97, 100) == 0
+    assert kernel.smallest_factor_below(97, 100) == 0
 
 
-compiled = pytest.importorskip("urskit._kernel._speedups", reason="extension not built")
+def test_wide_integers():
+    assert kernel.is_prime(2**89 - 1)  # Mersenne prime
+    assert kernel.smallest_factor_below(2**70 * 3, 10) == 2
 
 
-def test_backends_agree_primality():
-    for n in range(1, 5000):
-        assert compiled.is_prime(n) == pure.is_prime(n), n
-    for n in (2**61 - 1, 2**61 + 1, 10**18 + 9, 10**18 + 7):
-        assert compiled.is_prime(n) == pure.is_prime(n), n
+_WIDE = st.integers(2**64, 2**100)
+
+_N = st.one_of(
+    st.integers(2, 10**6),
+    st.integers(2**64 - 2**10, 2**64 + 2**10),
+    st.sampled_from(SMALL_PRIMES).map(lambda p: p * p),
+    st.builds(lambda p, q: p * q, st.sampled_from(SMALL_PRIMES), st.sampled_from(SMALL_PRIMES)),
+    st.builds(lambda p, q: p * q, st.sampled_from(SMALL_PRIMES), _WIDE),
+    _WIDE,
+)
 
 
-def test_backends_agree_smallest_factor():
-    for n in range(2, 3000):
-        assert compiled.smallest_factor_below(n, 10**6) == pure.smallest_factor_below(
-            n, 10**6
-        ), n
-    for n, limit in ((10**12 + 39, 10**6), (999999999989, 10**6), (49, 6), (49, 7)):
-        assert compiled.smallest_factor_below(n, limit) == pure.smallest_factor_below(
-            n, limit
-        ), (n, limit)
+@st.composite
+def _n_and_limit(draw):
+    """n with a limit drawn from around its smallest factor p (p-1, p, p+1)
+    and around isqrt(n), or at random."""
+    n = draw(_N)
+    anchors = []
+    p = _reference_smallest_factor(n, 10**4)
+    if p:
+        anchors += [p - 1, p, p + 1]
+    if p or n < 10**10:  # keeps the reference's scan short
+        r = isqrt(n)
+        anchors += [r - 1, r, r + 1]
+    limits = st.integers(0, 3000)
+    if anchors:
+        limits |= st.sampled_from(anchors)
+    return n, draw(limits)
 
 
-def test_dispatch_handles_wide_integers():
-    # values beyond 64 bits route to the pure backend transparently
-    assert _kernel.is_prime(2**89 - 1) == pure.is_prime(2**89 - 1)
-    wide = 2**70 * 3
-    assert _kernel.smallest_factor_below(wide, 10) == 2
+@settings(max_examples=400, derandomize=True)
+@given(_n_and_limit())
+def test_smallest_factor_below_matches_trial_division(case):
+    n, limit = case
+    assert kernel.smallest_factor_below(n, limit) == _reference_smallest_factor(n, limit)
