@@ -219,15 +219,24 @@ def is_s_integer(S: SContext, x: Fraction) -> bool:
     return _strip_supported(x.denominator, S.primes) == 1
 
 
-def is_s_unit(S: SContext, x: Fraction) -> bool:
-    """True iff x is nonzero and numerator and denominator are S-supported."""
+def non_s_part(S: SContext, x: Fraction) -> tuple[int, int]:
+    """(non-S part of |numerator|, non-S part of denominator) of nonzero x.
+
+    Two nonzero rationals have the same non-S part exactly when their
+    quotient is an S-unit.
+    """
     x = Fraction(x)
     if x == 0:
-        return False
+        raise ValueError("non-S part of zero undefined")
     return (
-        _strip_supported(abs(x.numerator), S.primes) == 1
-        and _strip_supported(x.denominator, S.primes) == 1
+        _strip_supported(abs(x.numerator), S.primes),
+        _strip_supported(x.denominator, S.primes),
     )
+
+
+def is_s_unit(S: SContext, x: Fraction) -> bool:
+    """True iff x is nonzero and numerator and denominator are S-supported."""
+    return x != 0 and non_s_part(S, x) == (1, 1)
 
 
 def s_decompose(S: SContext, n: int) -> tuple[int, int]:

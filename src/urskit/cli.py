@@ -5,7 +5,7 @@ schema error, 3 factoring/search budget exceeded.
 
 Rationals are always strings 'a/b' on the command line and in files; floats
 are rejected at parse time.  JSON output is byte-stable for a given
-configuration (the worker count is an execution detail and is not echoed).
+configuration (the worker count is accepted, has no effect and is not echoed).
 """
 
 from __future__ import annotations
@@ -497,6 +497,22 @@ def _add_family(p: argparse.ArgumentParser, required: bool) -> None:
     p.add_argument("--b", type=_rational_arg, required=required)
 
 
+def _add_search(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    _add_family(p, required=False)
+    p.add_argument("--poly", help="polynomial JSON file")
+    p.add_argument("--height-bound", type=int, required=True)
+    p.add_argument("--denom-exponent", type=int, default=0)
+    p.add_argument("--pair-budget", type=int, default=None)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility; the search is single-threaded "
+        "and this has no effect (must be >= 1)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="urskit",
@@ -545,25 +561,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, required=True, help="max |ord_p(u)| over S")
     p.set_defaults(func=cmd_unit_eq)
 
-    p = sub.add_parser("search-shared", help="brute-force sharing pairs in a box")
-    _add_common(p)
-    _add_family(p, required=False)
-    p.add_argument("--poly", help="polynomial JSON file")
-    p.add_argument("--height-bound", type=int, required=True)
-    p.add_argument("--denom-exponent", type=int, default=0)
-    p.add_argument("--pair-budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p = sub.add_parser("search-shared", help="hash-join search for sharing pairs in a box")
+    _add_search(p)
     p.set_defaults(func=cmd_search_shared)
 
     p = sub.add_parser("search-su", help="search pairs with P(x) = c*P(y), x != y")
-    _add_common(p)
-    _add_family(p, required=False)
-    p.add_argument("--poly", help="polynomial JSON file")
+    _add_search(p)
     p.add_argument("--c", type=_rational_arg, default=Fraction(1))
-    p.add_argument("--height-bound", type=int, required=True)
-    p.add_argument("--denom-exponent", type=int, default=0)
-    p.add_argument("--pair-budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_search_su)
 
     return parser

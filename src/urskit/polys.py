@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .arith import SContext, is_s_integer, is_s_unit, rational_str
@@ -46,12 +47,29 @@ class RatPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
+    @cached_property
+    def _cleared(self) -> tuple[int, tuple[int, ...]]:
+        """(L, (L*c_d, ..., L*c_0)) with L the lcm of the coefficient
+        denominators: integer coefficients, leading first."""
+        lcm = self.coefficient_denominator_lcm()
+        return lcm, tuple(
+            c.numerator * (lcm // c.denominator) for c in reversed(self.coeffs)
+        )
+
     def evaluate(self, x: Fraction) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """P(x), by homogeneous Horner on integers: for x = p/q,
+        P(x) = sum L*c_i p^i q^(d-i) / (L q^d)."""
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        lcm, cs = self._cleared
+        if not cs:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        num, qpow = cs[0], 1
+        for c in cs[1:]:
+            qpow *= q
+            num = num * p + c * qpow
+        return Fraction(num, lcm * qpow)
 
     def __call__(self, x):
         return self.evaluate(x)

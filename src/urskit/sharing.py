@@ -1,10 +1,9 @@
 """Operational S-unit sharing: per-pair quotient certificates, valuation
-profile cross-checks, admissibility statistics, and brute-force pair search.
+profile cross-checks, admissibility statistics, and hash-join pair search.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -15,6 +14,7 @@ from .arith import (
     is_s_integer,
     is_s_unit,
     non_s_ord_profile,
+    non_s_part,
     rational_str,
 )
 from .heights import Magnitude, height
@@ -203,35 +203,41 @@ def s_integer_box(
     return out
 
 
-def _scan_pairs(values, predicate, index_range):
-    """Evaluate predicate on canonical pair indices [start, stop)."""
-    n = len(values)
-    start, stop = index_range
-    hits = []
-    for k in range(start, stop):
-        i, j = divmod(k, n - 1)
-        if j >= i:
-            j += 1  # skip the diagonal
-        result = predicate(values[i], values[j])
-        if result is not None:
-            hits.append(result)
-    return hits
+def _pair_join(values, keys, partner_keys, probe, pair_budget, workers, what):
+    """Hits of probe(x, y) over the ordered pairs x != y of the box with
+    partner_keys[i] == keys[j], where x = values[i] and y = values[j].
 
-
-def _parallel_pair_scan(values, predicate, limit, workers):
+    A pair's canonical index is i*(n-1) + j - [j > i]; hits come out in that
+    order.  Only pairs below pair_budget are examined, and when the budget is
+    smaller than the n*(n-1) candidate pairs a SearchBudgetError carrying the
+    hits found so far is raised.  Work is O(n + pairs emitted).  `workers` is
+    validated and otherwise unused: the join is single-threaded.
+    """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if limit == 0 or len(values) < 2:
-        return []
-    if workers == 1:
-        return _scan_pairs(values, predicate, (0, limit))
-    chunk = (limit + workers - 1) // workers
-    ranges = [(lo, min(lo + chunk, limit)) for lo in range(0, limit, chunk)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(lambda rng: _scan_pairs(values, predicate, rng), ranges)
-        hits = []
-        for part in parts:
-            hits.extend(part)
+    if pair_budget is not None and pair_budget < 0:
+        raise ValueError("pair_budget must be >= 0")
+    n = len(values)
+    total = n * (n - 1)
+    limit = total if pair_budget is None else min(pair_budget, total)
+    groups: dict = {}
+    for j, key in enumerate(keys):
+        groups.setdefault(key, []).append(j)
+    hits = []
+    for i, x in enumerate(values):
+        row = i * (n - 1)
+        if row >= limit:
+            break
+        for j in groups.get(partner_keys[i], ()):
+            if j == i:
+                continue
+            if row + j - (j > i) >= limit:
+                break
+            result = probe(x, values[j])
+            if result is not None:
+                hits.append(result)
+    if limit < total:
+        raise SearchBudgetError(f"{what} budget exceeded", hits, limit, total)
     return hits
 
 
@@ -245,13 +251,17 @@ def search_shared_pairs(
 ) -> list[SharePoint]:
     """All sharing pairs (x, y), x != y, over the S-integer box.
 
-    Deterministic: the result is canonically sorted and independent of the
-    worker count.  When the number of candidate pairs exceeds pair_budget,
-    exactly the first pair_budget pairs in canonical order are examined and a
+    A hash join: u = P(x)/P(y) is an S-unit exactly when P(x) and P(y) have
+    the same non-S part, so only pairs within one group of that key (or
+    within the group of vanishing values) are probed.  The result is in
+    canonical order; `workers` is accepted and has no effect.  When the
+    number of candidate pairs exceeds pair_budget, exactly the first
+    pair_budget pairs in canonical order are examined and a
     SearchBudgetError carrying those results is raised.
     """
     values = s_integer_box(S, height_bound, denom_exponent_bound)
     evals = {v: P.evaluate(v) for v in values}
+    keys = [None if pv == 0 else non_s_part(S, pv) for pv in evals.values()]
 
     def probe(x, y):
         px, py = evals[x], evals[y]
@@ -262,12 +272,6 @@ def search_shared_pairs(
             return SharePoint(x, y, u, True)
         return None
 
-    total = len(values) * (len(values) - 1)
-    limit = total if pair_budget is None else min(pair_budget, total)
-    hits = _parallel_pair_scan(values, probe, limit, workers)
-    hits.sort(key=SharePoint.sort_key)
-    if limit < total:
-        raise SearchBudgetError(
-            "shared-pair search budget exceeded", hits, limit, total
-        )
-    return hits
+    return _pair_join(
+        values, keys, keys, probe, pair_budget, workers, "shared-pair search"
+    )

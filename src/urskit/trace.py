@@ -27,7 +27,7 @@ from .heights import (
 )
 from .polys import RatPoly, TrinomialFamily, validate_family
 from .report import magnitude_json
-from .sharing import SearchBudgetError, _parallel_pair_scan, s_integer_box, share_check
+from .sharing import _pair_join, s_integer_box, share_check
 
 
 def aux_build(fam: TrinomialFamily, x: Fraction, y: Fraction, u: Fraction):
@@ -752,7 +752,9 @@ def strong_uniqueness_search(
     """All pairs x != y in the S-integer box with P(x) = c * P(y), exactly.
 
     Evidence probe: for a genuine strong uniqueness polynomial the list stays
-    finite and height-bounded as the box grows.
+    finite and height-bounded as the box grows.  A hash join on P(y) looked
+    up at P(x)/c, in canonical order; budget and `workers` as in
+    search_shared_pairs.
     """
     c = Fraction(c)
     if c == 0:
@@ -765,19 +767,13 @@ def strong_uniqueness_search(
             return (x, y)
         return None
 
-    total = len(values) * (len(values) - 1)
-    limit = total if pair_budget is None else min(pair_budget, total)
-    hits = _parallel_pair_scan(values, probe, limit, workers)
-    hits.sort(
-        key=lambda pair: (
-            pair[0].numerator,
-            pair[0].denominator,
-            pair[1].numerator,
-            pair[1].denominator,
-        )
+    keys = list(evals.values())
+    return _pair_join(
+        values,
+        keys,
+        [pv / c for pv in keys],
+        probe,
+        pair_budget,
+        workers,
+        "strong-uniqueness search",
     )
-    if limit < total:
-        raise SearchBudgetError(
-            "strong-uniqueness search budget exceeded", hits, limit, total
-        )
-    return hits

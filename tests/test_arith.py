@@ -14,6 +14,7 @@ from urskit.arith import (
     is_s_integer,
     is_s_unit,
     non_s_ord_profile,
+    non_s_part,
     ord_at,
     parse_rational,
     rational_str,
@@ -163,6 +164,34 @@ def test_is_s_unit(x, expected):
 @given(nonzero_rationals)
 def test_s_unit_iff_both_s_integers(x):
     assert is_s_unit(S23, x) == (is_s_integer(S23, x) and is_s_integer(S23, 1 / x))
+
+
+@pytest.mark.parametrize(
+    "x,expected",
+    [(F(-40, 9), (5, 1)), (F(6, 35), (1, 35)), (F(8, 9), (1, 1)), (F(7), (7, 1))],
+)
+def test_non_s_part(x, expected):
+    assert non_s_part(S23, x) == expected
+
+
+def test_non_s_part_of_zero():
+    with pytest.raises(ValueError, match="zero"):
+        non_s_part(S23, F(0))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    nonzero_rationals,
+    nonzero_rationals,
+    st.integers(-5, 5),
+    st.integers(-5, 5),
+    st.sampled_from([1, -1]),
+)
+def test_same_non_s_part_iff_quotient_is_s_unit(x, y, a, b, sign):
+    unit_multiple = sign * x * F(2) ** a * F(3) ** b
+    for z in (y, unit_multiple):
+        assert (non_s_part(S23, x) == non_s_part(S23, z)) == is_s_unit(S23, x / z)
+    assert non_s_part(S23, x) == non_s_part(S23, unit_multiple)
 
 
 # --- decomposition and factoring ---------------------------------------------

@@ -281,6 +281,15 @@ def test_search_budget_exit(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("command", [["search-shared"], ["search-su", "--c", "1"]])
+def test_search_negative_budget_usage_error(command, capsys):
+    code, _, err = run(
+        [*command, *BASE, "--height-bound", "5", "--pair-budget", "-5"], capsys
+    )
+    assert code == 2
+    assert "pair_budget must be >= 0" in err
+
+
 def test_worker_count_does_not_change_bytes(tmp_path, capsys):
     out1 = tmp_path / "w1.json"
     out4 = tmp_path / "w4.json"

@@ -68,6 +68,40 @@ def test_eval_ring_homomorphism(P, Q, x):
     assert (P + Q).evaluate(x) == P.evaluate(x) + Q.evaluate(x)
 
 
+def fraction_horner(P: RatPoly, x) -> F:
+    """Reference: the Fraction Horner loop RatPoly.evaluate used to run."""
+    x = F(x)
+    acc = F(0)
+    for c in reversed(P.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@settings(max_examples=200, derandomize=True)
+@given(
+    st.lists(
+        st.fractions(min_value=-50, max_value=50, max_denominator=36),
+        max_size=9,  # includes [] and all-zero lists: the zero polynomial
+    ),
+    st.fractions(min_value=-40, max_value=40, max_denominator=60),
+)
+def test_eval_matches_fraction_horner(coeffs, x):
+    coeffs = coeffs + [F(0)] * (len(coeffs) % 3)  # trailing zeros to trim
+    P = RatPoly.of(coeffs)
+    got = P.evaluate(x)
+    assert type(got) is F
+    assert got == fraction_horner(P, x)
+    assert P.evaluate(x.numerator) == fraction_horner(P, x.numerator)
+
+
+def test_eval_zero_and_constant_polynomials():
+    assert RatPoly.of([]).evaluate(F(3, 4)) == 0
+    assert RatPoly.of([0, 0]).evaluate(F(-7)) == 0
+    assert RatPoly.constant(F(-5, 6)).evaluate(F(9, 8)) == F(-5, 6)
+    assert RatPoly.of([F(1, 2), F(1, 3)]).evaluate(F(-3, 2)) == 0
+    assert RatPoly.of([1, 2]).evaluate("1/2") == 2
+
+
 def test_divmod_identity():
     A = RatPoly.of([1, 2, 0, 3, 5])
     B = RatPoly.of([-1, 4, 2])

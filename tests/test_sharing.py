@@ -6,8 +6,10 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from urskit.arith import SContext, is_s_unit
+from urskit.arith import SContext, is_s_unit, non_s_part
 from urskit.heights import Magnitude, counting, counting_trunc, height
 from urskit.polys import RatPoly, TrinomialFamily, build_from_roots
 from urskit.sharing import (
@@ -23,6 +25,7 @@ from urskit.sharing import (
 S2 = SContext.of([2])
 S3 = SContext.of([3])
 S23 = SContext.of([2, 3])
+S_CHOICES = [SContext.of(ps) for ps in ((), (2,), (3,), (2, 3), (3, 5), (2, 3, 5))]
 P7 = TrinomialFamily(7, 1, F(1), F(1)).polynomial()
 
 
@@ -50,6 +53,21 @@ def test_share_check_vanishing_convention():
     assert not one.shares and one.u is None
     other = share_check(S23, P, F(1), F(0))  # u = 0, not a unit
     assert not other.shares and other.u == 0
+
+
+def test_non_s_part_iff_profile_iff_share_on_box():
+    box = s_integer_box(S23, 9, 1)
+    values = {v: P7.evaluate(v) for v in box}
+    agree = 0
+    for x in box:
+        for y in box:
+            if values[x] == 0 or values[y] == 0:
+                continue
+            same = non_s_part(S23, values[x]) == non_s_part(S23, values[y])
+            assert same == ord_profile_equal(S23, P7, x, y)
+            assert same == share_check(S23, P7, x, y).shares
+            agree += same
+    assert agree > len(box)  # the diagonal plus genuine off-diagonal shares
 
 
 def test_ord_profile_examples():
@@ -209,3 +227,74 @@ def test_search_budget_partial_results():
     with pytest.raises(SearchBudgetError) as err3:
         search_shared_pairs(S23, P7, 8, 0, pair_budget=40, workers=3)
     assert err3.value.partial == err.value.partial
+
+
+def canonical_prefix(values, hits, limit):
+    """The oracle's hits whose canonical pair index is below limit."""
+    n = len(values)
+    index = {v: k for k, v in enumerate(values)}
+
+    def canonical(hit):
+        i, j = index[hit[0]], index[hit[1]]
+        return i * (n - 1) + j - (j > i)
+
+    return [h for h in hits if canonical(h) < limit]
+
+
+@st.composite
+def search_cases(draw):
+    """(S, P, height bound, denominator exponent bound): zero, constant and
+    random polynomials, some with a root in the box so values vanish."""
+    S = draw(st.sampled_from(S_CHOICES))
+    bound = draw(st.integers(0, 6))
+    exp = draw(st.integers(0, 2))
+    coeffs = draw(
+        st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=5)
+    )
+    P = RatPoly.of(coeffs)
+    box = s_integer_box(S, bound, exp)
+    if box and draw(st.booleans()):
+        P = P * RatPoly.of([-draw(st.sampled_from(box)), 1])
+    return S, P, bound, exp
+
+
+def budget_choices(n):
+    """None, 0, 1, mid-row, a row boundary, exactly and above N(N-1)."""
+    total = n * (n - 1)
+    row = max(n - 1, 1)
+    return st.sampled_from(
+        [None, 0, 1, total, total + 7, (total // 2 // row) * row,
+         (total // 2 // row) * row + row // 2, row, row + 1, max(total - 1, 0)]
+    )
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(search_cases(), st.data())
+def test_search_join_matches_oracle(case, data):
+    S, P, bound, exp = case
+    values = box_oracle(S, bound, exp)
+    n = len(values)
+    budget = data.draw(budget_choices(n))
+    expected = search_oracle(S, P, bound, exp)
+    if budget is None or budget >= n * (n - 1):
+        found = search_shared_pairs(S, P, bound, exp, pair_budget=budget)
+        assert [(sp.x, sp.y, sp.u) for sp in found] == expected
+        assert all(sp.shares for sp in found)
+        return
+    with pytest.raises(SearchBudgetError) as err:
+        search_shared_pairs(S, P, bound, exp, pair_budget=budget)
+    partial = [(sp.x, sp.y, sp.u) for sp in err.value.partial]
+    assert partial == canonical_prefix(values, expected, budget)
+    assert (err.value.completed, err.value.total) == (budget, n * (n - 1))
+
+
+def test_search_output_sensitive_on_constant_polynomial():
+    """P = 1 shares on every pair; ~4*10^8 candidates, 10 examined."""
+    one = RatPoly.constant(1)
+    with pytest.raises(SearchBudgetError) as err:
+        search_shared_pairs(S23, one, 10**4, 0, pair_budget=10)
+    n = 2 * 10**4 + 1
+    assert (err.value.completed, err.value.total) == (10, n * (n - 1))
+    x = F(-(10**4))
+    expected = [(x, F(k), F(1)) for k in range(-(10**4) + 1, -(10**4) + 11)]
+    assert [(sp.x, sp.y, sp.u) for sp in err.value.partial] == expected

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urskit.arith import SContext
 from urskit.heights import Magnitude, ScaledLog
@@ -417,3 +419,50 @@ def test_su_search_budget_and_workers():
     one = strong_uniqueness_search(S23, P7, F(1), 12, 0, workers=1)
     four = strong_uniqueness_search(S23, P7, F(1), 12, 0, workers=4)
     assert one == four
+
+
+@st.composite
+def su_cases(draw):
+    """(S, P, c, height bound, denominator exponent bound) with zero,
+    constant, even and random polynomials and monomials, and c other than
+    +-1 (X^2 with c = 4 has the hits x = +-2y)."""
+    S = SContext.of(draw(st.sampled_from([(), (2,), (2, 3), (3, 5), (2, 3, 5)])))
+    coeffs = draw(
+        st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=5)
+    )
+    shape = draw(st.sampled_from(["random", "even", "monomial"]))
+    if shape == "even":
+        coeffs = [a for c in coeffs for a in (c, 0)]
+    elif shape == "monomial":
+        coeffs = [0] * draw(st.integers(0, 3)) + [draw(st.sampled_from([1, -2, F(1, 3)]))]
+    c = draw(st.sampled_from([F(1), F(-1), F(2), F(-3), F(4), F(1, 4), F(-2, 3), F(9)]))
+    return S, RatPoly.of(coeffs), c, draw(st.integers(0, 6)), draw(st.integers(0, 2))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(su_cases(), st.data())
+def test_su_join_matches_oracle(case, data):
+    S, P, c, bound, exp = case
+    values = s_integer_box(S, bound, exp)
+    n = len(values)
+    total = n * (n - 1)
+    row = max(n - 1, 1)
+    budget = data.draw(
+        st.sampled_from(
+            [None, 0, 1, total, total + 3, row, row + 1, 2 * row, max(total - 1, 0)]
+        )
+    )
+    expected = su_oracle(S, P, c, bound, exp)
+    if budget is None or budget >= total:
+        assert strong_uniqueness_search(S, P, c, bound, exp, pair_budget=budget) == expected
+        return
+    index = {v: k for k, v in enumerate(values)}
+
+    def canonical(pair):
+        i, j = index[pair[0]], index[pair[1]]
+        return i * (n - 1) + j - (j > i)
+
+    with pytest.raises(SearchBudgetError) as err:
+        strong_uniqueness_search(S, P, c, bound, exp, pair_budget=budget)
+    assert err.value.partial == [p for p in expected if canonical(p) < budget]
+    assert (err.value.completed, err.value.total) == (budget, total)
