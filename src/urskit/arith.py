@@ -58,7 +58,8 @@ def parse_rational(text: str) -> Fraction:
 
 def rational_str(x: Fraction) -> str:
     """Inverse of parse_rational: 'a/b', or 'a' when the denominator is 1."""
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -29,7 +29,7 @@ from .arith import (
 )
 from .heights import DEFAULT_DISPLAY_DIGITS
 from .polys import RatPoly, TrinomialFamily, validate_family
-from .report import SchemaError, render_table, stable_json
+from .report import SchemaError, render_table, stable_json, to_json
 from .sharing import SearchBudgetError, search_shared_pairs, share_check
 from .subspace import (
     VIOLATED,
@@ -70,6 +70,16 @@ def _rational_arg(text: str) -> Fraction:
         return parse_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _digits_arg(text: str) -> int:
+    try:
+        digits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if digits < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {digits}")
+    return digits
 
 
 def _load_json(path: str, location: str):
@@ -177,19 +187,16 @@ def _context(args) -> SContext:
     return SContext(args.s, args.budget)
 
 
-def _envelope(args, command: str, config: dict, payload: dict) -> dict:
-    return {
+def _emit(args, command: str, config: dict, payload: dict, table: str) -> None:
+    report = {
         "artifact": {"name": "urskit", "version": __version__, "kernel": BACKEND},
         "command": command,
         "config": config,
         **payload,
     }
-
-
-def _emit(args, report: dict, table: str) -> None:
+    text = stable_json(to_json(report, args.digits))
     if args.format in ("table", "both"):
         print(table)
-    text = stable_json(report)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     elif args.format in ("json", "both"):
@@ -198,7 +205,7 @@ def _emit(args, report: dict, table: str) -> None:
 
 def _common_config(args, **extra) -> dict:
     cfg = {
-        "s_primes": list(args.s),
+        "s_primes": args.s,
         "factoring_budget": args.budget,
         "format": args.format,
         "digits": args.digits,
@@ -211,15 +218,12 @@ def cmd_validate_poly(args) -> int:
     S = _context(args)
     fam = _family_from_args(args)
     rep = validate_family(S, fam)
-    config = _common_config(
-        args, n=fam.n, m=fam.m, a=rational_str(fam.a), b=rational_str(fam.b)
-    )
-    payload = {"validation": rep.to_json_dict()}
+    config = _common_config(args, n=fam.n, m=fam.m, a=fam.a, b=fam.b)
     table = render_table(
         ["check", "passed", "detail"],
         [[c.name, str(c.passed), c.detail] for c in rep.checks],
     )
-    _emit(args, _envelope(args, "validate-poly", config, payload), table)
+    _emit(args, "validate-poly", config, {"validation": rep}, table)
     return 0 if rep.passed else 1
 
 
@@ -229,7 +233,6 @@ def cmd_share(args) -> int:
     pairs = load_pairs_file(args.pairs)
     rows = [share_check(S, P, x, y) for x, y in pairs]
     config = _common_config(args, pairs=args.pairs, poly=str(P))
-    payload = {"rows": [r.to_json_dict() for r in rows]}
     table = render_table(
         ["x", "y", "u", "shares"],
         [
@@ -242,7 +245,7 @@ def cmd_share(args) -> int:
             for r in rows
         ],
     )
-    _emit(args, _envelope(args, "share", config, payload), table)
+    _emit(args, "share", config, {"rows": rows}, table)
     return 0 if all(r.shares for r in rows) else 1
 
 
@@ -250,14 +253,10 @@ def cmd_unit_eq(args) -> int:
     S = _context(args)
     sols = unit_equation_solutions(S, args.bound)
     config = _common_config(args, exponent_bound=args.bound)
-    payload = {
-        "solutions": [[rational_str(u), rational_str(v)] for u, v in sols],
-        "count": len(sols),
-    }
     table = render_table(
         ["u", "v"], [[rational_str(u), rational_str(v)] for u, v in sols]
     )
-    _emit(args, _envelope(args, "unit-eq", config, payload), table)
+    _emit(args, "unit-eq", config, {"solutions": sols, "count": len(sols)}, table)
     return 0
 
 
@@ -279,7 +278,6 @@ def cmd_search_shared(args) -> int:
         denom_exponent=args.denom_exponent,
         pair_budget=args.pair_budget,
     )
-    payload = {"rows": [r.to_json_dict() for r in rows], "count": len(rows)}
     table = render_table(
         ["x", "y", "u"],
         [
@@ -291,7 +289,7 @@ def cmd_search_shared(args) -> int:
             for r in rows
         ],
     )
-    _emit(args, _envelope(args, "search-shared", config, payload), table)
+    _emit(args, "search-shared", config, {"rows": rows, "count": len(rows)}, table)
     return 0
 
 
@@ -310,19 +308,15 @@ def cmd_search_su(args) -> int:
     config = _common_config(
         args,
         poly=str(P),
-        c=rational_str(args.c),
+        c=args.c,
         height_bound=args.height_bound,
         denom_exponent=args.denom_exponent,
         pair_budget=args.pair_budget,
     )
-    payload = {
-        "pairs": [[rational_str(x), rational_str(y)] for x, y in pairs],
-        "count": len(pairs),
-    }
     table = render_table(
         ["x", "y"], [[rational_str(x), rational_str(y)] for x, y in pairs]
     )
-    _emit(args, _envelope(args, "search-su", config, payload), table)
+    _emit(args, "search-su", config, {"pairs": pairs, "count": len(pairs)}, table)
     return 0
 
 
@@ -339,13 +333,12 @@ def cmd_subspace(args) -> int:
         config = _common_config(
             args,
             mode="corollary",
-            A=rational_str(args.A),
-            B=rational_str(args.B),
-            C=rational_str(args.C),
-            epsilon=rational_str(args.epsilon),
+            A=args.A,
+            B=args.B,
+            C=args.C,
+            epsilon=args.epsilon,
             pairs=args.pairs,
         )
-        payload = {"rows": [r.to_json_dict(args.digits) for r in rows]}
         table = render_table(
             ["x", "y", "verdict", "direct", "agree"],
             [
@@ -359,7 +352,7 @@ def cmd_subspace(args) -> int:
                 for r in rows
             ],
         )
-        _emit(args, _envelope(args, "subspace", config, payload), table)
+        _emit(args, "subspace", config, {"rows": rows}, table)
         bad = any(r.verdict == VIOLATED or r.verdict == "error" for r in rows)
         return 1 if bad else 0
     if not args.forms or not args.points:
@@ -372,18 +365,15 @@ def cmd_subspace(args) -> int:
         mode="conjecture",
         forms=args.forms,
         points=args.points,
-        epsilon=rational_str(args.epsilon),
+        epsilon=args.epsilon,
         strict=args.strict,
     )
-    payload = {
-        "rows": [r.to_json_dict(args.digits) for r in reports],
-        "summary": summarize_defects(reports).to_json_dict(args.digits),
-    }
+    payload = {"rows": reports, "summary": summarize_defects(reports)}
     table = render_table(
         ["point", "max_height", "rhs", "verdict"],
         [
             [
-                "(" + ",".join(rational_str(c) for c in r.coords) + ")",
+                "(" + ",".join(rational_str(c) for c in r.point) + ")",
                 str(r.max_height.value),
                 "-" if r.rhs is None else str(r.rhs.value),
                 r.verdict,
@@ -391,7 +381,7 @@ def cmd_subspace(args) -> int:
             for r in reports
         ],
     )
-    _emit(args, _envelope(args, "subspace", config, payload), table)
+    _emit(args, "subspace", config, payload, table)
     return 1 if any(r.verdict == VIOLATED for r in reports) else 0
 
 
@@ -419,21 +409,21 @@ def cmd_trace(args) -> int:
         args,
         n=fam.n,
         m=fam.m,
-        a=rational_str(fam.a),
-        b=rational_str(fam.b),
-        epsilon=rational_str(args.epsilon),
+        a=fam.a,
+        b=fam.b,
+        epsilon=args.epsilon,
         pairs=args.pairs,
     )
     payload = {
-        "validation": validation.to_json_dict(),
-        "rows": [r.to_json_dict(args.digits) for r in rows],
+        "validation": validation,
+        "rows": rows,
         "checks": {
-            "roth_chain": roth.to_json_dict(),
-            "unit_height": unit_h.to_json_dict(),
-            "trunc_bounds": trunc.to_json_dict(),
-            "main_inequality": main_rep.to_json_dict(args.digits),
+            "roth_chain": roth,
+            "unit_height": unit_h,
+            "trunc_bounds": trunc,
+            "main_inequality": main_rep,
         },
-        "dependence": None if dependence is None else dependence.to_json_dict(),
+        "dependence": dependence,
     }
     table_rows = [
         [
@@ -456,7 +446,7 @@ def cmd_trace(args) -> int:
             ["main_inequality", str(main_rep.ok)],
         ],
     )
-    _emit(args, _envelope(args, "trace", config, payload), table + "\n\n" + summary)
+    _emit(args, "trace", config, payload, table + "\n\n" + summary)
     identity_fail = any(r.identity_ok is False for r in rows)
     exact_fail = not (roth.ok and unit_h.ok and trunc.ok and main_rep.ok)
     return 1 if identity_fail or exact_fail else 0
@@ -484,9 +474,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write the JSON report to this path")
     p.add_argument(
         "--digits",
-        type=int,
+        type=_digits_arg,
         default=DEFAULT_DISPLAY_DIGITS,
-        help="decimal places for display-only log values",
+        help="decimal places for display-only log values (at least 1)",
     )
 
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from typing import ClassVar
 
 from .arith import SContext, is_s_integer, is_s_unit, rational_str
 
@@ -150,9 +151,6 @@ class RatPoly:
             lcm = lcm * c.denominator // gcd(lcm, c.denominator)
         return lcm
 
-    def to_json_dict(self) -> dict:
-        return {"coeffs": [rational_str(c) for c in self.coeffs]}
-
     def __str__(self):
         if self.is_zero:
             return "0"
@@ -256,14 +254,13 @@ class HypothesisCheck:
     passed: bool
     detail: str
 
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class ValidationReport:
     family: TrinomialFamily
     checks: tuple[HypothesisCheck, ...]
+
+    derived_keys: ClassVar[tuple[str, ...]] = ("passed",)
 
     @property
     def passed(self) -> bool:
@@ -274,18 +271,6 @@ class ValidationReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": {
-                "n": self.family.n,
-                "m": self.family.m,
-                "a": rational_str(self.family.a),
-                "b": rational_str(self.family.b),
-            },
-            "checks": [c.to_json_dict() for c in self.checks],
-            "passed": self.passed,
-        }
 
 
 def validate_family(S: SContext, fam: TrinomialFamily) -> ValidationReport:

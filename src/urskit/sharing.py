@@ -46,22 +46,6 @@ class SharePoint:
     u: Fraction | None
     shares: bool
 
-    def sort_key(self):
-        return (
-            self.x.numerator,
-            self.x.denominator,
-            self.y.numerator,
-            self.y.denominator,
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x": rational_str(self.x),
-            "y": rational_str(self.y),
-            "u": None if self.u is None else rational_str(self.u),
-            "shares": self.shares,
-        }
-
 
 @dataclass(frozen=True)
 class PairSequence:
@@ -137,23 +121,6 @@ class AdmissibilityReport:
     @property
     def vacuous(self) -> bool:
         return self.total_rows == 0
-
-    def to_json_dict(self) -> dict:
-        def stats(st: SequenceThresholdStats) -> dict:
-            return {
-                "rows_at_or_below": st.rows_at_or_below,
-                "max_height": None if st.max_height is None else str(st.max_height.value),
-                "last_below_index": st.last_below_index,
-                "tail_length": st.tail_length,
-            }
-
-        return {
-            "threshold": str(self.threshold.value),
-            "total_rows": self.total_rows,
-            "x": stats(self.x_stats),
-            "y": stats(self.y_stats),
-            "vacuous": self.vacuous,
-        }
 
 
 def _threshold_stats(values, bound: Magnitude) -> SequenceThresholdStats:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .arith import SContext, non_s_ord_profile, rational_str
 from .exactlinalg import det
@@ -51,12 +52,6 @@ class LinearFormSystem:
             (c * v for c, v in zip(self.forms[index], coords)), Fraction(0)
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "forms": [[rational_str(c) for c in row] for row in self.forms],
-        }
-
 
 @dataclass(frozen=True)
 class GeneralPositionResult:
@@ -81,9 +76,6 @@ class ProjPoint:
     """Primitive S-integer coordinates: min non-S valuation 0 in every prime."""
 
     coords: tuple[Fraction, ...]
-
-    def to_json_list(self) -> list[str]:
-        return [rational_str(c) for c in self.coords]
 
 
 def normalize_point(S: SContext, coords) -> ProjPoint:
@@ -112,7 +104,7 @@ def check_primitive(S: SContext, coords) -> None:
     if tuple(Fraction(c) for c in coords) != point.coords:
         raise ValueError(
             "point is not primitive for S = "
-            f"{S}: expected {point.to_json_list()}"
+            f"{S}: expected {[rational_str(c) for c in point.coords]}"
         )
 
 
@@ -120,7 +112,7 @@ def check_primitive(S: SContext, coords) -> None:
 class DefectReport:
     """Per-point outcome of the truncated inequality evaluation."""
 
-    coords: tuple[Fraction, ...]
+    point: tuple[Fraction, ...]
     coord_heights: tuple[Magnitude, ...]
     max_height: Magnitude
     form_values: tuple[Fraction, ...]
@@ -130,30 +122,13 @@ class DefectReport:
     verdict: str
     reason: str | None = None
 
-    def lhs_scaled(self) -> ScaledLog | None:
+    derived_keys: ClassVar[tuple[str, ...]] = ("lhs",)
+
+    @property
+    def lhs(self) -> ScaledLog | None:
         if self.lhs_coefficient < 0:
             return None
         return ScaledLog(self.lhs_coefficient, self.max_height)
-
-    def to_json_dict(self, digits: int = 6) -> dict:
-        from .report import magnitude_json, scaled_log_json
-
-        lhs = self.lhs_scaled()
-        return {
-            "point": [rational_str(c) for c in self.coords],
-            "coord_heights": [magnitude_json(h, digits) for h in self.coord_heights],
-            "max_height": magnitude_json(self.max_height, digits),
-            "form_values": [rational_str(v) for v in self.form_values],
-            "form_counts": [
-                None if c is None else magnitude_json(c, digits)
-                for c in self.form_counts
-            ],
-            "rhs": None if self.rhs is None else magnitude_json(self.rhs, digits),
-            "lhs_coefficient": rational_str(self.lhs_coefficient),
-            "lhs": None if lhs is None else scaled_log_json(lhs, digits),
-            "verdict": self.verdict,
-            "reason": self.reason,
-        }
 
 
 def evaluate_conjecture(
@@ -226,20 +201,7 @@ class DefectSummary:
         "per-point evidence only: the inequality is asymptotic and a finite "
         "evaluation never decides it"
     )
-
-    def to_json_dict(self, digits: int = 6) -> dict:
-        from .report import magnitude_json
-
-        return {
-            "points": self.points,
-            "holds": self.holds,
-            "violated": self.violated,
-            "skipped": self.skipped,
-            "max_violating_height": None
-            if self.max_violating_height is None
-            else magnitude_json(self.max_violating_height, digits),
-            "note": self.note,
-        }
+    derived_keys: ClassVar[tuple[str, ...]] = ("note",)
 
 
 def summarize_defects(reports) -> DefectSummary:
@@ -275,29 +237,6 @@ class CorollaryRow:
     verdict: str
     agree: bool | None
     reason: str | None = None
-
-    def to_json_dict(self, digits: int = 6) -> dict:
-        from .report import magnitude_json
-
-        return {
-            "x": rational_str(self.x),
-            "y": rational_str(self.y),
-            "constraint_ok": self.constraint_ok,
-            "delegated": None
-            if self.delegated is None
-            else self.delegated.to_json_dict(digits),
-            "direct_lhs_coefficient": rational_str(self.direct_lhs_coefficient),
-            "direct_lhs_base": None
-            if self.direct_lhs_base is None
-            else magnitude_json(self.direct_lhs_base, digits),
-            "direct_rhs": None
-            if self.direct_rhs is None
-            else magnitude_json(self.direct_rhs, digits),
-            "direct_verdict": self.direct_verdict,
-            "verdict": self.verdict,
-            "agree": self.agree,
-            "reason": self.reason,
-        }
 
 
 def corollary_eval(

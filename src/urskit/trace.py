@@ -11,8 +11,9 @@ functions); any sharper constant only strengthens the reported slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
 from .arith import SContext, is_s_unit, ord_at, rational_str
 from .exactlinalg import nullspace_basis
@@ -26,7 +27,6 @@ from .heights import (
     height,
 )
 from .polys import RatPoly, TrinomialFamily, validate_family
-from .report import magnitude_json
 from .sharing import _pair_join, s_integer_box, share_check
 
 
@@ -107,30 +107,6 @@ class TraceRow:
     n_ym_a: Magnitude | None
     flags: tuple[str, ...]
 
-    def to_json_dict(self, digits: int = 6) -> dict:
-        """One key per field: rationals as 'a/b', magnitudes exact plus a
-        display log, tuples as lists, None and booleans as they are."""
-        return {f.name: _row_json(getattr(self, f.name), digits) for f in fields(self)}
-
-    def sort_key(self):
-        return (
-            self.x.numerator,
-            self.x.denominator,
-            self.y.numerator,
-            self.y.denominator,
-        )
-
-
-def _row_json(value, digits: int):
-    # Fraction is an ABC subclass, so test it last: isinstance on it is slow
-    if isinstance(value, Magnitude):
-        return magnitude_json(value, digits)
-    if value is None or isinstance(value, bool):
-        return value
-    if isinstance(value, tuple):
-        return list(value)
-    return rational_str(value)
-
 
 def _maybe_counting(S, value, level=None):
     if value is None or value == 0:
@@ -206,23 +182,14 @@ def build_trace_rows(S: SContext, fam: TrinomialFamily, pairs) -> list[TraceRow]
 
 @dataclass(frozen=True)
 class RowCheck:
-    """Outcome of one exact check on one row."""
+    """Outcome of one exact check on one row; `detail` is reported as keys
+    of the row itself."""
 
     x: Fraction
     y: Fraction
     ok: bool | None  # None when the row was skipped
-    detail: dict = field(default_factory=dict)
+    detail: dict = field(default_factory=dict, metadata={"merge": True})
     error: str | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "x": rational_str(self.x),
-            "y": rational_str(self.y),
-            "ok": self.ok,
-            "error": self.error,
-        }
-        out.update(self.detail)
-        return out
 
 
 @dataclass(frozen=True)
@@ -232,18 +199,11 @@ class CheckReport:
     constants: dict
     notes: tuple[str, ...] = ()
 
+    derived_keys: ClassVar[tuple[str, ...]] = ("ok",)
+
     @property
     def ok(self) -> bool:
         return all(r.ok is not False for r in self.rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "constants": dict(self.constants),
-            "notes": list(self.notes),
-            "ok": self.ok,
-            "rows": [r.to_json_dict() for r in self.rows],
-        }
 
 
 def roth_chain_report(S: SContext, P: RatPoly, rows) -> CheckReport:
@@ -373,21 +333,11 @@ class MainInequalityReport:
     rows: tuple[RowCheck, ...]
     notes: tuple[str, ...]
 
+    derived_keys: ClassVar[tuple[str, ...]] = ("ok",)
+
     @property
     def ok(self) -> bool:
         return all(r.ok is not False for r in self.rows)
-
-    def to_json_dict(self, digits: int = 6) -> dict:
-        from .report import scaled_log_json
-
-        return {
-            "epsilon": rational_str(self.epsilon),
-            "constants": dict(self.constants),
-            "ceiling": None if self.ceiling is None else scaled_log_json(self.ceiling, digits),
-            "notes": list(self.notes),
-            "ok": self.ok,
-            "rows": [r.to_json_dict() for r in self.rows],
-        }
 
 
 def main_inequality_report(
@@ -500,16 +450,11 @@ class DependenceResult:
     basis: tuple[tuple[int, int, int], ...]
     rows_used: int
 
+    derived_keys: ClassVar[tuple[str, ...]] = ("nullity",)
+
     @property
     def nullity(self) -> int:
         return len(self.basis)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "basis": [list(v) for v in self.basis],
-            "rows_used": self.rows_used,
-            "nullity": self.nullity,
-        }
 
 
 def dependence_detect(rows) -> DependenceResult:
@@ -534,16 +479,6 @@ class CaseReport:
     constants: dict
     rows: tuple[RowCheck, ...]
     notes: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "triple": [rational_str(c) for c in self.triple],
-            "coefficients": dict(self.coefficients),
-            "constants": dict(self.constants),
-            "notes": list(self.notes),
-            "rows": [r.to_json_dict() for r in self.rows],
-        }
 
 
 def case_classify(S: SContext, fam: TrinomialFamily, triple, rows) -> CaseReport:

@@ -290,6 +290,34 @@ def test_search_negative_budget_usage_error(command, capsys):
     assert "pair_budget must be >= 0" in err
 
 
+# every command, with all its required flags, so only --digits can fail parsing
+DIGITS_COMMANDS = {
+    "validate-poly": ["validate-poly", *BASE],
+    "share": ["share", *BASE, "--pairs", "pairs.json"],
+    "trace": ["trace", *BASE, "--pairs", "pairs.json"],
+    "subspace": ["subspace", "--s", "2,3", "--forms", "f.json", "--points", "p.json"],
+    "unit-eq": ["unit-eq", "--s", "2,3", "--bound", "1"],
+    "search-shared": ["search-shared", *BASE, "--height-bound", "2"],
+    "search-su": ["search-su", *BASE, "--height-bound", "2"],
+}
+
+
+@pytest.mark.parametrize("digits", ["-5", "0", "x"])
+@pytest.mark.parametrize("command", sorted(DIGITS_COMMANDS))
+def test_digits_below_one_is_usage_error(command, digits, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*DIGITS_COMMANDS[command], "--digits", digits])
+    assert exc.value.code == 2
+    assert "--digits" in capsys.readouterr().err
+
+
+def test_digits_one_accepted(capsys):
+    code, out, _ = run(["unit-eq", "--s", "2", "--bound", "1", "--digits", "1",
+                        "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["digits"] == 1
+
+
 def test_worker_count_does_not_change_bytes(tmp_path, capsys):
     out1 = tmp_path / "w1.json"
     out4 = tmp_path / "w4.json"

@@ -1,0 +1,99 @@
+"""Golden reports: every README example, plus the flags the README leaves out,
+run with --format json and compared byte for byte with tests/golden/expected.
+
+Each case runs with tests/golden as the working directory, so the file names
+echoed in "config" are relative and the reports are machine-independent.
+After a deliberate format change, regenerate with `python tests/test_golden.py`
+and review the diff.
+"""
+
+import io
+import os
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from urskit.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+FAM = ["--n", "7", "--m", "1", "--a", "1", "--b", "1", "--s", "2,3"]
+
+# name -> (argv, exit code)
+CASES = {
+    "validate_poly": (["validate-poly", *FAM], 0),
+    "share": (["share", *FAM, "--pairs", "pairs.json"], 0),
+    "share_poly": (["share", "--poly", "poly.json", "--s", "2,3", "--pairs", "pairs.json"], 1),
+    "trace": (["trace", *FAM, "--pairs", "pairs.json", "--epsilon", "1/10"], 0),
+    "trace_rows": (["trace", *FAM, "--pairs", "trace_pairs.json"], 0),
+    "trace_diagonal": (["trace", *FAM, "--pairs", "diagonal_pairs.json"], 0),
+    "trace_digits3": (["trace", *FAM, "--pairs", "trace_pairs.json", "--digits", "3"], 0),
+    "subspace": (
+        ["subspace", "--forms", "forms.json", "--points", "points.json", "--s", "2,3",
+         "--epsilon", "1/10"],
+        1,
+    ),
+    "subspace_strict": (
+        ["subspace", "--forms", "forms.json", "--points", "points.json", "--s", "2,3",
+         "--strict"],
+        1,
+    ),
+    "subspace_strict_nonprimitive": (
+        ["subspace", "--forms", "forms.json", "--points", "points_nonprimitive.json",
+         "--s", "2,3", "--strict"],
+        2,
+    ),
+    "subspace_corollary": (
+        ["subspace", "--corollary", "--A", "1", "--B", "1", "--C", "1", "--pairs",
+         "pairs.json", "--s", "2,3", "--epsilon", "1/10"],
+        1,
+    ),
+    "subspace_corollary_rows": (
+        ["subspace", "--corollary", "--A", "1", "--B", "1", "--C", "1", "--pairs",
+         "corollary_pairs.json", "--s", "2,3"],
+        1,
+    ),
+    "unit_eq": (["unit-eq", "--s", "2,3", "--bound", "4"], 0),
+    "search_shared": (["search-shared", *FAM, "--height-bound", "30"], 0),
+    "search_shared_denom": (
+        ["search-shared", *FAM, "--height-bound", "12", "--denom-exponent", "1"],
+        0,
+    ),
+    "search_shared_linear": (
+        ["search-shared", "--poly", "linear.json", "--s", "2", "--height-bound", "3",
+         "--denom-exponent", "1"],
+        0,
+    ),
+    "search_su": (["search-su", *FAM, "--c", "1", "--height-bound", "20"], 0),
+    "search_su_linear": (
+        ["search-su", "--poly", "linear.json", "--s", "2", "--c", "-1", "--height-bound",
+         "3", "--denom-exponent", "1"],
+        0,
+    ),
+}
+
+
+def run_case(name):
+    argv, _ = CASES[name]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main([*argv, "--format", "json"])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report(name, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code, out = run_case(name)
+    assert code == CASES[name][1]
+    expected = (GOLDEN / "expected" / f"{name}.json").read_text(encoding="utf-8")
+    assert out == expected
+
+
+if __name__ == "__main__":
+    os.chdir(GOLDEN)
+    for case in sorted(CASES):
+        code, text = run_case(case)
+        (GOLDEN / "expected" / f"{case}.json").write_text(text, encoding="utf-8")
+        print(f"{case}: exit {code}, {len(text)} bytes")

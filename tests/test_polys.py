@@ -18,6 +18,7 @@ from urskit.polys import (
     resultant,
     validate_family,
 )
+from urskit.report import to_json
 
 S23 = SContext.of([2, 3])
 
@@ -272,7 +273,7 @@ def test_build_from_roots_vanishes_at_roots(roots):
 
 def test_poly_json_roundtrip():
     P = RatPoly.of([F(1, 2), F(0), F(-3)])
-    data = P.to_json_dict()
+    data = to_json(P)
     assert data == {"coeffs": ["1/2", "0", "-3"]}
     assert RatPoly.of(F(c) for c in data["coeffs"]) == P
 

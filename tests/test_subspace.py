@@ -18,6 +18,7 @@ from urskit.subspace import (
     general_position_check,
     normalize_point,
 )
+from urskit.report import to_json
 
 S23 = SContext.of([2, 3])
 
@@ -49,7 +50,7 @@ def test_form_system_shape_validation():
     ],
 )
 def test_normalize_examples(coords, expected):
-    assert normalize_point(S23, coords).to_json_list() == expected
+    assert to_json(normalize_point(S23, coords).coords) == expected
 
 
 def test_normalize_zero_tuple_error():
@@ -196,4 +197,4 @@ def test_delegated_point_matches_proof_reduction():
     rows = corollary_eval(S23, A, B, C, F(1, 10), [(x, y)])
     delegated = rows[0].delegated
     assert delegated.form_values == (F(1), x, C - A * x)
-    assert delegated.coords == (F(1), x)
+    assert delegated.point == (F(1), x)
