@@ -27,7 +27,7 @@ from .arith import (
     rational_str,
     unit_equation_solutions,
 )
-from .heights import DEFAULT_DISPLAY_DIGITS
+from .heights import DEFAULT_DISPLAY_DIGITS, MAX_DISPLAY_DIGITS
 from .polys import RatPoly, TrinomialFamily, validate_family
 from .report import SchemaError, render_table, stable_json, to_json
 from .sharing import SearchBudgetError, search_shared_pairs, share_check
@@ -77,8 +77,10 @@ def _digits_arg(text: str) -> int:
         digits = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if digits < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {digits}")
+    if not 1 <= digits <= MAX_DISPLAY_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"must be between 1 and {MAX_DISPLAY_DIGITS}, got {digits}"
+        )
     return digits
 
 
@@ -188,6 +190,10 @@ def _context(args) -> SContext:
 
 
 def _emit(args, command: str, config: dict, payload: dict, table: str) -> None:
+    if args.format in ("table", "both"):
+        print(table)
+    if args.format == "table" and not args.out:
+        return
     report = {
         "artifact": {"name": "urskit", "version": __version__, "kernel": BACKEND},
         "command": command,
@@ -195,11 +201,9 @@ def _emit(args, command: str, config: dict, payload: dict, table: str) -> None:
         **payload,
     }
     text = stable_json(to_json(report, args.digits))
-    if args.format in ("table", "both"):
-        print(table)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-    elif args.format in ("json", "both"):
+    else:
         sys.stdout.write(text)
 
 
@@ -476,7 +480,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--digits",
         type=_digits_arg,
         default=DEFAULT_DISPLAY_DIGITS,
-        help="decimal places for display-only log values (at least 1)",
+        help="decimal places for display-only log values "
+        f"(1 to {MAX_DISPLAY_DIGITS})",
     )
 
 

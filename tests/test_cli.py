@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from urskit import cli
 from urskit.cli import main
+from urskit.heights import MAX_DISPLAY_DIGITS
 
 
 def write(tmp_path, name, payload):
@@ -249,6 +251,18 @@ def test_format_both_prints_table_and_writes_json(tmp_path, capsys):
     assert data["command"] == "unit-eq"
 
 
+def test_table_format_builds_no_json(tmp_path, capsys, monkeypatch):
+    def no_json(_):
+        raise AssertionError("stable_json called under --format table")
+
+    monkeypatch.setattr(cli, "stable_json", no_json)
+    pairs = write(tmp_path, "pairs.json", [{"x": "0", "y": "-1"}])
+    code, out, _ = run(["trace", *BASE, "--pairs", pairs, "--format", "table"], capsys)
+    assert code == 0
+    assert "identity" in out and "main_inequality" in out
+    assert not out.lstrip().startswith("{")
+
+
 # --- searches and determinism ---------------------------------------------------------
 
 
@@ -302,13 +316,25 @@ DIGITS_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("digits", ["-5", "0", "x"])
-@pytest.mark.parametrize("command", sorted(DIGITS_COMMANDS))
-def test_digits_below_one_is_usage_error(command, digits, capsys):
+def assert_digits_usage_error(command, digits, capsys):
     with pytest.raises(SystemExit) as exc:
         main([*DIGITS_COMMANDS[command], "--digits", digits])
     assert exc.value.code == 2
     assert "--digits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("digits", ["-5", "0", "x"])
+@pytest.mark.parametrize("command", sorted(DIGITS_COMMANDS))
+def test_digits_below_one_is_usage_error(command, digits, capsys):
+    assert_digits_usage_error(command, digits, capsys)
+
+
+# above 17 places a double shows only noise; 10**9 would format a
+# gigabyte-long string if it got through
+@pytest.mark.parametrize("digits", [str(MAX_DISPLAY_DIGITS + 1), "1000000000"])
+@pytest.mark.parametrize("command", sorted(DIGITS_COMMANDS))
+def test_digits_above_max_is_usage_error(command, digits, capsys):
+    assert_digits_usage_error(command, digits, capsys)
 
 
 def test_digits_one_accepted(capsys):
@@ -316,6 +342,13 @@ def test_digits_one_accepted(capsys):
                         "--format", "json"], capsys)
     assert code == 0
     assert json.loads(out)["config"]["digits"] == 1
+
+
+def test_digits_max_accepted(capsys):
+    code, out, _ = run(["unit-eq", "--s", "2", "--bound", "1", "--digits",
+                        str(MAX_DISPLAY_DIGITS), "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["digits"] == MAX_DISPLAY_DIGITS
 
 
 def test_worker_count_does_not_change_bytes(tmp_path, capsys):

@@ -34,6 +34,11 @@ CASES = {
          "--epsilon", "1/10"],
         1,
     ),
+    "subspace_fine_eps": (
+        ["subspace", "--forms", "forms.json", "--points", "points.json", "--s", "2,3",
+         "--epsilon", "1/1000000"],
+        1,
+    ),
     "subspace_strict": (
         ["subspace", "--forms", "forms.json", "--points", "points.json", "--s", "2,3",
          "--strict"],
@@ -47,6 +52,11 @@ CASES = {
     "subspace_corollary": (
         ["subspace", "--corollary", "--A", "1", "--B", "1", "--C", "1", "--pairs",
          "pairs.json", "--s", "2,3", "--epsilon", "1/10"],
+        1,
+    ),
+    "subspace_corollary_fine_eps": (
+        ["subspace", "--corollary", "--A", "1", "--B", "1", "--C", "1", "--pairs",
+         "corollary_pairs.json", "--s", "2,3", "--epsilon", "1/1000000"],
         1,
     ),
     "subspace_corollary_rows": (

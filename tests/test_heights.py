@@ -5,9 +5,10 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from urskit import heights
 from urskit.arith import SContext, is_s_integer
 from urskit.heights import (
     EQUAL,
@@ -15,12 +16,14 @@ from urskit.heights import (
     LESS,
     Magnitude,
     ScaledLog,
+    _cmp_exact,
     cmp_scaled,
     counting,
     counting_trunc,
     display_log,
     height,
 )
+from urskit.subspace import LinearFormSystem, evaluate_conjecture
 
 S23 = SContext.of([2, 3])
 
@@ -165,6 +168,134 @@ def test_exact_tie_characterization():
     assert cmp_scaled(ScaledLog.of(F(2, 3), 27), ScaledLog.of(2, 3)) == EQUAL
     assert cmp_scaled(ScaledLog.of(F(2, 3), 27), ScaledLog.of(F(2), 3)) == EQUAL
     assert cmp_scaled(ScaledLog.of(F(3, 2), 4), ScaledLog.of(3, 2)) == EQUAL
+
+
+# Oracle cases for cmp_scaled, each kept to at most ~2*10^5 power bits so the
+# exact comparison stays affordable.  GATE is the power size up to which
+# cmp_scaled builds the powers itself.
+GATE = heights._EXACT_POWER_BITS
+
+
+@st.composite
+def near_ties(draw):
+    """(1 - 1/D) log A against log B with B within 3 of A: bit lengths below D
+    leave these to the exact powers."""
+    la = draw(st.integers(min_value=20, max_value=100))
+    D = draw(st.integers(min_value=GATE // (2 * la) + 1, max_value=1000))
+    A = draw(st.integers(min_value=2 ** (la - 1), max_value=2**la - 1))
+    B = A + draw(st.integers(min_value=-3, max_value=3))
+    return (1 - F(1, D), A), (1, B)
+
+
+@st.composite
+def exact_ties(draw):
+    """C^s and C^t with coefficients in ratio t : s, sized above the gate,
+    exact or nudged by 1/D."""
+    C = draw(st.integers(min_value=2, max_value=30))
+    s = draw(st.integers(min_value=1, max_value=8))
+    t = draw(st.integers(min_value=1, max_value=8).filter(lambda t: t != s))
+    A, B = C**s, C**t
+    q = draw(st.sampled_from([1, 7, 11, 13]))
+    # m prime to q keeps d = q, so the powers hold m*(t*len(A) + s*len(B)) bits
+    m = GATE // (t * A.bit_length() + s * B.bit_length()) + draw(st.integers(1, 5))
+    if q > 1 and m % q == 0:
+        m += 1
+    D = draw(st.integers(min_value=2, max_value=12))
+    nudge = draw(st.sampled_from([0, F(1, D), -F(1, D)]))
+    return (F(t * m, q) + nudge, A), (F(s * m, q), B)
+
+
+@st.composite
+def gate_edges(draw):
+    """Equal exponents e and bit lengths summing to T/e, for T one below, at or
+    one above the gate, with B built from A to keep the two sides close."""
+    T = draw(st.sampled_from([GATE - 1, GATE, GATE + 1]))
+    e = draw(st.sampled_from([k for k in range(1, 200) if T % k == 0]))
+    la = T // e // 2
+    lb = T // e - la
+    A = draw(st.integers(min_value=2 ** (la - 1), max_value=2**la - 1))
+    B = (A << (lb - la)) + draw(st.integers(min_value=0, max_value=3))
+    assume(B.bit_length() == lb)
+    q = draw(st.integers(min_value=1, max_value=5))
+    return (F(e, q), A), (F(e, q), B)
+
+
+@st.composite
+def same_bases(draw):
+    A = draw(st.integers(min_value=1, max_value=2**64))
+    a = draw(st.fractions(min_value=0, max_value=10**4, max_denominator=10**4))
+    b = draw(st.fractions(min_value=0, max_value=10**4, max_denominator=10**4))
+    return (a, A), (b, A)
+
+
+@st.composite
+def zero_quantities(draw):
+    """A zero side (coefficient 0 or base 1) against a side above the gate."""
+    if draw(st.booleans()):
+        zero = (0, draw(st.integers(min_value=2, max_value=2**100)))
+    else:
+        zero = (draw(st.integers(min_value=1, max_value=GATE)), 1)
+    b = draw(st.integers(min_value=0, max_value=20000))
+    B = draw(st.sampled_from([1, draw(st.integers(min_value=2, max_value=2**10))]))
+    assume(b * B.bit_length() + zero[0] * zero[1].bit_length() > GATE)
+    return zero, (b, B)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    st.one_of(
+        near_ties(), exact_ties(), gate_edges(), same_bases(), zero_quantities(),
+    )
+)
+def test_cmp_scaled_matches_exact_powers(case):
+    lhs, rhs = (ScaledLog.of(c, n) for c, n in case)
+    assert cmp_scaled(lhs, rhs) == _cmp_exact(lhs, rhs)
+    assert cmp_scaled(rhs, lhs) == _cmp_exact(rhs, lhs)
+
+
+def _no_powers(lhs, rhs):
+    raise AssertionError("cmp_scaled fell back to the exact powers")
+
+
+@pytest.mark.parametrize(
+    "lhs,rhs,expected",
+    [
+        # the bit-length bounds: 10^6 * 133 bits would be built otherwise
+        ((1 - F(1, 10**6), 10**40), (1, 10**39), GREATER),
+        ((1, 10**39), (1 - F(1, 10**6), 10**40), LESS),
+        # zero quantities above the gate
+        ((0, 10**40), (20000, 1), EQUAL),
+        ((0, 10**40), (F(20000, 7), 3), LESS),
+    ],
+)
+def test_cmp_scaled_builds_no_big_power(lhs, rhs, expected, monkeypatch):
+    monkeypatch.setattr(heights, "_cmp_exact", _no_powers)
+    assert cmp_scaled(ScaledLog.of(*lhs), ScaledLog.of(*rhs)) == expected
+
+
+def test_fine_epsilon_point_builds_no_big_power(monkeypatch):
+    # a fine-eps benchmark point: 31-smooth coordinates of height in
+    # [2^13, 10^4], three truncated counts with a 32-bit product, eps 1/10^5
+    monkeypatch.setattr(heights, "_cmp_exact", _no_powers)
+    forms = LinearFormSystem.of(1, [[1, 0], [0, 1], [1, 1]])
+    S = SContext.of([2, 3])
+    (row,) = evaluate_conjecture(S, forms, F(1, 10**5), [[F(9918), F(-9269)]])
+    assert row.rhs.value.bit_length() == 32
+    assert row.verdict == "holds"
+
+
+def test_cmp_scaled_falls_back_on_equal_bit_lengths(monkeypatch):
+    # log(2^k + 1) vs log(2^k): the bit-length bounds cannot separate them
+    calls = []
+
+    def spy(lhs, rhs):
+        calls.append((lhs, rhs))
+        return _cmp_exact(lhs, rhs)
+
+    monkeypatch.setattr(heights, "_cmp_exact", spy)
+    k = GATE // 2
+    assert cmp_scaled(ScaledLog.of(1, 2**k + 1), ScaledLog.of(1, 2**k)) == GREATER
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
