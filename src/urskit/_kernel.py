@@ -1,9 +1,11 @@
-"""Integer kernel: deterministic primality and wheel trial division.
+"""Integer kernel: deterministic primality, wheel trial division, and
+Brent's variant of Pollard's rho for splitting composites.
 
 `BACKEND` names the implementation in every report's artifact envelope.
 """
 
-from math import isqrt
+from itertools import compress
+from math import gcd, isqrt
 
 BACKEND = "pure"
 
@@ -15,6 +17,24 @@ CERTIFIED_LIMIT = 3_317_044_064_679_887_385_961_981
 
 # mod-30 wheel: gaps between candidate divisors starting at 7.
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
+
+# Rho steps between gcds: their differences are multiplied together first.
+_RHO_BATCH = 128
+
+
+def _primes_below(n):
+    """Sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return tuple(compress(range(n), sieve))
+
+
+# The primes below SMALL_PRIME_BOUND, tried by plain division before any rho.
+SMALL_PRIME_BOUND = 1000
+SMALL_PRIMES = _primes_below(SMALL_PRIME_BOUND)
 
 
 def is_prime(n):
@@ -65,4 +85,48 @@ def smallest_factor_below(n, limit):
             return d
         d += _WHEEL[i]
         i = (i + 1) & 7
+    return 0
+
+
+def rho_split(n, cap):
+    """A proper factor of the composite n, else 0 after at most `cap` steps.
+
+    Brent's variant of Pollard's rho (Pollard 1975; Brent 1980) on
+    x -> x*x + c mod n for c = 1, 2, ...; a step is one application of the
+    map.  A return of 0 says nothing about n: it may be prime or just
+    unlucky.
+    """
+    steps = 0
+    c = 0
+    while steps < cap:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if steps + r >= cap:
+                return 0
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            steps += r
+            k = 0
+            while k < r and g == 1:
+                batch = min(_RHO_BATCH, r - k, cap - steps)
+                if batch == 0:
+                    return 0
+                ys = y
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += batch
+                steps += batch
+            r *= 2
+        if g == n:
+            # the batch overshot: retrace it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
     return 0

@@ -1,11 +1,15 @@
 """Ground-layer tests: valuations, S-predicates, factoring, unit equations."""
 
 from fractions import Fraction as F
+from math import isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urskit import _kernel as kernel
+from urskit import arith
 from urskit.arith import (
     FactoringBudgetError,
     Place,
@@ -45,6 +49,29 @@ def trial_division_oracle(n):
     if n > 1:
         fs[n] = fs.get(n, 0) + 1
     return fs
+
+
+def trial_factor_oracle(n, budget):
+    """Factorization of n >= 1 by the loop `factor` ran before rho: divide out
+    the smallest prime within isqrt(budget) (2, 3 and 5 whatever the horizon)
+    until the cofactor is 1 or a certified prime, and raise on the first
+    cofactor with neither."""
+    horizon = isqrt(budget)
+    out = []
+    cof = n
+    while cof > 1:
+        if cof < kernel.CERTIFIED_LIMIT and kernel.is_prime(cof):
+            out.append((cof, 1))
+            break
+        p = kernel.smallest_factor_below(cof, horizon)
+        if p == 0:
+            raise FactoringBudgetError(cof, budget)
+        e = 0
+        while cof % p == 0:
+            cof //= p
+            e += 1
+        out.append((p, e))
+    return tuple(sorted(out))
 
 
 def s_split_oracle(primes, n):
@@ -233,6 +260,107 @@ def test_factor_budget_error_names_cofactor():
 def test_factor_smooth_beyond_budget_succeeds():
     # budget limits the trial horizon, not the magnitude of smooth input
     assert factor(2**100, budget=10**6).value() == 2**100
+
+
+def test_factor_tiny_budget_still_tries_2_3_5():
+    # isqrt(1) = 1, yet the wheel primes are findable whatever the horizon
+    assert factor(12, budget=1).factors == ((2, 2), (3, 1))
+    with pytest.raises(FactoringBudgetError) as err:
+        factor(2 * 49, budget=1)
+    assert err.value.cofactor == 49
+
+
+def _prime_at_most(n):
+    while n >= 2 and not kernel.is_prime(n):
+        n -= 1
+    return n if n >= 2 else 2
+
+
+def _prime_above(n):
+    n += 1
+    while not kernel.is_prime(n):
+        n += 1
+    return n
+
+
+ORACLE_BUDGETS = (1, 2, 10, 49, 10**6, 1009**2, 10**12, 10**13)
+
+
+@st.composite
+def _factor_cases(draw):
+    """(n, budget): n a signed product of up to four prime powers drawn around
+    the horizon isqrt(budget), below it, above it, or past CERTIFIED_LIMIT
+    together."""
+    budget = draw(st.sampled_from(ORACLE_BUDGETS))
+    horizon = isqrt(budget)
+    if draw(st.booleans()):
+        # the budget edge itself: p one above, or at, the horizon
+        p = _prime_above(draw(st.integers(1, 3 * 10**6)))
+        budget = p * p - draw(st.sampled_from((1, 0)))
+        horizon = isqrt(budget)
+    edge = st.sampled_from(
+        (_prime_at_most(horizon - 1), _prime_at_most(horizon), _prime_above(horizon))
+    )
+    below = st.integers(2, max(2, horizon)).map(_prime_at_most)
+    above = st.integers(horizon, 3 * horizon + 1000).map(_prime_above)
+    small = st.sampled_from(kernel.SMALL_PRIMES[:30])
+    prime = st.one_of(edge, below, above, small)
+    n = 1
+    for _ in range(draw(st.integers(0, 4))):
+        n *= draw(prime) ** draw(st.sampled_from((1, 1, 2, 3)))
+    if draw(st.integers(0, 9)) == 0:
+        # two primes whose product reaches CERTIFIED_LIMIT
+        big = st.integers(2 * 10**12, 10**13).map(_prime_above)
+        n *= draw(big) * draw(big)
+    return draw(st.sampled_from((1, -1))) * n, budget
+
+
+def _factor_or_error(factorize, n, budget):
+    arith._factor_positive.cache_clear()
+    try:
+        return "factored", factorize(n, budget)
+    except FactoringBudgetError as exc:
+        return "raised", exc.cofactor, exc.budget, str(exc)
+
+
+def _check_against_oracle(case):
+    n, budget = case
+    got = _factor_or_error(lambda n, b: factor(n, b).factors, n, budget)
+    want = _factor_or_error(trial_factor_oracle, abs(n), budget)
+    assert got == want
+    if want[0] == "factored":
+        assert factor(n, budget).value() == n
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_factor_cases())
+def test_factor_matches_trial_division_oracle(case):
+    _check_against_oracle(case)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_factor_cases())
+def test_factor_without_rho_matches_trial_division_oracle(case):
+    # rho giving up at once sends every piece through the trial-division fallback
+    with mock.patch.object(kernel, "rho_split", lambda n, cap: 0):
+        _check_against_oracle(case)
+    arith._factor_positive.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "n,budget",
+    [
+        (1009 * 1013, 10**6),  # two primes just above the horizon
+        (1009 * 1013 * 1019, 10**6),  # three
+        (1009**2 * 1013, 1009**2),  # a horizon just past the trial-divided primes
+        (1_000_003 * 1_000_033 * 4, 10**12),
+        (3_162_277**2 * 3_162_283, 10**13),  # at the horizon, and one above
+        ((10**13 + 37) * (10**13 + 51), 10**6),  # cofactor >= CERTIFIED_LIMIT
+        (2**89 - 1, 10**6),  # a prime past CERTIFIED_LIMIT
+    ],
+)
+def test_factor_budget_edge_matches_oracle(n, budget):
+    _check_against_oracle((n, budget))
 
 
 def test_s_decompose_budget_error():

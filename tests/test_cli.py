@@ -295,6 +295,22 @@ def test_search_budget_exit(capsys):
     assert "budget" in err
 
 
+def test_factoring_budget_exit_names_cofactor(tmp_path, capsys):
+    # 1009 and 1013 are both primes above isqrt(10^6) = 1000
+    forms = write(tmp_path, "forms.json", {"r": 1, "forms": [["1", "0"], ["0", "1"], ["1", "1"]]})
+    points = write(tmp_path, "points.json", [[str(1009 * 1013), "1"]])
+    code, out, err = run(
+        ["subspace", "--forms", forms, "--points", points, "--s", "2,3", "--budget", "1000000"],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "budget error: factoring budget 1000000 exceeded: cofactor 1022117 "
+        "has no prime factor within the trial horizon\n"
+    )
+
+
 @pytest.mark.parametrize("command", [["search-shared"], ["search-su", "--c", "1"]])
 def test_search_negative_budget_usage_error(command, capsys):
     code, _, err = run(

@@ -49,6 +49,11 @@ CASES = {
          "--s", "2,3", "--strict"],
         2,
     ),
+    "subspace_stubborn": (
+        ["subspace", "--forms", "forms.json", "--points", "points_stubborn.json", "--s", "2,3",
+         "--budget", "10000000000000"],
+        0,
+    ),
     "subspace_corollary": (
         ["subspace", "--corollary", "--A", "1", "--B", "1", "--C", "1", "--pairs",
          "pairs.json", "--s", "2,3", "--epsilon", "1/10"],

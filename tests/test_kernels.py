@@ -92,3 +92,36 @@ def _n_and_limit(draw):
 def test_smallest_factor_below_matches_trial_division(case):
     n, limit = case
     assert kernel.smallest_factor_below(n, limit) == _reference_smallest_factor(n, limit)
+
+
+# primes above 1000, as factor leaves them to rho
+_RHO_PRIMES = st.sampled_from(SMALL_PRIMES[168:]) | st.sampled_from(
+    [1_000_003, 1_000_033, 999_999_937, 2**31 - 1]
+)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(_RHO_PRIMES, _RHO_PRIMES, st.integers(1, 3))
+def test_rho_split_returns_a_proper_factor(p, q, e):
+    n = p**e * q
+    d = kernel.rho_split(n, 10**6)
+    assert 1 < d < n and n % d == 0
+
+
+def test_rho_split_retries_when_both_cycles_close_together():
+    # with c = 1 the gcd jumps straight to n for these, so rho must try c = 2
+    for p, q in [(101, 271), (103, 149), (107, 163)]:
+        assert kernel.rho_split(p * q, 10**4) in (p, q)
+
+
+def test_rho_split_gives_up():
+    assert kernel.rho_split(1_000_000_007, 10**4) == 0  # a prime never splits
+    assert kernel.rho_split(1009 * 1013, 0) == 0
+    # both factors near 10^12 need far more than 1000 steps
+    assert kernel.rho_split((10**12 + 39) * (10**12 + 61), 1000) == 0
+
+
+def test_small_primes():
+    assert kernel.SMALL_PRIMES == tuple(
+        p for p in range(kernel.SMALL_PRIME_BOUND) if _reference_is_prime(p)
+    )

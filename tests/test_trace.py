@@ -5,10 +5,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from urskit.arith import SContext
+from urskit.arith import SContext, unit_equation_solutions
 from urskit.heights import Magnitude, ScaledLog
 from urskit.polys import RatPoly, TrinomialFamily
 from urskit.sharing import SearchBudgetError, s_integer_box
@@ -345,6 +345,51 @@ def test_case_c2_zero():
     assert row.detail["y_is_s_unit"] is True
     assert row.detail["y_shift_is_s_unit"] is True
     assert row.detail["in_enumeration"] is True
+
+
+def _s_units(S):
+    """Signed products of powers (-2..2) of the primes of S."""
+
+    def build(sign, exps):
+        out = F(sign)
+        for p, e in zip(S.primes, exps):
+            out *= F(p) ** e
+        return out
+
+    exps = st.lists(st.integers(-2, 2), min_size=len(S.primes), max_size=len(S.primes))
+    return st.builds(build, st.sampled_from((1, -1)), exps)
+
+
+@st.composite
+def _c2_zero_cases(draw):
+    """(S, family, y): y an S-unit, and a such that u0 = -y^m/a solves the
+    S-unit equation, or y^m + a is an S-unit, or is one nudged."""
+    S = SContext.of(draw(st.lists(st.sampled_from((2, 3, 5, 7)), max_size=3, unique=True)))
+    m = draw(st.integers(1, 2))
+    y = draw(_s_units(S))
+    solutions = unit_equation_solutions(S, 2)
+    if solutions and draw(st.booleans()):
+        u0, _ = draw(st.sampled_from(solutions))
+        a = -(y**m) / u0
+    else:
+        a = draw(_s_units(S)) + draw(st.sampled_from((0, 1, -1, F(1, 11)))) - y**m
+    assume(a != 0)
+    return S, TrinomialFamily(m + 2, m, a, F(1)), y
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_c2_zero_cases())
+def test_case_c2_zero_membership_matches_enumeration(case):
+    S, fam, y = case
+    rows = build_trace_rows(S, fam, [(y, y)])
+    rep = case_classify(S, fam, (F(1), F(1), F(1, 2)), rows)
+    assert rep.branch == "C2_zero"
+    for row in rep.rows:
+        if "in_enumeration" not in row.detail:
+            continue
+        u0, v0 = (F(t) for t in row.detail["unit_equation_pair"])
+        members = unit_equation_solutions(S, row.detail["unit_equation_bound"])
+        assert row.detail["in_enumeration"] == ((u0, v0) in members)
 
 
 def test_case_c3_zero():
