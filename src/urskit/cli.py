@@ -29,7 +29,7 @@ from .arith import (
 )
 from .heights import DEFAULT_DISPLAY_DIGITS, MAX_DISPLAY_DIGITS
 from .polys import RatPoly, TrinomialFamily, validate_family
-from .report import SchemaError, render_table, stable_json, to_json
+from .report import SchemaError, render_table, stable_json
 from .sharing import SearchBudgetError, search_shared_pairs, share_check
 from .subspace import (
     VIOLATED,
@@ -189,9 +189,11 @@ def _context(args) -> SContext:
     return SContext(args.s, args.budget)
 
 
-def _emit(args, command: str, config: dict, payload: dict, table: str) -> None:
+def _emit(args, command: str, config: dict, payload: dict, table) -> None:
+    """Print the table (`table()` builds it) and write the JSON report, as
+    --format and --out ask; neither is built unless it is written."""
     if args.format in ("table", "both"):
-        print(table)
+        print(table())
     if args.format == "table" and not args.out:
         return
     report = {
@@ -200,7 +202,7 @@ def _emit(args, command: str, config: dict, payload: dict, table: str) -> None:
         "config": config,
         **payload,
     }
-    text = stable_json(to_json(report, args.digits))
+    text = stable_json(report, args.digits)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -223,10 +225,13 @@ def cmd_validate_poly(args) -> int:
     fam = _family_from_args(args)
     rep = validate_family(S, fam)
     config = _common_config(args, n=fam.n, m=fam.m, a=fam.a, b=fam.b)
-    table = render_table(
-        ["check", "passed", "detail"],
-        [[c.name, str(c.passed), c.detail] for c in rep.checks],
-    )
+
+    def table() -> str:
+        return render_table(
+            ["check", "passed", "detail"],
+            [[c.name, str(c.passed), c.detail] for c in rep.checks],
+        )
+
     _emit(args, "validate-poly", config, {"validation": rep}, table)
     return 0 if rep.passed else 1
 
@@ -237,18 +242,21 @@ def cmd_share(args) -> int:
     pairs = load_pairs_file(args.pairs)
     rows = [share_check(S, P, x, y) for x, y in pairs]
     config = _common_config(args, pairs=args.pairs, poly=str(P))
-    table = render_table(
-        ["x", "y", "u", "shares"],
-        [
+
+    def table() -> str:
+        return render_table(
+            ["x", "y", "u", "shares"],
             [
-                rational_str(r.x),
-                rational_str(r.y),
-                "-" if r.u is None else rational_str(r.u),
-                str(r.shares),
-            ]
-            for r in rows
-        ],
-    )
+                [
+                    rational_str(r.x),
+                    rational_str(r.y),
+                    "-" if r.u is None else rational_str(r.u),
+                    str(r.shares),
+                ]
+                for r in rows
+            ],
+        )
+
     _emit(args, "share", config, {"rows": rows}, table)
     return 0 if all(r.shares for r in rows) else 1
 
@@ -257,9 +265,12 @@ def cmd_unit_eq(args) -> int:
     S = _context(args)
     sols = unit_equation_solutions(S, args.bound)
     config = _common_config(args, exponent_bound=args.bound)
-    table = render_table(
-        ["u", "v"], [[rational_str(u), rational_str(v)] for u, v in sols]
-    )
+
+    def table() -> str:
+        return render_table(
+            ["u", "v"], [[rational_str(u), rational_str(v)] for u, v in sols]
+        )
+
     _emit(args, "unit-eq", config, {"solutions": sols, "count": len(sols)}, table)
     return 0
 
@@ -282,17 +293,20 @@ def cmd_search_shared(args) -> int:
         denom_exponent=args.denom_exponent,
         pair_budget=args.pair_budget,
     )
-    table = render_table(
-        ["x", "y", "u"],
-        [
+
+    def table() -> str:
+        return render_table(
+            ["x", "y", "u"],
             [
-                rational_str(r.x),
-                rational_str(r.y),
-                "-" if r.u is None else rational_str(r.u),
-            ]
-            for r in rows
-        ],
-    )
+                [
+                    rational_str(r.x),
+                    rational_str(r.y),
+                    "-" if r.u is None else rational_str(r.u),
+                ]
+                for r in rows
+            ],
+        )
+
     _emit(args, "search-shared", config, {"rows": rows, "count": len(rows)}, table)
     return 0
 
@@ -317,9 +331,12 @@ def cmd_search_su(args) -> int:
         denom_exponent=args.denom_exponent,
         pair_budget=args.pair_budget,
     )
-    table = render_table(
-        ["x", "y"], [[rational_str(x), rational_str(y)] for x, y in pairs]
-    )
+
+    def table() -> str:
+        return render_table(
+            ["x", "y"], [[rational_str(x), rational_str(y)] for x, y in pairs]
+        )
+
     _emit(args, "search-su", config, {"pairs": pairs, "count": len(pairs)}, table)
     return 0
 
@@ -343,19 +360,22 @@ def cmd_subspace(args) -> int:
             epsilon=args.epsilon,
             pairs=args.pairs,
         )
-        table = render_table(
-            ["x", "y", "verdict", "direct", "agree"],
-            [
+
+        def table() -> str:
+            return render_table(
+                ["x", "y", "verdict", "direct", "agree"],
                 [
-                    rational_str(r.x),
-                    rational_str(r.y),
-                    r.verdict,
-                    r.direct_verdict,
-                    str(r.agree),
-                ]
-                for r in rows
-            ],
-        )
+                    [
+                        rational_str(r.x),
+                        rational_str(r.y),
+                        r.verdict,
+                        r.direct_verdict,
+                        str(r.agree),
+                    ]
+                    for r in rows
+                ],
+            )
+
         _emit(args, "subspace", config, {"rows": rows}, table)
         bad = any(r.verdict == VIOLATED or r.verdict == "error" for r in rows)
         return 1 if bad else 0
@@ -373,18 +393,21 @@ def cmd_subspace(args) -> int:
         strict=args.strict,
     )
     payload = {"rows": reports, "summary": summarize_defects(reports)}
-    table = render_table(
-        ["point", "max_height", "rhs", "verdict"],
-        [
+
+    def table() -> str:
+        return render_table(
+            ["point", "max_height", "rhs", "verdict"],
             [
-                "(" + ",".join(rational_str(c) for c in r.point) + ")",
-                str(r.max_height.value),
-                "-" if r.rhs is None else str(r.rhs.value),
-                r.verdict,
-            ]
-            for r in reports
-        ],
-    )
+                [
+                    "(" + ",".join(rational_str(c) for c in r.point) + ")",
+                    str(r.max_height.value),
+                    "-" if r.rhs is None else str(r.rhs.value),
+                    r.verdict,
+                ]
+                for r in reports
+            ],
+        )
+
     _emit(args, "subspace", config, payload, table)
     return 1 if any(r.verdict == VIOLATED for r in reports) else 0
 
@@ -429,28 +452,34 @@ def cmd_trace(args) -> int:
         },
         "dependence": dependence,
     }
-    table_rows = [
-        [
-            rational_str(r.x),
-            rational_str(r.y),
-            "-" if r.u is None else rational_str(r.u),
-            str(r.shares),
-            str(r.identity_ok),
-            ",".join(r.flags) or "-",
-        ]
-        for r in rows
-    ]
-    table = render_table(["x", "y", "u", "shares", "identity", "flags"], table_rows)
-    summary = render_table(
-        ["check", "ok"],
-        [
-            ["roth_chain", str(roth.ok)],
-            ["unit_height", str(unit_h.ok)],
-            ["trunc_bounds", str(trunc.ok)],
-            ["main_inequality", str(main_rep.ok)],
-        ],
-    )
-    _emit(args, "trace", config, payload, table + "\n\n" + summary)
+
+    def table() -> str:
+        rows_table = render_table(
+            ["x", "y", "u", "shares", "identity", "flags"],
+            [
+                [
+                    rational_str(r.x),
+                    rational_str(r.y),
+                    "-" if r.u is None else rational_str(r.u),
+                    str(r.shares),
+                    str(r.identity_ok),
+                    ",".join(r.flags) or "-",
+                ]
+                for r in rows
+            ],
+        )
+        summary = render_table(
+            ["check", "ok"],
+            [
+                ["roth_chain", str(roth.ok)],
+                ["unit_height", str(unit_h.ok)],
+                ["trunc_bounds", str(trunc.ok)],
+                ["main_inequality", str(main_rep.ok)],
+            ],
+        )
+        return rows_table + "\n\n" + summary
+
+    _emit(args, "trace", config, payload, table)
     identity_fail = any(r.identity_ok is False for r in rows)
     exact_fail = not (roth.ok and unit_h.ok and trunc.ok and main_rep.ok)
     return 1 if identity_fail or exact_fail else 0

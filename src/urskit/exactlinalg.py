@@ -1,4 +1,5 @@
-"""Small exact linear algebra over Fractions: determinants and nullspaces."""
+"""Small exact linear algebra over Fractions: determinants, and nullspace
+bases that stop reading rows once the rank is full."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ from math import gcd
 
 
 def det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant by exact Gaussian elimination with partial structure."""
+    """Determinant by exact Gaussian elimination, pivoting on the first
+    nonzero entry of each column."""
     n = len(rows)
     mat = [[Fraction(v) for v in row] for row in rows]
     if any(len(row) != n for row in mat):
@@ -53,38 +55,45 @@ def nullspace_basis(rows: list[list[Fraction]]) -> list[tuple[int, ...]]:
     Basis vectors come from the free columns of the reduced row echelon form,
     in column order; each is scaled to coprime integers with the first nonzero
     entry positive.  Deterministic for a given row list.
+
+    The rows are folded in one at a time into the reduced row echelon form
+    of those seen so far (at most `width` rows).  That form is unique for a
+    row space, so the basis does not depend on the order of the rows, and
+    rows after the one that brings the rank to `width` are not read.
     """
     if not rows:
         raise ValueError("nullspace of an empty matrix is undefined")
     width = len(rows[0])
-    mat = [[Fraction(v) for v in row] for row in rows]
-    if any(len(row) != width for row in mat):
+    if any(len(row) != width for row in rows):
         raise ValueError("ragged matrix")
 
-    pivots: list[int] = []
-    row_idx = 0
-    for col in range(width):
-        pivot_row = next((r for r in range(row_idx, len(mat)) if mat[r][col] != 0), None)
-        if pivot_row is None:
+    reduced: dict[int, list[Fraction]] = {}  # pivot column -> row, 1 there
+    for raw in rows:
+        row = [Fraction(v) for v in raw]
+        for col, kept in reduced.items():
+            scale = row[col]
+            if scale:
+                row = [a - scale * b for a, b in zip(row, kept)]
+        lead = next((c for c, v in enumerate(row) if v), None)
+        if lead is None:
             continue
-        mat[row_idx], mat[pivot_row] = mat[pivot_row], mat[row_idx]
-        pivot = mat[row_idx][col]
-        mat[row_idx] = [v / pivot for v in mat[row_idx]]
-        for r in range(len(mat)):
-            if r != row_idx and mat[r][col] != 0:
-                scale = mat[r][col]
-                mat[r] = [a - scale * b for a, b in zip(mat[r], mat[row_idx])]
-        pivots.append(col)
-        row_idx += 1
-        if row_idx == len(mat):
-            break
+        pivot = row[lead]
+        row = [v / pivot for v in row]
+        for kept in reduced.values():
+            scale = kept[lead]
+            if scale:
+                kept[:] = [a - scale * b for a, b in zip(kept, row)]
+        reduced[lead] = row
+        if len(reduced) == width:
+            return []
 
-    free_cols = [c for c in range(width) if c not in pivots]
     basis = []
-    for free in free_cols:
+    for free in range(width):
+        if free in reduced:
+            continue
         vec = [Fraction(0)] * width
         vec[free] = Fraction(1)
-        for r, pcol in enumerate(pivots):
-            vec[pcol] = -mat[r][free]
+        for pcol, kept in reduced.items():
+            vec[pcol] = -kept[free]
         basis.append(_primitive(vec))
     return basis

@@ -252,7 +252,7 @@ def test_format_both_prints_table_and_writes_json(tmp_path, capsys):
 
 
 def test_table_format_builds_no_json(tmp_path, capsys, monkeypatch):
-    def no_json(_):
+    def no_json(*_):
         raise AssertionError("stable_json called under --format table")
 
     monkeypatch.setattr(cli, "stable_json", no_json)
@@ -261,6 +261,27 @@ def test_table_format_builds_no_json(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert "identity" in out and "main_inequality" in out
     assert not out.lstrip().startswith("{")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", *BASE, "--pairs", "PAIRS"],
+        ["search-shared", *BASE, "--height-bound", "5"],
+    ],
+)
+def test_json_format_builds_no_table(argv, tmp_path, capsys, monkeypatch):
+    def no_table(*_):
+        raise AssertionError("render_table called under --format json")
+
+    monkeypatch.setattr(cli, "render_table", no_table)
+    pairs = write(tmp_path, "pairs.json", [{"x": "0", "y": "-1"}])
+    out_file = tmp_path / "report.json"
+    argv = [pairs if a == "PAIRS" else a for a in argv]
+    code, out, _ = run([*argv, "--format", "json", "--out", str(out_file)], capsys)
+    assert code == 0
+    assert out == ""
+    assert json.loads(out_file.read_text())["command"] == argv[0]
 
 
 # --- searches and determinism ---------------------------------------------------------

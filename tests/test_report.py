@@ -1,28 +1,71 @@
-"""The wire format: `to_json` encodes report values by their exact type."""
+"""The wire format: `stable_json` writes report values by their exact type,
+byte for byte as `json.dumps` renders the dict tree of `to_json` below."""
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction as F
 from typing import ClassVar
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from urskit.arith import rational_str
 from urskit.heights import Magnitude, ScaledLog
-from urskit.report import to_json
+from urskit.report import stable_json
+
+
+def to_json(value, digits=6):
+    """Reference: the JSON-ready dict tree of a report value."""
+    t = type(value)
+    if t is str or t is int or t is bool or value is None:
+        return value
+    if t is F:
+        return rational_str(value)
+    if t is Magnitude:
+        return {"exact": str(value.value), "log": value.log_display(digits)}
+    if t is tuple or t is list:
+        return [to_json(v, digits) for v in value]
+    if t is dict:
+        return {k: to_json(v, digits) for k, v in value.items()}
+    if t is ScaledLog:
+        return {
+            "coefficient": rational_str(value.coefficient),
+            "base": to_json(value.base, digits),
+            "log": value.log_display(digits),
+        }
+    if not is_dataclass(t):
+        raise TypeError(f"no JSON encoding for {t.__name__}")
+    out = {}
+    for f in fields(t):
+        encoded = to_json(getattr(value, f.name), digits)
+        if f.metadata.get("merge", False):
+            out.update(encoded)
+        else:
+            out[f.name] = encoded
+    for name in getattr(t, "derived_keys", ()):
+        out[name] = to_json(getattr(value, name), digits)
+    return out
+
+
+def reference_json(value, digits=6):
+    return json.dumps(to_json(value, digits), sort_keys=True, indent=2,
+                      ensure_ascii=False) + "\n"
 
 
 def test_scalars_by_exact_type():
-    assert to_json(None) is None
-    assert to_json(True) is True
-    assert to_json("text") == "text"
+    assert json.loads(stable_json(None)) is None
+    assert json.loads(stable_json(True)) is True
+    assert json.loads(stable_json("text")) == "text"
     # an int is a JSON number, a rational always a string, even when integral
-    assert to_json(3) == 3
-    assert to_json(F(3)) == "3"
-    assert to_json(F(-1, 2)) == "-1/2"
+    assert json.loads(stable_json(3)) == 3
+    assert json.loads(stable_json(F(3))) == "3"
+    assert json.loads(stable_json(F(-1, 2))) == "-1/2"
 
 
 def test_log_quantities_exact_plus_display():
-    assert to_json(Magnitude(10), 3) == {"exact": "10", "log": "2.303"}
-    assert to_json(ScaledLog(F(1, 2), Magnitude(10)), 2) == {
+    assert json.loads(stable_json(Magnitude(10), 3)) == {"exact": "10", "log": "2.303"}
+    assert json.loads(stable_json(ScaledLog(F(1, 2), Magnitude(10)), 2)) == {
         "coefficient": "1/2",
         "base": {"exact": "10", "log": "2.30"},
         "log": "1.15",
@@ -43,12 +86,93 @@ class _Row:
 
 def test_dataclass_fields_merge_and_derived_keys():
     row = _Row(F(1, 4), {"count": 2, "h": Magnitude(1)})
-    assert to_json([row], 1) == [
+    assert json.loads(stable_json([row], 1)) == [
         {"x": "1/4", "count": 2, "h": {"exact": "1", "log": "0.0"}, "double": "1/2"}
     ]
 
 
-@pytest.mark.parametrize("value", [0.5, {1, 2}, object()])
+@pytest.mark.parametrize("value", [0.5, {1, 2}, object(), [1, {"k": 0.5}],
+                                   {"k": {1, 2}}, {(1, 2): 0}])
 def test_unknown_types_are_rejected(value):
     with pytest.raises(TypeError, match="no JSON encoding"):
-        to_json(value)
+        stable_json(value)
+
+
+def test_long_ints_raise_as_str_does():
+    with pytest.raises(ValueError, match="4300"):
+        stable_json({"n": 10**5000})
+    with pytest.raises(ValueError, match="4300"):
+        stable_json(Magnitude(10**5000))
+
+
+@dataclass(frozen=True)
+class _Plain:
+    b: object
+    a: object
+
+    derived_keys: ClassVar[tuple[str, ...]] = ("ab",)
+
+    @property
+    def ab(self):
+        return [self.a, self.b]
+
+
+@dataclass(frozen=True)
+class _Merged:
+    """Plain keys on both sides of the merged ones, in sort order."""
+
+    m: object
+    extra: dict = field(default_factory=dict, metadata={"merge": True})
+    z: object = None
+
+    derived_keys: ClassVar[tuple[str, ...]] = ("d",)
+
+    @property
+    def d(self):
+        return self.m
+
+
+@dataclass(frozen=True)
+class _Empty:
+    pass
+
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.text(max_size=8)
+    | st.sampled_from(["", "é", "ü\x00", "\n\t\"\\", " ", "\U0001f600", "\x7f"])
+    | st.fractions(max_denominator=10**6)
+    | st.integers(1, 10**30).map(Magnitude)
+    | st.builds(ScaledLog, st.fractions(min_value=0, max_denominator=50),
+                st.integers(1, 10**12).map(Magnitude))
+    | st.just(_Empty())
+)
+keys = st.text(max_size=6) | st.sampled_from(["a", "b", "m", "z", "extra", "é"])
+
+
+def _values(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(keys, children, max_size=4)
+        | st.dictionaries(st.integers(-100, 100), children, max_size=4)
+        | st.builds(_Plain, children, children)
+        | st.builds(_Merged, children, st.dictionaries(keys, children, max_size=4),
+                    children)
+    )
+
+
+values = st.recursive(scalars, _values, max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values, st.integers(1, 17))
+def test_stable_json_matches_json_dumps_of_the_dict_tree(value, digits):
+    assert stable_json(value, digits) == reference_json(value, digits)
+
+
+@pytest.mark.parametrize("value", [{True: [], False: {}}, {None: 1}, {2: 0, 10: 1, -3: 2}])
+def test_keyword_keys_as_json_writes_them(value):
+    assert stable_json(value) == reference_json(value)

@@ -1,6 +1,7 @@
 """Subspace-inequality evaluator: general position, normalization, per-point
 verdicts, and the two-variable delegation."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,7 @@ from urskit.subspace import (
     general_position_check,
     normalize_point,
 )
-from urskit.report import to_json
+from urskit.report import stable_json
 
 S23 = SContext.of([2, 3])
 
@@ -50,7 +51,7 @@ def test_form_system_shape_validation():
     ],
 )
 def test_normalize_examples(coords, expected):
-    assert to_json(normalize_point(S23, coords).coords) == expected
+    assert json.loads(stable_json(normalize_point(S23, coords).coords)) == expected
 
 
 def test_normalize_zero_tuple_error():
