@@ -5,8 +5,6 @@ from ._kernel import BACKEND as KERNEL_BACKEND
 from .arith import (
     FactoringBudgetError,
     Factorization,
-    Place,
-    Rational,
     SContext,
     UrskitError,
     factor,
@@ -15,7 +13,6 @@ from .arith import (
     ord_at,
     parse_rational,
     rational_str,
-    s_decompose,
     unit_equation_solutions,
 )
 from .heights import (
@@ -40,11 +37,8 @@ from .polys import (
     validate_family,
 )
 from .sharing import (
-    AdmissibilityReport,
-    PairSequence,
     SearchBudgetError,
     SharePoint,
-    admissibility_report,
     ord_profile_equal,
     s_integer_box,
     search_shared_pairs,

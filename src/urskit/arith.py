@@ -1,4 +1,4 @@
-"""Exact rational ground layer: places, S-contexts, valuations, factoring,
+"""Exact rational ground layer: S-contexts, valuations, factoring,
 S-integer/S-unit predicates, and S-unit equation enumeration.
 
 Every quantity is an exact `fractions.Fraction` or Python int; nothing here
@@ -16,8 +16,6 @@ from functools import lru_cache
 from math import isqrt
 
 from . import _kernel as kernel
-
-Rational = Fraction
 
 DEFAULT_FACTORING_BUDGET = 10**12
 
@@ -73,32 +71,6 @@ def is_certified_prime(p: int) -> bool:
 
 
 @dataclass(frozen=True)
-class Place:
-    """A place of Q: the Archimedean absolute value or a p-adic one."""
-
-    kind: str  # "archimedean" | "finite"
-    prime: int | None = None
-
-    def __post_init__(self):
-        if self.kind == "archimedean":
-            if self.prime is not None:
-                raise ValueError("archimedean place carries no prime")
-        elif self.kind == "finite":
-            if self.prime is None or not is_certified_prime(self.prime):
-                raise ValueError(f"finite place needs a certified prime, got {self.prime}")
-        else:
-            raise ValueError(f"unknown place kind: {self.kind!r}")
-
-    @classmethod
-    def archimedean(cls) -> "Place":
-        return cls("archimedean")
-
-    @classmethod
-    def finite(cls, p: int) -> "Place":
-        return cls("finite", p)
-
-
-@dataclass(frozen=True)
 class SContext:
     """The finite-prime part of S.  The Archimedean place is always implied.
 
@@ -124,9 +96,6 @@ class SContext:
     def of(cls, primes, factoring_budget: int = DEFAULT_FACTORING_BUDGET) -> "SContext":
         return cls(tuple(sorted(set(primes))), factoring_budget)
 
-    def places(self) -> tuple[Place, ...]:
-        return (Place.archimedean(),) + tuple(Place.finite(p) for p in self.primes)
-
     def __str__(self):
         return "{" + ",".join(str(p) for p in self.primes) + "}"
 
@@ -143,9 +112,6 @@ class Factorization:
         for p, e in self.factors:
             n *= p**e
         return n
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
 
 
 @lru_cache(maxsize=65536)
@@ -262,15 +228,6 @@ def non_s_part(S: SContext, x: Fraction) -> tuple[int, int]:
 def is_s_unit(S: SContext, x: Fraction) -> bool:
     """True iff x is nonzero and numerator and denominator are S-supported."""
     return x != 0 and non_s_part(S, x) == (1, 1)
-
-
-def s_decompose(S: SContext, n: int) -> tuple[int, int]:
-    """Split n >= 1 as (S-part, non-S part); the non-S part must be factorable."""
-    if n < 1:
-        raise ValueError("s_decompose expects a positive integer")
-    non_s = _strip_supported(n, S.primes)
-    factor(non_s, S.factoring_budget)  # budget discipline: fail loudly here
-    return n // non_s, non_s
 
 
 def non_s_ord_profile(S: SContext, x: Fraction) -> dict[int, int]:

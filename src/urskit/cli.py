@@ -5,7 +5,9 @@ schema error, 3 factoring/search budget exceeded.
 
 Rationals are always strings 'a/b' on the command line and in files; floats
 are rejected at parse time.  JSON output is byte-stable for a given
-configuration (the worker count is accepted, has no effect and is not echoed).
+configuration.  `--workers` is accepted for compatibility and validated when
+the arguments are parsed; the searches are single-threaded, so it changes
+nothing and is not echoed.
 """
 
 from __future__ import annotations
@@ -72,16 +74,27 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _digits_arg(text: str) -> int:
+def _int_arg(text: str) -> int:
     try:
-        digits = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
+def _digits_arg(text: str) -> int:
+    digits = _int_arg(text)
     if not 1 <= digits <= MAX_DISPLAY_DIGITS:
         raise argparse.ArgumentTypeError(
             f"must be between 1 and {MAX_DISPLAY_DIGITS}, got {digits}"
         )
     return digits
+
+
+def _workers_arg(text: str) -> int:
+    workers = _int_arg(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {workers}")
+    return workers
 
 
 def _load_json(path: str, location: str):
@@ -284,7 +297,6 @@ def cmd_search_shared(args) -> int:
         args.height_bound,
         args.denom_exponent,
         pair_budget=args.pair_budget,
-        workers=args.workers,
     )
     config = _common_config(
         args,
@@ -321,7 +333,6 @@ def cmd_search_su(args) -> int:
         args.height_bound,
         args.denom_exponent,
         pair_budget=args.pair_budget,
-        workers=args.workers,
     )
     config = _common_config(
         args,
@@ -530,7 +541,7 @@ def _add_search(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pair-budget", type=int, default=None)
     p.add_argument(
         "--workers",
-        type=int,
+        type=_workers_arg,
         default=1,
         help="accepted for compatibility; the search is single-threaded "
         "and this has no effect (must be >= 1)",

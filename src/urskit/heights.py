@@ -87,7 +87,8 @@ class ScaledLog:
 
 def height(x: Fraction) -> Magnitude:
     """Multiplicative Weil height max(|num|, den) of x in lowest terms."""
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     return Magnitude(max(abs(x.numerator), x.denominator))
 
 
@@ -96,7 +97,8 @@ def counting(S: SContext, x: Fraction) -> Magnitude:
 
     The budget discipline applies: the non-S part must factor completely.
     """
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     if x == 0:
         raise ValueError("counting function undefined at zero")
     non_s = _strip_supported(abs(x.numerator), S.primes)
@@ -108,7 +110,8 @@ def counting_trunc(S: SContext, level: int, x: Fraction) -> Magnitude:
     """Counting function with each multiplicity capped at `level`."""
     if level < 1:
         raise ValueError("truncation level must be a positive integer")
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     if x == 0:
         raise ValueError("counting function undefined at zero")
     non_s = _strip_supported(abs(x.numerator), S.primes)

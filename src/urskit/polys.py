@@ -30,10 +30,6 @@ class RatPoly:
     def constant(cls, c) -> "RatPoly":
         return cls.of([c])
 
-    @classmethod
-    def x_power(cls, k: int) -> "RatPoly":
-        return cls.of([0] * k + [1])
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

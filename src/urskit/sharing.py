@@ -1,5 +1,5 @@
 """Operational S-unit sharing: per-pair quotient certificates, valuation
-profile cross-checks, admissibility statistics, and hash-join pair search.
+profile cross-checks, and hash-join pair search.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .arith import (
     non_s_part,
     rational_str,
 )
-from .heights import Magnitude, height
 from .polys import RatPoly
 
 
@@ -45,18 +44,6 @@ class SharePoint:
     y: Fraction
     u: Fraction | None
     shares: bool
-
-
-@dataclass(frozen=True)
-class PairSequence:
-    context: SContext
-    poly: RatPoly
-    rows: tuple[SharePoint, ...]
-
-    @classmethod
-    def build(cls, S: SContext, P: RatPoly, pairs) -> "PairSequence":
-        rows = tuple(share_check(S, P, x, y) for x, y in pairs)
-        return cls(S, P, rows)
 
 
 def share_check(S: SContext, P: RatPoly, x: Fraction, y: Fraction) -> SharePoint:
@@ -95,58 +82,6 @@ def ord_profile_equal(S: SContext, P: RatPoly, x: Fraction, y: Fraction) -> bool
     return non_s_ord_profile(S, px) == non_s_ord_profile(S, py)
 
 
-@dataclass(frozen=True)
-class SequenceThresholdStats:
-    """Height-threshold statistics of one coordinate sequence of a prefix."""
-
-    rows_at_or_below: int
-    max_height: Magnitude | None
-    last_below_index: int | None
-    tail_length: int
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Finite-prefix stand-in for 'heights tend to infinity'.
-
-    The asymptotic notion is not decidable on a prefix; this reports
-    threshold-exceedance statistics instead.
-    """
-
-    threshold: Magnitude
-    total_rows: int
-    x_stats: SequenceThresholdStats
-    y_stats: SequenceThresholdStats
-
-    @property
-    def vacuous(self) -> bool:
-        return self.total_rows == 0
-
-
-def _threshold_stats(values, bound: Magnitude) -> SequenceThresholdStats:
-    heights = [height(v) for v in values]
-    below = [i for i, h in enumerate(heights) if h <= bound]
-    last = below[-1] if below else None
-    tail = len(heights) - 1 - last if last is not None else len(heights)
-    return SequenceThresholdStats(
-        rows_at_or_below=len(below),
-        max_height=max(heights) if heights else None,
-        last_below_index=last,
-        tail_length=tail,
-    )
-
-
-def admissibility_report(seq: PairSequence, bound: Magnitude) -> AdmissibilityReport:
-    xs = [row.x for row in seq.rows]
-    ys = [row.y for row in seq.rows]
-    return AdmissibilityReport(
-        threshold=bound,
-        total_rows=len(seq.rows),
-        x_stats=_threshold_stats(xs, bound),
-        y_stats=_threshold_stats(ys, bound),
-    )
-
-
 def s_integer_box(
     S: SContext, height_bound: int, denom_exponent_bound: int
 ) -> list[Fraction]:
@@ -170,18 +105,15 @@ def s_integer_box(
     return out
 
 
-def _pair_join(values, keys, partner_keys, probe, pair_budget, workers, what):
+def _pair_join(values, keys, partner_keys, probe, pair_budget, what):
     """Hits of probe(x, y) over the ordered pairs x != y of the box with
     partner_keys[i] == keys[j], where x = values[i] and y = values[j].
 
     A pair's canonical index is i*(n-1) + j - [j > i]; hits come out in that
     order.  Only pairs below pair_budget are examined, and when the budget is
     smaller than the n*(n-1) candidate pairs a SearchBudgetError carrying the
-    hits found so far is raised.  Work is O(n + pairs emitted).  `workers` is
-    validated and otherwise unused: the join is single-threaded.
+    hits found so far is raised.  Work is O(n + pairs emitted).
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if pair_budget is not None and pair_budget < 0:
         raise ValueError("pair_budget must be >= 0")
     n = len(values)
@@ -214,17 +146,15 @@ def search_shared_pairs(
     height_bound: int,
     denom_exponent_bound: int = 0,
     pair_budget: int | None = None,
-    workers: int = 1,
 ) -> list[SharePoint]:
     """All sharing pairs (x, y), x != y, over the S-integer box.
 
     A hash join: u = P(x)/P(y) is an S-unit exactly when P(x) and P(y) have
     the same non-S part, so only pairs within one group of that key (or
     within the group of vanishing values) are probed.  The result is in
-    canonical order; `workers` is accepted and has no effect.  When the
-    number of candidate pairs exceeds pair_budget, exactly the first
-    pair_budget pairs in canonical order are examined and a
-    SearchBudgetError carrying those results is raised.
+    canonical order.  When the number of candidate pairs exceeds
+    pair_budget, exactly the first pair_budget pairs in canonical order are
+    examined and a SearchBudgetError carrying those results is raised.
     """
     values = s_integer_box(S, height_bound, denom_exponent_bound)
     evals = {v: P.evaluate(v) for v in values}
@@ -239,6 +169,4 @@ def search_shared_pairs(
             return SharePoint(x, y, u, True)
         return None
 
-    return _pair_join(
-        values, keys, keys, probe, pair_budget, workers, "shared-pair search"
-    )
+    return _pair_join(values, keys, keys, probe, pair_budget, "shared-pair search")

@@ -683,14 +683,12 @@ def strong_uniqueness_search(
     height_bound: int,
     denom_exponent_bound: int = 0,
     pair_budget: int | None = None,
-    workers: int = 1,
 ) -> list[tuple[Fraction, Fraction]]:
     """All pairs x != y in the S-integer box with P(x) = c * P(y), exactly.
 
     Evidence probe: for a genuine strong uniqueness polynomial the list stays
     finite and height-bounded as the box grows.  A hash join on P(y) looked
-    up at P(x)/c, in canonical order; budget and `workers` as in
-    search_shared_pairs.
+    up at P(x)/c, in canonical order; the budget as in search_shared_pairs.
     """
     c = Fraction(c)
     if c == 0:
@@ -710,6 +708,5 @@ def strong_uniqueness_search(
         [pv / c for pv in keys],
         probe,
         pair_budget,
-        workers,
         "strong-uniqueness search",
     )

@@ -12,7 +12,6 @@ from urskit import _kernel as kernel
 from urskit import arith
 from urskit.arith import (
     FactoringBudgetError,
-    Place,
     SContext,
     factor,
     is_s_integer,
@@ -22,7 +21,6 @@ from urskit.arith import (
     ord_at,
     parse_rational,
     rational_str,
-    s_decompose,
     unit_equation_solutions,
 )
 
@@ -74,15 +72,6 @@ def trial_factor_oracle(n, budget):
     return tuple(sorted(out))
 
 
-def s_split_oracle(primes, n):
-    s_part = 1
-    for p in primes:
-        while n % p == 0:
-            n //= p
-            s_part *= p
-    return s_part, n
-
-
 # --- parsing -----------------------------------------------------------------
 
 
@@ -105,16 +94,7 @@ def test_rational_str_roundtrip():
         assert parse_rational(rational_str(q)) == q
 
 
-# --- places and contexts -----------------------------------------------------
-
-
-def test_place_validation():
-    Place.finite(7)
-    Place.archimedean()
-    with pytest.raises(ValueError):
-        Place.finite(6)
-    with pytest.raises(ValueError):
-        Place("finite")
+# --- contexts ----------------------------------------------------------------
 
 
 def test_scontext_validation():
@@ -123,8 +103,6 @@ def test_scontext_validation():
         SContext((2, 4))
     with pytest.raises(ValueError):
         SContext((3, 2))
-    kinds = [p.kind for p in S23.places()]
-    assert kinds == ["archimedean", "finite", "finite"]
 
 
 # --- ord ---------------------------------------------------------------------
@@ -221,18 +199,7 @@ def test_same_non_s_part_iff_quotient_is_s_unit(x, y, a, b, sign):
     assert non_s_part(S23, x) == non_s_part(S23, unit_multiple)
 
 
-# --- decomposition and factoring ---------------------------------------------
-
-
-@pytest.mark.parametrize("n", [120, 8, 35, 1, 2**10 * 3**4 * 49])
-def test_s_decompose_matches_oracle(n):
-    assert s_decompose(S23, n) == s_split_oracle(S23.primes, n)
-
-
-def test_s_decompose_examples():
-    assert s_decompose(S23, 120) == (24, 5)
-    assert s_decompose(S23, 8) == (8, 1)
-    assert s_decompose(S23, 35) == (1, 35)
+# --- factoring ---------------------------------------------------------------
 
 
 def test_factor_examples():
@@ -246,7 +213,7 @@ def test_factor_examples():
 def test_factor_roundtrip(n):
     fz = factor(n)
     assert fz.value() == n
-    assert fz.as_dict() == trial_division_oracle(n)
+    assert dict(fz.factors) == trial_division_oracle(n)
 
 
 def test_factor_budget_error_names_cofactor():
@@ -361,12 +328,6 @@ def test_factor_without_rho_matches_trial_division_oracle(case):
 )
 def test_factor_budget_edge_matches_oracle(n, budget):
     _check_against_oracle((n, budget))
-
-
-def test_s_decompose_budget_error():
-    small = SContext.of([2], factoring_budget=10**6)
-    with pytest.raises(FactoringBudgetError):
-        s_decompose(small, 1_000_003 * 1_000_033)
 
 
 # --- unit equations ----------------------------------------------------------

@@ -341,7 +341,8 @@ def test_search_negative_budget_usage_error(command, capsys):
     assert "pair_budget must be >= 0" in err
 
 
-# every command, with all its required flags, so only --digits can fail parsing
+# every command, with all its required flags, so only the flag under test can
+# fail parsing
 DIGITS_COMMANDS = {
     "validate-poly": ["validate-poly", *BASE],
     "share": ["share", *BASE, "--pairs", "pairs.json"],
@@ -397,6 +398,16 @@ def test_worker_count_does_not_change_bytes(tmp_path, capsys):
     assert main([*argv, "--workers", "4", "--out", str(out4)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out4.read_bytes()
+
+
+# --workers changes nothing, but a count below 1 is still a usage error
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("command", ["search-shared", "search-su"])
+def test_workers_below_one_is_usage_error(command, workers, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*DIGITS_COMMANDS[command], "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_repeated_run_byte_identical(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from urskit import heights
-from urskit.arith import SContext, is_s_integer
+from urskit.arith import FactoringBudgetError, SContext, is_s_integer
 from urskit.heights import (
     EQUAL,
     GREATER,
@@ -47,7 +47,7 @@ def test_magnitude_invariants():
 
 @pytest.mark.parametrize(
     "x,expected",
-    [(F(1), 1), (F(3, 2), 3), (F(-81, 80), 81), (F(0), 1)],
+    [(F(1), 1), (F(3, 2), 3), (F(-81, 80), 81), (F(0), 1), (-12, 12)],
 )
 def test_height_examples(x, expected):
     assert height(x) == Magnitude(expected)
@@ -55,7 +55,7 @@ def test_height_examples(x, expected):
 
 @pytest.mark.parametrize(
     "x,expected",
-    [(F(10), 5), (F(8, 9), 1), (F(50), 25)],
+    [(F(10), 5), (F(8, 9), 1), (F(50), 25), (-50, 25)],
 )
 def test_counting_examples(x, expected):
     assert counting(S23, x) == Magnitude(expected)
@@ -69,8 +69,20 @@ def test_counting_zero_error():
 
 
 @pytest.mark.parametrize(
+    "x", [1_000_003 * 1_000_033, F(1_000_003 * 1_000_033, 8)], ids=["int", "fraction"]
+)
+def test_counting_budget_error(x):
+    # counting factors the non-S part only to hold it to the budget
+    small = SContext.of([2], factoring_budget=10**6)
+    with pytest.raises(FactoringBudgetError):
+        counting(small, x)
+    with pytest.raises(FactoringBudgetError):
+        counting_trunc(small, 1, x)
+
+
+@pytest.mark.parametrize(
     "level,x,expected",
-    [(1, F(50), 5), (2, F(1000), 25), (3, F(1), 1), (7, F(1), 1)],
+    [(1, F(50), 5), (2, F(1000), 25), (3, F(1), 1), (7, F(1), 1), (2, 1000, 25)],
 )
 def test_counting_trunc_examples(level, x, expected):
     assert counting_trunc(S23, level, x) == Magnitude(expected)

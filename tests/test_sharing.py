@@ -1,5 +1,5 @@
-"""Sharing layer: certificates, profile cross-checks, admissibility stats,
-box enumeration, and the shared-pair search."""
+"""Sharing layer: certificates, profile cross-checks, box enumeration, and
+the shared-pair search."""
 
 import random
 from fractions import Fraction as F
@@ -10,12 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urskit.arith import SContext, is_s_unit, non_s_part
-from urskit.heights import Magnitude, counting, counting_trunc, height
+from urskit.heights import counting, counting_trunc, height
 from urskit.polys import RatPoly, TrinomialFamily, build_from_roots
 from urskit.sharing import (
-    PairSequence,
     SearchBudgetError,
-    admissibility_report,
     ord_profile_equal,
     s_integer_box,
     search_shared_pairs,
@@ -120,31 +118,6 @@ def test_sharing_implies_counting_equality():
             assert counting_trunc(S23, level, px) == counting_trunc(S23, level, py)
 
 
-# --- admissibility -------------------------------------------------------------
-
-
-def test_admissibility_example():
-    seq = PairSequence.build(
-        S23, P7, [(F(2), F(0)), (F(4), F(0)), (F(8), F(0)), (F(16), F(0))]
-    )
-    rep = admissibility_report(seq, Magnitude(5))
-    assert rep.x_stats.rows_at_or_below == 2
-    assert rep.x_stats.tail_length == 2
-    assert rep.x_stats.max_height == Magnitude(16)
-    assert not rep.vacuous
-
-
-def test_admissibility_empty_and_constant():
-    empty = admissibility_report(PairSequence(S23, P7, ()), Magnitude(5))
-    assert empty.vacuous and empty.x_stats.rows_at_or_below == 0
-
-    const = PairSequence.build(S23, P7, [(F(0), F(0))] * 3)
-    rep = admissibility_report(const, Magnitude(2))
-    assert rep.x_stats.rows_at_or_below == 3
-    assert rep.x_stats.tail_length == 0
-    assert rep.x_stats.max_height == Magnitude(1)
-
-
 # --- box enumeration ------------------------------------------------------------
 
 
@@ -213,20 +186,11 @@ def test_search_matches_oracle_with_denominators():
     assert [(sp.x, sp.y, sp.u) for sp in found] == search_oracle(S23, P7, 6, 1)
 
 
-def test_search_worker_determinism():
-    one = search_shared_pairs(S23, P7, 8, 1, workers=1)
-    three = search_shared_pairs(S23, P7, 8, 1, workers=3)
-    assert one == three
-
-
 def test_search_budget_partial_results():
     with pytest.raises(SearchBudgetError) as err:
         search_shared_pairs(S23, P7, 8, 0, pair_budget=40)
     assert err.value.completed == 40
     assert err.value.total > 40
-    with pytest.raises(SearchBudgetError) as err3:
-        search_shared_pairs(S23, P7, 8, 0, pair_budget=40, workers=3)
-    assert err3.value.partial == err.value.partial
 
 
 def canonical_prefix(values, hits, limit):
