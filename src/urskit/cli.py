@@ -8,6 +8,10 @@ are rejected at parse time.  JSON output is byte-stable for a given
 configuration.  `--workers` is accepted for compatibility and validated when
 the arguments are parsed; the searches are single-threaded, so it changes
 nothing and is not echoed.
+
+The seven commands live in one table, `COMMANDS`.  The parser registers them
+all but fills in the arguments of the invoked command only, since building
+every command's arguments costs far more than parsing one command line.
 """
 
 from __future__ import annotations
@@ -548,37 +552,26 @@ def _add_search(p: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="urskit",
-        description=(
-            "Exact S-unit sharing, heights, truncated counting functions, and "
-            "unique-range-set experiments over Q"
-        ),
-    )
-    parser.add_argument("--version", action="version", version=f"urskit {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate-poly", help="check the trinomial family hypotheses")
+def _add_validate_poly(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     _add_family(p, required=True)
-    p.set_defaults(func=cmd_validate_poly)
 
-    p = sub.add_parser("share", help="sharing certificates for a pairs file")
+
+def _add_share(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     _add_family(p, required=False)
     p.add_argument("--poly", help="polynomial JSON file (alternative to --n/--m/--a/--b)")
     p.add_argument("--pairs", required=True, help="JSON array of {x, y}")
-    p.set_defaults(func=cmd_share)
 
-    p = sub.add_parser("trace", help="full proof-chain report on a pairs file")
+
+def _add_trace(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     _add_family(p, required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--epsilon", type=_rational_arg, default=Fraction(1, 10))
-    p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("subspace", help="evaluate the truncated inequality on points")
+
+def _add_subspace(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--forms", help="forms JSON file (conjecture mode)")
     p.add_argument("--points", help="points JSON file (conjecture mode)")
@@ -589,28 +582,68 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=_rational_arg, default=None)
     p.add_argument("--pairs", help="pairs JSON file (corollary mode)")
     p.add_argument("--epsilon", type=_rational_arg, default=Fraction(1, 10))
-    p.set_defaults(func=cmd_subspace)
 
-    p = sub.add_parser("unit-eq", help="enumerate S-unit equation solutions u+v=1")
+
+def _add_unit_eq(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--bound", type=int, required=True, help="max |ord_p(u)| over S")
-    p.set_defaults(func=cmd_unit_eq)
 
-    p = sub.add_parser("search-shared", help="hash-join search for sharing pairs in a box")
-    _add_search(p)
-    p.set_defaults(func=cmd_search_shared)
 
-    p = sub.add_parser("search-su", help="search pairs with P(x) = c*P(y), x != y")
+def _add_search_su(p: argparse.ArgumentParser) -> None:
     _add_search(p)
     p.add_argument("--c", type=_rational_arg, default=Fraction(1))
-    p.set_defaults(func=cmd_search_su)
 
+
+# name -> (help, add_arguments, handler), in the order --help lists them
+COMMANDS = {
+    "validate-poly": (
+        "check the trinomial family hypotheses", _add_validate_poly, cmd_validate_poly
+    ),
+    "share": ("sharing certificates for a pairs file", _add_share, cmd_share),
+    "trace": ("full proof-chain report on a pairs file", _add_trace, cmd_trace),
+    "subspace": (
+        "evaluate the truncated inequality on points", _add_subspace, cmd_subspace
+    ),
+    "unit-eq": ("enumerate S-unit equation solutions u+v=1", _add_unit_eq, cmd_unit_eq),
+    "search-shared": (
+        "hash-join search for sharing pairs in a box", _add_search, cmd_search_shared
+    ),
+    "search-su": (
+        "search pairs with P(x) = c*P(y), x != y", _add_search_su, cmd_search_su
+    ),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for argv (sys.argv[1:] when None).
+
+    Every command is registered, so usage, --help and choice errors list them
+    all, but only the command that argv names (its first token equal to a
+    command name) gets its arguments.  Building all seven costs more than
+    parsing; when no token names a command, every command gets them.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    invoked = next((arg for arg in argv if arg in COMMANDS), None)
+    parser = argparse.ArgumentParser(
+        prog="urskit",
+        description=(
+            "Exact S-unit sharing, heights, truncated counting functions, and "
+            "unique-range-set experiments over Q"
+        ),
+    )
+    parser.add_argument("--version", action="version", version=f"urskit {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if invoked is None or name == invoked:
+            add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -105,6 +105,12 @@ def s_integer_box(
     return out
 
 
+def _check_pair_budget(pair_budget: int | None) -> None:
+    """Reject a negative budget before any box is built."""
+    if pair_budget is not None and pair_budget < 0:
+        raise ValueError("pair_budget must be >= 0")
+
+
 def _pair_join(values, keys, partner_keys, probe, pair_budget, what):
     """Hits of probe(x, y) over the ordered pairs x != y of the box with
     partner_keys[i] == keys[j], where x = values[i] and y = values[j].
@@ -112,10 +118,9 @@ def _pair_join(values, keys, partner_keys, probe, pair_budget, what):
     A pair's canonical index is i*(n-1) + j - [j > i]; hits come out in that
     order.  Only pairs below pair_budget are examined, and when the budget is
     smaller than the n*(n-1) candidate pairs a SearchBudgetError carrying the
-    hits found so far is raised.  Work is O(n + pairs emitted).
+    hits found so far is raised.  Work is O(n + pairs emitted).  Callers
+    reject a negative budget with _check_pair_budget before building the box.
     """
-    if pair_budget is not None and pair_budget < 0:
-        raise ValueError("pair_budget must be >= 0")
     n = len(values)
     total = n * (n - 1)
     limit = total if pair_budget is None else min(pair_budget, total)
@@ -156,6 +161,7 @@ def search_shared_pairs(
     pair_budget, exactly the first pair_budget pairs in canonical order are
     examined and a SearchBudgetError carrying those results is raised.
     """
+    _check_pair_budget(pair_budget)
     values = s_integer_box(S, height_bound, denom_exponent_bound)
     evals = {v: P.evaluate(v) for v in values}
     keys = [None if pv == 0 else non_s_part(S, pv) for pv in evals.values()]

@@ -27,7 +27,12 @@ from .heights import (
     height,
 )
 from .polys import RatPoly, TrinomialFamily, validate_family
-from .sharing import _pair_join, s_integer_box, share_check
+from .sharing import _check_pair_budget, _pair_join, s_integer_box, share_check
+
+
+def _exact(v):
+    """v as an exact rational; ints and Fractions pass through as they are."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
 def aux_build(fam: TrinomialFamily, x: Fraction, y: Fraction, u: Fraction):
@@ -35,7 +40,7 @@ def aux_build(fam: TrinomialFamily, x: Fraction, y: Fraction, u: Fraction):
     zeta = (1/b)*y^(n-m)*(y^m+a)*u, exactly."""
     if fam.b == 0:
         raise ValueError("auxiliary sequences require b != 0")
-    x, y, u = Fraction(x), Fraction(y), Fraction(u)
+    x, y, u = _exact(x), _exact(y), _exact(u)
     eta = -(x ** (fam.n - fam.m)) * (x**fam.m + fam.a) / fam.b
     zeta = (y ** (fam.n - fam.m)) * (y**fam.m + fam.a) * u / fam.b
     return eta, zeta
@@ -48,7 +53,7 @@ def identity_check(fam: TrinomialFamily, x: Fraction, y: Fraction, u: Fraction) 
     every quotient-built row; it can fail only for externally supplied u.
     """
     eta, zeta = aux_build(fam, x, y, u)
-    return eta + Fraction(u) + zeta == 1
+    return eta + _exact(u) + zeta == 1
 
 
 def evaluation_height_constant(P: RatPoly) -> int:
@@ -460,11 +465,7 @@ class DependenceResult:
 def dependence_detect(rows) -> DependenceResult:
     """Canonical basis of all (c1, c2, c3) with c1*eta + c2*u + c3*zeta = 0
     across the usable rows (fraction-free: primitive integer vectors)."""
-    data = [
-        [row.eta, Fraction(row.u), row.zeta]
-        for row in rows
-        if row.u is not None
-    ]
+    data = [[row.eta, row.u, row.zeta] for row in rows if row.u is not None]
     if not data:
         raise ValueError("dependence detection needs at least one row with a unit")
     basis = nullspace_basis(data)
@@ -693,6 +694,7 @@ def strong_uniqueness_search(
     c = Fraction(c)
     if c == 0:
         raise ValueError("the unit constant c must be nonzero")
+    _check_pair_budget(pair_budget)
     values = s_integer_box(S, height_bound, denom_exponent_bound)
     evals = {v: P.evaluate(v) for v in values}
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,7 @@ def run(argv, capsys):
 
 
 BASE = ["--n", "7", "--m", "1", "--a", "1", "--b", "1", "--s", "2,3"]
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # --- validate-poly --------------------------------------------------------------
@@ -418,6 +420,50 @@ def test_repeated_run_byte_identical(tmp_path, capsys):
     assert main([*argv, "--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+# the `urskit` console script calls main() with no argv, so it parses sys.argv
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["unit-eq", "--s", "2,3", "--bound", "4", "--format", "json"],
+        ["trace", *BASE, "--pairs", "pairs.json", "--format", "json"],
+    ],
+)
+def test_main_reads_sys_argv(argv, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    expected = run(argv, capsys)
+    monkeypatch.setattr(sys, "argv", ["urskit", *argv])
+    assert run(None, capsys) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, filled",
+    [
+        # a later token that names a command is an option's value
+        (["trace", *BASE, "--pairs", "share"], ["trace"]),
+        (["--format", "json", "unit-eq"], ["unit-eq"]),
+        ([], list(cli.COMMANDS)),
+        (["--help"], list(cli.COMMANDS)),
+        (["bogus"], list(cli.COMMANDS)),
+    ],
+)
+def test_parser_fills_in_only_the_invoked_command(argv, filled, monkeypatch):
+    seen = []
+    monkeypatch.setattr(
+        cli,
+        "COMMANDS",
+        {
+            name: (help_text, lambda p, name=name: seen.append(name), handler)
+            for name, (help_text, _, handler) in cli.COMMANDS.items()
+        },
+    )
+    cli.build_parser(argv)
+    assert seen == filled
+    seen.clear()
+    monkeypatch.setattr(sys, "argv", ["urskit", *argv])
+    cli.build_parser()
+    assert seen == filled
 
 
 def test_module_invocation_smoke():

@@ -1,5 +1,7 @@
 """Golden reports: every README example, plus the flags the README leaves out,
 run with --format json and compared byte for byte with tests/golden/expected.
+The parser's own text (help, usage errors) is pinned the same way, with
+COLUMNS=80 so that help wrapping does not depend on the terminal.
 
 Each case runs with tests/golden as the working directory, so the file names
 echoed in "config" are relative and the reports are machine-independent.
@@ -9,12 +11,16 @@ and review the diff.
 
 import io
 import os
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from urskit.cli import main
+
+COMMAND_NAMES = [
+    "validate-poly", "share", "trace", "subspace", "unit-eq", "search-shared", "search-su",
+]
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -88,6 +94,18 @@ CASES = {
     ),
 }
 
+# name -> (argv, the stream the parser writes, exit code)
+TEXT_CASES = {
+    "help": (["--help"], "stdout", 0),
+    **{
+        f"help_{name.replace('-', '_')}": ([name, "--help"], "stdout", 0)
+        for name in COMMAND_NAMES
+    },
+    "usage_no_command": ([], "stderr", 2),
+    "usage_bogus": (["bogus"], "stderr", 2),
+    "usage_trace_extra": (["trace", *FAM, "--pairs", "pairs.json", "extra"], "stderr", 2),
+}
+
 
 def run_case(name):
     argv, _ = CASES[name]
@@ -106,9 +124,35 @@ def test_golden_report(name, monkeypatch):
     assert out == expected
 
 
+def run_text_case(name):
+    argv, stream, _ = TEXT_CASES[name]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue() if stream == "stdout" else err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_CASES))
+def test_golden_parser_text(name, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.setenv("COLUMNS", "80")
+    code, text = run_text_case(name)
+    assert code == TEXT_CASES[name][2]
+    expected = (GOLDEN / "expected" / f"{name}.txt").read_text(encoding="utf-8")
+    assert text == expected
+
+
 if __name__ == "__main__":
     os.chdir(GOLDEN)
     for case in sorted(CASES):
         code, text = run_case(case)
         (GOLDEN / "expected" / f"{case}.json").write_text(text, encoding="utf-8")
+        print(f"{case}: exit {code}, {len(text)} bytes")
+    os.environ["COLUMNS"] = "80"
+    for case in sorted(TEXT_CASES):
+        code, text = run_text_case(case)
+        (GOLDEN / "expected" / f"{case}.txt").write_text(text, encoding="utf-8")
         print(f"{case}: exit {code}, {len(text)} bytes")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from urskit import sharing, trace
 from urskit.arith import SContext, is_s_unit, non_s_part
 from urskit.heights import counting, counting_trunc, height
 from urskit.polys import RatPoly, TrinomialFamily, build_from_roots
@@ -191,6 +192,18 @@ def test_search_budget_partial_results():
         search_shared_pairs(S23, P7, 8, 0, pair_budget=40)
     assert err.value.completed == 40
     assert err.value.total > 40
+
+
+def test_negative_budget_rejected_before_the_box(monkeypatch):
+    def no_box(*args):
+        raise AssertionError("the box was built")
+
+    monkeypatch.setattr(sharing, "s_integer_box", no_box)
+    monkeypatch.setattr(trace, "s_integer_box", no_box)
+    with pytest.raises(ValueError, match="pair_budget must be >= 0"):
+        search_shared_pairs(S23, P7, 8, 0, pair_budget=-1)
+    with pytest.raises(ValueError, match="pair_budget must be >= 0"):
+        trace.strong_uniqueness_search(S23, P7, F(1), 8, 0, pair_budget=-1)
 
 
 def canonical_prefix(values, hits, limit):
