@@ -182,7 +182,8 @@ def ord_at(p: int, x: Fraction) -> int:
         raise ValueError("valuation of zero undefined")
     if not is_certified_prime(p):
         raise ValueError(f"{p} is not prime")
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     num, den = abs(x.numerator), x.denominator
     e = 0
     while num % p == 0:
@@ -206,7 +207,8 @@ def _strip_supported(n: int, primes) -> int:
 
 def is_s_integer(S: SContext, x: Fraction) -> bool:
     """True iff every prime of the denominator lies in S (0 counts)."""
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     return _strip_supported(x.denominator, S.primes) == 1
 
 
@@ -216,7 +218,8 @@ def non_s_part(S: SContext, x: Fraction) -> tuple[int, int]:
     Two nonzero rationals have the same non-S part exactly when their
     quotient is an S-unit.
     """
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     if x == 0:
         raise ValueError("non-S part of zero undefined")
     return (
@@ -232,7 +235,8 @@ def is_s_unit(S: SContext, x: Fraction) -> bool:
 
 def non_s_ord_profile(S: SContext, x: Fraction) -> dict[int, int]:
     """Map p -> ord_p(x) over primes p outside S with nonzero valuation."""
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     if x == 0:
         raise ValueError("valuation of zero undefined")
     profile: dict[int, int] = {}

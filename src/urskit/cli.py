@@ -101,14 +101,16 @@ def _workers_arg(text: str) -> int:
     return workers
 
 
-def _load_json(path: str, location: str):
+def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
-        raise SchemaError(location, f"file not found: {path}")
+        raise SchemaError(path, f"file not found: {path}")
+    except OSError as exc:
+        raise SchemaError(path, f"cannot read {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
-        raise SchemaError(location, f"invalid JSON: {exc}")
+        raise SchemaError(path, f"invalid JSON: {exc}")
 
 
 def _parse_rat_field(raw, location: str) -> Fraction:
@@ -121,7 +123,7 @@ def _parse_rat_field(raw, location: str) -> Fraction:
 
 
 def load_pairs_file(path: str) -> list[tuple[Fraction, Fraction]]:
-    data = _load_json(path, path)
+    data = _load_json(path)
     if not isinstance(data, list):
         raise SchemaError(path, "pairs file must be a JSON array")
     pairs = []
@@ -139,7 +141,7 @@ def load_pairs_file(path: str) -> list[tuple[Fraction, Fraction]]:
 
 
 def load_poly_file(path: str) -> RatPoly:
-    data = _load_json(path, path)
+    data = _load_json(path)
     if not isinstance(data, dict) or "coeffs" not in data:
         raise SchemaError(path, 'polynomial file needs field "coeffs"')
     coeffs = data["coeffs"]
@@ -151,7 +153,7 @@ def load_poly_file(path: str) -> RatPoly:
 
 
 def load_forms_file(path: str) -> LinearFormSystem:
-    data = _load_json(path, path)
+    data = _load_json(path)
     if not isinstance(data, dict) or "r" not in data or "forms" not in data:
         raise SchemaError(path, 'forms file needs fields "r" and "forms"')
     r = data["r"]
@@ -172,7 +174,7 @@ def load_forms_file(path: str) -> LinearFormSystem:
 
 
 def load_points_file(path: str, width: int) -> list[list[Fraction]]:
-    data = _load_json(path, path)
+    data = _load_json(path)
     if not isinstance(data, list):
         raise SchemaError(path, "points file must be a JSON array")
     points = []
@@ -221,7 +223,10 @@ def _emit(args, command: str, config: dict, payload: dict, table) -> None:
     }
     text = stable_json(report, args.digits)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise SchemaError("--out", f"cannot write {args.out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -235,6 +240,17 @@ def _common_config(args, **extra) -> dict:
     }
     cfg.update(extra)
     return cfg
+
+
+def _search_config(args, P: RatPoly, **extra) -> dict:
+    return _common_config(
+        args,
+        poly=str(P),
+        height_bound=args.height_bound,
+        denom_exponent=args.denom_exponent,
+        pair_budget=args.pair_budget,
+        **extra,
+    )
 
 
 def cmd_validate_poly(args) -> int:
@@ -302,13 +318,7 @@ def cmd_search_shared(args) -> int:
         args.denom_exponent,
         pair_budget=args.pair_budget,
     )
-    config = _common_config(
-        args,
-        poly=str(P),
-        height_bound=args.height_bound,
-        denom_exponent=args.denom_exponent,
-        pair_budget=args.pair_budget,
-    )
+    config = _search_config(args, P)
 
     def table() -> str:
         return render_table(
@@ -338,14 +348,7 @@ def cmd_search_su(args) -> int:
         args.denom_exponent,
         pair_budget=args.pair_budget,
     )
-    config = _common_config(
-        args,
-        poly=str(P),
-        c=args.c,
-        height_bound=args.height_bound,
-        denom_exponent=args.denom_exponent,
-        pair_budget=args.pair_budget,
-    )
+    config = _search_config(args, P, c=args.c)
 
     def table() -> str:
         return render_table(
@@ -441,10 +444,12 @@ def cmd_trace(args) -> int:
     pairs = load_pairs_file(args.pairs)
     rows = build_trace_rows(S, fam, pairs)
     P = fam.polynomial()
-    roth = roth_chain_report(S, P, rows)
-    unit_h = unit_height_check(S, P, rows)
-    trunc = trunc_bound_check(S, fam, rows)
-    main_rep = main_inequality_report(S, fam, args.epsilon, rows)
+    checks = {
+        "roth_chain": roth_chain_report(S, P, rows),
+        "unit_height": unit_height_check(S, P, rows),
+        "trunc_bounds": trunc_bound_check(S, fam, rows),
+        "main_inequality": main_inequality_report(S, fam, args.epsilon, rows),
+    }
     usable = [r for r in rows if r.u is not None]
     dependence = dependence_detect(rows) if usable else None
     config = _common_config(
@@ -459,12 +464,7 @@ def cmd_trace(args) -> int:
     payload = {
         "validation": validation,
         "rows": rows,
-        "checks": {
-            "roth_chain": roth,
-            "unit_height": unit_h,
-            "trunc_bounds": trunc,
-            "main_inequality": main_rep,
-        },
+        "checks": checks,
         "dependence": dependence,
     }
 
@@ -484,19 +484,13 @@ def cmd_trace(args) -> int:
             ],
         )
         summary = render_table(
-            ["check", "ok"],
-            [
-                ["roth_chain", str(roth.ok)],
-                ["unit_height", str(unit_h.ok)],
-                ["trunc_bounds", str(trunc.ok)],
-                ["main_inequality", str(main_rep.ok)],
-            ],
+            ["check", "ok"], [[name, str(c.ok)] for name, c in checks.items()]
         )
         return rows_table + "\n\n" + summary
 
     _emit(args, "trace", config, payload, table)
     identity_fail = any(r.identity_ok is False for r in rows)
-    exact_fail = not (roth.ok and unit_h.ok and trunc.ok and main_rep.ok)
+    exact_fail = not all(c.ok for c in checks.values())
     return 1 if identity_fail or exact_fail else 0
 
 
@@ -620,7 +614,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     Every command is registered, so usage, --help and choice errors list them
     all, but only the command that argv names (its first token equal to a
     command name) gets its arguments.  Building all seven costs more than
-    parsing; when no token names a command, every command gets them.
+    parsing.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -636,7 +630,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments, handler) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if invoked is None or name == invoked:
+        if name == invoked:
             add_arguments(p)
         p.set_defaults(func=handler)
     return parser

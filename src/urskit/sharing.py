@@ -47,19 +47,22 @@ class SharePoint:
 
 
 def share_check(S: SContext, P: RatPoly, x: Fraction, y: Fraction) -> SharePoint:
-    """Decide whether the pair shares the zero set of P outside S.
-
-    Vanishing convention: if both P(x) and P(y) vanish the pair shares with u
-    undetermined; if exactly one vanishes it does not share.
-    """
+    """Decide whether the pair shares the zero set of P outside S."""
     x, y = Fraction(x), Fraction(y)
     for name, value in (("x", x), ("y", y)):
         if not is_s_integer(S, value):
             raise ValueError(
                 f"{name} = {rational_str(value)} is not an S-integer for S = {S}"
             )
-    px = P.evaluate(x)
-    py = P.evaluate(y)
+    return _share(S, x, P.evaluate(x), y, P.evaluate(y))
+
+
+def _share(S: SContext, x, px, y, py) -> SharePoint:
+    """The sharing verdict for the pair (x, y) with px = P(x), py = P(y).
+
+    Vanishing convention: if both P(x) and P(y) vanish the pair shares with u
+    undetermined; if exactly one vanishes it does not share.
+    """
     if py == 0:
         return SharePoint(x, y, None, px == 0)
     u = px / py
@@ -105,39 +108,42 @@ def s_integer_box(
     return out
 
 
-def _check_pair_budget(pair_budget: int | None) -> None:
-    """Reject a negative budget before any box is built."""
-    if pair_budget is not None and pair_budget < 0:
-        raise ValueError("pair_budget must be >= 0")
+def _pair_join(
+    S, P, height_bound, denom_exponent_bound, pair_budget, key, partner_key, hit, what
+):
+    """The results of hit(x, P(x), y, P(y)) that are not None, over the
+    ordered pairs x != y of the S-integer box with partner_key(P(x)) ==
+    key(P(y)).
 
-
-def _pair_join(values, keys, partner_keys, probe, pair_budget, what):
-    """Hits of probe(x, y) over the ordered pairs x != y of the box with
-    partner_keys[i] == keys[j], where x = values[i] and y = values[j].
-
-    A pair's canonical index is i*(n-1) + j - [j > i]; hits come out in that
+    A negative pair_budget is rejected before the box is built.  P is
+    evaluated once per box value.  With x = values[i] and y = values[j], a
+    pair's canonical index is i*(n-1) + j - [j > i]; hits come out in that
     order.  Only pairs below pair_budget are examined, and when the budget is
     smaller than the n*(n-1) candidate pairs a SearchBudgetError carrying the
-    hits found so far is raised.  Work is O(n + pairs emitted).  Callers
-    reject a negative budget with _check_pair_budget before building the box.
+    hits found so far is raised.  Work is O(n + pairs emitted).
     """
+    if pair_budget is not None and pair_budget < 0:
+        raise ValueError("pair_budget must be >= 0")
+    values = s_integer_box(S, height_bound, denom_exponent_bound)
+    evals = [P.evaluate(v) for v in values]
     n = len(values)
     total = n * (n - 1)
     limit = total if pair_budget is None else min(pair_budget, total)
     groups: dict = {}
-    for j, key in enumerate(keys):
-        groups.setdefault(key, []).append(j)
+    for j, pv in enumerate(evals):
+        groups.setdefault(key(pv), []).append(j)
     hits = []
     for i, x in enumerate(values):
         row = i * (n - 1)
         if row >= limit:
             break
-        for j in groups.get(partner_keys[i], ()):
+        px = evals[i]
+        for j in groups.get(partner_key(px), ()):
             if j == i:
                 continue
             if row + j - (j > i) >= limit:
                 break
-            result = probe(x, values[j])
+            result = hit(x, px, values[j], evals[j])
             if result is not None:
                 hits.append(result)
     if limit < total:
@@ -161,18 +167,15 @@ def search_shared_pairs(
     pair_budget, exactly the first pair_budget pairs in canonical order are
     examined and a SearchBudgetError carrying those results is raised.
     """
-    _check_pair_budget(pair_budget)
-    values = s_integer_box(S, height_bound, denom_exponent_bound)
-    evals = {v: P.evaluate(v) for v in values}
-    keys = [None if pv == 0 else non_s_part(S, pv) for pv in evals.values()]
 
-    def probe(x, y):
-        px, py = evals[x], evals[y]
-        if py == 0:
-            return SharePoint(x, y, None, True) if px == 0 else None
-        u = px / py
-        if is_s_unit(S, u):
-            return SharePoint(x, y, u, True)
-        return None
+    def key(pv):
+        return None if pv == 0 else non_s_part(S, pv)
 
-    return _pair_join(values, keys, keys, probe, pair_budget, "shared-pair search")
+    def hit(x, px, y, py):
+        share = _share(S, x, px, y, py)
+        return share if share.shares else None
+
+    return _pair_join(
+        S, P, height_bound, denom_exponent_bound, pair_budget, key, key, hit,
+        "shared-pair search",
+    )

@@ -27,7 +27,7 @@ from .heights import (
     height,
 )
 from .polys import RatPoly, TrinomialFamily, validate_family
-from .sharing import _check_pair_budget, _pair_join, s_integer_box, share_check
+from .sharing import _pair_join, share_check
 
 
 def _exact(v):
@@ -688,27 +688,18 @@ def strong_uniqueness_search(
     """All pairs x != y in the S-integer box with P(x) = c * P(y), exactly.
 
     Evidence probe: for a genuine strong uniqueness polynomial the list stays
-    finite and height-bounded as the box grows.  A hash join on P(y) looked
-    up at P(x)/c, in canonical order; the budget as in search_shared_pairs.
+    finite and height-bounded as the box grows.  sharing._pair_join groups
+    the box by P(y) and looks up P(x)/c, so pairs come out in canonical
+    order under the budget of search_shared_pairs.
     """
     c = Fraction(c)
     if c == 0:
         raise ValueError("the unit constant c must be nonzero")
-    _check_pair_budget(pair_budget)
-    values = s_integer_box(S, height_bound, denom_exponent_bound)
-    evals = {v: P.evaluate(v) for v in values}
 
-    def probe(x, y):
-        if evals[x] == c * evals[y]:
-            return (x, y)
-        return None
+    def hit(x, px, y, py):
+        return (x, y) if px == c * py else None
 
-    keys = list(evals.values())
     return _pair_join(
-        values,
-        keys,
-        [pv / c for pv in keys],
-        probe,
-        pair_budget,
-        "strong-uniqueness search",
+        S, P, height_bound, denom_exponent_bound, pair_budget,
+        lambda pv: pv, lambda pv: pv / c, hit, "strong-uniqueness search",
     )

@@ -1,5 +1,6 @@
 """Ground-layer tests: valuations, S-predicates, factoring, unit equations."""
 
+from decimal import Decimal
 from fractions import Fraction as F
 from math import isqrt
 from unittest import mock
@@ -163,6 +164,16 @@ def test_is_s_integer(x, expected):
 )
 def test_is_s_unit(x, expected):
     assert is_s_unit(S23, x) == expected
+
+
+@pytest.mark.parametrize("x", [F(45, 8), F(-7), -7, Decimal("5.625"), "45/8"])
+def test_predicates_take_any_rational_type(x):
+    # ints and Fractions skip the Fraction() wrapping; other types go through it
+    q = F(x)
+    assert ord_at(3, x) == ord_at(3, q)
+    assert is_s_integer(S23, x) == is_s_integer(S23, q)
+    assert non_s_part(S23, x) == non_s_part(S23, q)
+    assert non_s_ord_profile(S23, x) == non_s_ord_profile(S23, q)
 
 
 @settings(max_examples=300, derandomize=True)

@@ -204,6 +204,40 @@ def test_subspace_missing_files_schema_error(capsys):
     assert "forms" in err
 
 
+# Unreadable-file cases use a directory; permission cases cannot be tested
+# when the suite runs as root, which may read any file.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["share", *BASE, "--pairs", "{dir}"],
+        ["share", "--poly", "{dir}", "--s", "2,3", "--pairs", "pairs.json"],
+        ["search-shared", "--poly", "{dir}", "--s", "2,3", "--height-bound", "3"],
+        ["subspace", "--s", "2,3", "--forms", "{dir}", "--points", "points.json"],
+        ["subspace", "--s", "2,3", "--forms", "forms.json", "--points", "{dir}"],
+    ],
+)
+def test_unreadable_input_is_usage_error(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code, _, err = run([arg.format(dir=tmp_path) for arg in argv], capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    assert f"cannot read {tmp_path}" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "both"])
+def test_unwritable_out_is_usage_error(fmt, tmp_path, capsys):
+    out_file = tmp_path / "missing" / "report.json"
+    code, _, err = run(
+        ["unit-eq", "--s", "2,3", "--bound", "1", "--format", fmt, "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 2
+    assert "Traceback" not in err
+    assert f"--out: cannot write {out_file}" in err
+    assert err.count("\n") == 1
+
+
 def test_subspace_summary_and_strict(tmp_path, capsys):
     forms = write(tmp_path, "forms.json", {"r": 1, "forms": [["1", "0"], ["0", "1"], ["1", "1"]]})
     points = write(tmp_path, "points.json", [["10", "15"]])
@@ -443,9 +477,9 @@ def test_main_reads_sys_argv(argv, capsys, monkeypatch):
         # a later token that names a command is an option's value
         (["trace", *BASE, "--pairs", "share"], ["trace"]),
         (["--format", "json", "unit-eq"], ["unit-eq"]),
-        ([], list(cli.COMMANDS)),
-        (["--help"], list(cli.COMMANDS)),
-        (["bogus"], list(cli.COMMANDS)),
+        ([], []),
+        (["--help"], []),
+        (["bogus"], []),
     ],
 )
 def test_parser_fills_in_only_the_invoked_command(argv, filled, monkeypatch):

@@ -1,7 +1,8 @@
 """Golden reports: every README example, plus the flags the README leaves out,
 run with --format json and compared byte for byte with tests/golden/expected.
-The parser's own text (help, usage errors) is pinned the same way, with
-COLUMNS=80 so that help wrapping does not depend on the terminal.
+One case per command is also run with --format table, pinning the console
+table.  The parser's own text (help, usage errors) is pinned the same way,
+with COLUMNS=80 so that help wrapping does not depend on the terminal.
 
 Each case runs with tests/golden as the working directory, so the file names
 echoed in "config" are relative and the reports are machine-independent.
@@ -94,6 +95,9 @@ CASES = {
     ),
 }
 
+# the case named after each command, rendered with --format table
+TABLE_CASES = [name.replace("-", "_") for name in COMMAND_NAMES]
+
 # name -> (argv, the stream the parser writes, exit code)
 TEXT_CASES = {
     "help": (["--help"], "stdout", 0),
@@ -107,11 +111,11 @@ TEXT_CASES = {
 }
 
 
-def run_case(name):
+def run_case(name, fmt="json"):
     argv, _ = CASES[name]
     out = io.StringIO()
     with redirect_stdout(out):
-        code = main([*argv, "--format", "json"])
+        code = main([*argv, "--format", fmt])
     return code, out.getvalue()
 
 
@@ -121,6 +125,15 @@ def test_golden_report(name, monkeypatch):
     code, out = run_case(name)
     assert code == CASES[name][1]
     expected = (GOLDEN / "expected" / f"{name}.json").read_text(encoding="utf-8")
+    assert out == expected
+
+
+@pytest.mark.parametrize("name", TABLE_CASES)
+def test_golden_table(name, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code, out = run_case(name, "table")
+    assert code == CASES[name][1]
+    expected = (GOLDEN / "expected" / f"table_{name}.txt").read_text(encoding="utf-8")
     assert out == expected
 
 
@@ -151,6 +164,10 @@ if __name__ == "__main__":
         code, text = run_case(case)
         (GOLDEN / "expected" / f"{case}.json").write_text(text, encoding="utf-8")
         print(f"{case}: exit {code}, {len(text)} bytes")
+    for case in TABLE_CASES:
+        code, text = run_case(case, "table")
+        (GOLDEN / "expected" / f"table_{case}.txt").write_text(text, encoding="utf-8")
+        print(f"table_{case}: exit {code}, {len(text)} bytes")
     os.environ["COLUMNS"] = "80"
     for case in sorted(TEXT_CASES):
         code, text = run_text_case(case)

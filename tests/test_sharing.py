@@ -199,7 +199,6 @@ def test_negative_budget_rejected_before_the_box(monkeypatch):
         raise AssertionError("the box was built")
 
     monkeypatch.setattr(sharing, "s_integer_box", no_box)
-    monkeypatch.setattr(trace, "s_integer_box", no_box)
     with pytest.raises(ValueError, match="pair_budget must be >= 0"):
         search_shared_pairs(S23, P7, 8, 0, pair_budget=-1)
     with pytest.raises(ValueError, match="pair_budget must be >= 0"):
