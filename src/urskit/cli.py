@@ -9,9 +9,10 @@ configuration.  `--workers` is accepted for compatibility and validated when
 the arguments are parsed; the searches are single-threaded, so it changes
 nothing and is not echoed.
 
-The seven commands live in one table, `COMMANDS`.  The parser registers them
-all but fills in the arguments of the invoked command only, since building
-every command's arguments costs far more than parsing one command line.
+The seven commands live in one table, `COMMANDS`.  When the first argument
+names a command, the parser registers that command alone; otherwise it
+registers all seven and fills in the arguments of the invoked one only, since
+building every command costs far more than parsing one command line.
 """
 
 from __future__ import annotations
@@ -109,6 +110,8 @@ def _load_json(path: str):
         raise SchemaError(path, f"file not found: {path}")
     except OSError as exc:
         raise SchemaError(path, f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(path, f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise SchemaError(path, f"invalid JSON: {exc}")
 
@@ -611,10 +614,12 @@ COMMANDS = {
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The parser for argv (sys.argv[1:] when None).
 
-    Every command is registered, so usage, --help and choice errors list them
-    all, but only the command that argv names (its first token equal to a
-    command name) gets its arguments.  Building all seven costs more than
-    parsing.
+    When argv[0] is a command, only that command is registered, under the
+    metavar argparse would print for all seven, so usage and errors read the
+    same.  Otherwise (no argv, --help, an unknown command, an option first)
+    every command is registered, so help and choice errors list them all, and
+    only the first token that names a command gets its arguments.  Building
+    a command's parser costs more than parsing.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -627,8 +632,16 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"urskit {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, handler) in COMMANDS.items():
+    if argv and argv[0] == invoked:
+        sub = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}"
+        )
+        names = [invoked]
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = COMMANDS
+    for name in names:
+        help_text, add_arguments, handler = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         if name == invoked:
             add_arguments(p)

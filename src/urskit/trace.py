@@ -37,12 +37,24 @@ def _exact(v):
 
 def aux_build(fam: TrinomialFamily, x: Fraction, y: Fraction, u: Fraction):
     """The auxiliary pair: eta = -(1/b)*x^(n-m)*(x^m+a) and
-    zeta = (1/b)*y^(n-m)*(y^m+a)*u, exactly."""
+    zeta = (1/b)*y^(n-m)*(y^m+a)*u, exactly.
+
+    On integers: for x = p/q, x^(n-m)*(x^m+a) = p^(n-m)*(p^m*a_d + a_n*q^m)
+    / (q^n*a_d) with a = a_n/a_d, so each value is one Fraction.
+    """
     if fam.b == 0:
         raise ValueError("auxiliary sequences require b != 0")
     x, y, u = _exact(x), _exact(y), _exact(u)
-    eta = -(x ** (fam.n - fam.m)) * (x**fam.m + fam.a) / fam.b
-    zeta = (y ** (fam.n - fam.m)) * (y**fam.m + fam.a) * u / fam.b
+    n, m = fam.n, fam.m
+    an, ad = fam.a.numerator, fam.a.denominator
+    bn, bd = fam.b.numerator, fam.b.denominator
+    p, q = x.numerator, x.denominator
+    r, s = y.numerator, y.denominator
+    eta = Fraction(-(p ** (n - m)) * (p**m * ad + an * q**m) * bd, q**n * ad * bn)
+    zeta = Fraction(
+        r ** (n - m) * (r**m * ad + an * s**m) * u.numerator * bd,
+        s**n * ad * u.denominator * bn,
+    )
     return eta, zeta
 
 

@@ -1,5 +1,6 @@
 """CLI contract: flags, file schemas, exit codes, byte-stable JSON."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -204,24 +205,37 @@ def test_subspace_missing_files_schema_error(capsys):
     assert "forms" in err
 
 
+# one argv per input flag, with {path} standing for the input under test
+INPUT_FLAG_ARGVS = [
+    ["share", *BASE, "--pairs", "{path}"],
+    ["share", "--poly", "{path}", "--s", "2,3", "--pairs", "pairs.json"],
+    ["search-shared", "--poly", "{path}", "--s", "2,3", "--height-bound", "3"],
+    ["subspace", "--s", "2,3", "--forms", "{path}", "--points", "points.json"],
+    ["subspace", "--s", "2,3", "--forms", "forms.json", "--points", "{path}"],
+]
+
+
 # Unreadable-file cases use a directory; permission cases cannot be tested
 # when the suite runs as root, which may read any file.
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["share", *BASE, "--pairs", "{dir}"],
-        ["share", "--poly", "{dir}", "--s", "2,3", "--pairs", "pairs.json"],
-        ["search-shared", "--poly", "{dir}", "--s", "2,3", "--height-bound", "3"],
-        ["subspace", "--s", "2,3", "--forms", "{dir}", "--points", "points.json"],
-        ["subspace", "--s", "2,3", "--forms", "forms.json", "--points", "{dir}"],
-    ],
-)
+@pytest.mark.parametrize("argv", INPUT_FLAG_ARGVS)
 def test_unreadable_input_is_usage_error(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
-    code, _, err = run([arg.format(dir=tmp_path) for arg in argv], capsys)
+    code, _, err = run([arg.format(path=tmp_path) for arg in argv], capsys)
     assert code == 2
     assert "Traceback" not in err
     assert f"cannot read {tmp_path}" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", INPUT_FLAG_ARGVS)
+def test_non_utf8_input_is_usage_error(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe[")
+    code, _, err = run([arg.format(path=bad) for arg in argv], capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    assert f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff" in err
     assert err.count("\n") == 1
 
 
@@ -480,6 +494,7 @@ def test_main_reads_sys_argv(argv, capsys, monkeypatch):
         ([], []),
         (["--help"], []),
         (["bogus"], []),
+        (["-h", "trace"], ["trace"]),
     ],
 )
 def test_parser_fills_in_only_the_invoked_command(argv, filled, monkeypatch):
@@ -498,6 +513,34 @@ def test_parser_fills_in_only_the_invoked_command(argv, filled, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["urskit", *argv])
     cli.build_parser()
     assert seen == filled
+
+
+ALL_COMMANDS = list(cli.COMMANDS)
+
+
+# only argv[0] can name the command that is registered alone; anywhere else a
+# command token leaves all seven registered, so top-level help lists them all
+@pytest.mark.parametrize(
+    "argv, registered",
+    [
+        (["trace", *BASE, "--pairs", "share"], ["trace"]),
+        (["unit-eq", "--help"], ["unit-eq"]),
+        (["--format", "json", "unit-eq"], ALL_COMMANDS),
+        (["-h", "trace"], ALL_COMMANDS),
+        ([], ALL_COMMANDS),
+        (["--help"], ALL_COMMANDS),
+        (["--version"], ALL_COMMANDS),
+        (["bogus"], ALL_COMMANDS),
+    ],
+)
+def test_parser_registers_argv0_command_alone(argv, registered, monkeypatch):
+    def choices(parser):
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return list(sub.choices)
+
+    assert choices(cli.build_parser(argv)) == registered
+    monkeypatch.setattr(sys, "argv", ["urskit", *argv])
+    assert choices(cli.build_parser()) == registered
 
 
 def test_module_invocation_smoke():

@@ -105,8 +105,11 @@ TEXT_CASES = {
         f"help_{name.replace('-', '_')}": ([name, "--help"], "stdout", 0)
         for name in COMMAND_NAMES
     },
+    # a command after the first token: top-level help still lists all seven
+    "help_before_trace": (["-h", "trace"], "stdout", 0),
     "usage_no_command": ([], "stderr", 2),
     "usage_bogus": (["bogus"], "stderr", 2),
+    "usage_bogus_flag_trace": (["--bogus", "trace", "--n", "7"], "stderr", 2),
     "usage_trace_extra": (["trace", *FAM, "--pairs", "pairs.json", "extra"], "stderr", 2),
 }
 

@@ -45,6 +45,30 @@ def test_aux_build_requires_nonzero_b():
         aux_build(fam, F(1), F(1), F(1))
 
 
+def _aux_oracle(fam, x, y, u):
+    """aux_build on Fractions, as its definition reads."""
+    eta = -(x ** (fam.n - fam.m)) * (x**fam.m + fam.a) / fam.b
+    zeta = (y ** (fam.n - fam.m)) * (y**fam.m + fam.a) * u / fam.b
+    return eta, zeta
+
+
+_aux_rats = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+_aux_values = st.one_of(_aux_rats, st.integers(-20, 20))
+
+
+@given(
+    st.sampled_from([(2, 1), (3, 2), (5, 2), (7, 1), (7, 6), (12, 5)]),
+    _aux_rats,
+    _aux_rats.filter(bool),
+    _aux_values,
+    _aux_values,
+    _aux_values,
+)
+def test_aux_build_matches_fraction_oracle(nm, a, b, x, y, u):
+    fam = TrinomialFamily(*nm, a, b)
+    assert aux_build(fam, x, y, u) == _aux_oracle(fam, F(x), F(y), F(u))
+
+
 def test_identity_examples():
     assert identity_check(FAM, F(1), F(1), F(1))
     assert identity_check(FAM, F(0), F(-1), F(1))
