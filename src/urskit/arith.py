@@ -235,15 +235,10 @@ def is_s_unit(S: SContext, x: Fraction) -> bool:
 
 def non_s_ord_profile(S: SContext, x: Fraction) -> dict[int, int]:
     """Map p -> ord_p(x) over primes p outside S with nonzero valuation."""
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
     if x == 0:
         raise ValueError("valuation of zero undefined")
-    profile: dict[int, int] = {}
-    num = _strip_supported(abs(x.numerator), S.primes)
-    den = _strip_supported(x.denominator, S.primes)
-    for p, e in factor(num, S.factoring_budget).factors:
-        profile[p] = e
+    num, den = non_s_part(S, x)
+    profile = dict(factor(num, S.factoring_budget).factors)
     for p, e in factor(den, S.factoring_budget).factors:
         profile[p] = profile.get(p, 0) - e
     return dict(sorted(profile.items()))

@@ -1,6 +1,10 @@
 """Heights, counting functions, truncated counting functions, and the exact
 comparator for rational multiples of logarithms.
 
+Only the truncated count needs the prime factorization of a value, so it
+alone is held to the S-context's factoring budget; the untruncated count is
+the non-S part of the numerator and never factors.
+
 A `Magnitude` stores the positive integer M and *means* log M; multiplying
 Magnitudes adds the underlying log values with no rounding.  Every inequality
 verdict in the package goes through `cmp_scaled`, which decides
@@ -95,19 +99,20 @@ def height(x: Fraction) -> Magnitude:
 def counting(S: SContext, x: Fraction) -> Magnitude:
     """Counting function of zeros outside S: the non-S part of the numerator.
 
-    The budget discipline applies: the non-S part must factor completely.
+    Exact without factoring, so no budget applies.
     """
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
     if x == 0:
         raise ValueError("counting function undefined at zero")
-    non_s = _strip_supported(abs(x.numerator), S.primes)
-    factor(non_s, S.factoring_budget)
-    return Magnitude(non_s)
+    return Magnitude(_strip_supported(abs(x.numerator), S.primes))
 
 
 def counting_trunc(S: SContext, level: int, x: Fraction) -> Magnitude:
-    """Counting function with each multiplicity capped at `level`."""
+    """Counting function with each multiplicity capped at `level`.
+
+    Factors the non-S part of the numerator, within the budget of S.
+    """
     if level < 1:
         raise ValueError("truncation level must be a positive integer")
     if not isinstance(x, (int, Fraction)):

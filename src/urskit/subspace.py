@@ -11,9 +11,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import ClassVar
 
-from .arith import SContext, non_s_ord_profile, rational_str
+from .arith import SContext, non_s_part, rational_str
 from .exactlinalg import det
 from .heights import Magnitude, ScaledLog, cmp_scaled, counting_trunc, height
 
@@ -82,19 +83,17 @@ def normalize_point(S: SContext, coords) -> ProjPoint:
     """Scale away the non-S content so the point becomes primitive.
 
     Clears denominators outside S and divides by the common non-S content;
-    the S-supported scaling freedom is deliberately left untouched.
+    the S-supported scaling freedom is deliberately left untouched.  Needs
+    only gcds, never a factorization: with G the gcd of the non-S parts of
+    the numerators and L the lcm of those of the denominators, over the
+    nonzero coordinates, min ord_p(c) = ord_p(G) - ord_p(L) for every p
+    outside S, so scaling by L/G sets each of those minima to 0.
     """
     cs = [Fraction(c) for c in coords]
     if all(c == 0 for c in cs):
         raise ValueError("cannot normalize the zero tuple")
-    profiles = [non_s_ord_profile(S, c) for c in cs if c != 0]
-    primes = sorted(set().union(*(set(pr) for pr in profiles)))
-    scale = Fraction(1)
-    for p in primes:
-        # absent primes have valuation 0 at that coordinate
-        low = min(pr.get(p, 0) for pr in profiles)
-        if low != 0:
-            scale *= Fraction(p) ** (-low)
+    parts = [non_s_part(S, c) for c in cs if c != 0]
+    scale = Fraction(lcm(*(den for _, den in parts)), gcd(*(num for num, _ in parts)))
     return ProjPoint(tuple(c * scale for c in cs))
 
 

@@ -184,13 +184,13 @@ def build_trace_rows(S: SContext, fam: TrinomialFamily, pairs) -> list[TraceRow]
                 h_u=None if u is None else height(u),
                 h_eta=None if eta is None else height(eta),
                 h_zeta=None if zeta is None else height(zeta),
-                n1_x=_maybe_counting(S, x if count and x != 0 else None, 1),
-                n1_y=_maybe_counting(S, y if count and y != 0 else None, 1),
+                n1_x=_maybe_counting(S, x if count else None, 1),
+                n1_y=_maybe_counting(S, y if count else None, 1),
                 n2_eta=_maybe_counting(S, eta if count else None, 2),
                 n2_zeta=_maybe_counting(S, zeta if count else None, 2),
                 n2_u=_maybe_counting(S, u if count else None, 2),
-                n_xm_a=_maybe_counting(S, xm_a if count and xm_a != 0 else None),
-                n_ym_a=_maybe_counting(S, ym_a if count and ym_a != 0 else None),
+                n_xm_a=_maybe_counting(S, xm_a if count else None),
+                n_ym_a=_maybe_counting(S, ym_a if count else None),
                 flags=tuple(flags),
             )
         )
@@ -301,7 +301,7 @@ def trunc_bound_check(S: SContext, fam: TrinomialFamily, rows) -> CheckReport:
         if row.u is None:
             out.append(RowCheck(row.x, row.y, None, error="unit undefined on this row"))
             continue
-        if not is_s_unit(S, row.u):
+        if not row.shares:
             out.append(
                 RowCheck(row.x, row.y, None, error="u is not an S-unit on this row")
             )

@@ -382,6 +382,30 @@ def test_factoring_budget_exit_names_cofactor(tmp_path, capsys):
     )
 
 
+def _semiprime_point_argv(tmp_path):
+    # 1022117 = 1009 * 1013; normalization divides by the gcd 1009 and never
+    # factors, so only the form values 1013, 1 and 1014 meet the budget
+    forms = write(tmp_path, "forms.json", {"r": 1, "forms": [["1", "0"], ["0", "1"], ["1", "1"]]})
+    points = write(tmp_path, "points.json", [["1022117", "1009"]])
+    return ["subspace", "--forms", forms, "--points", points, "--s", "2,3",
+            "--budget", "1000000"]
+
+
+def test_normalization_needs_no_factoring(tmp_path, capsys):
+    code, out, err = run([*_semiprime_point_argv(tmp_path), "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    (row,) = json.loads(out)["rows"]
+    assert row["point"] == ["1013", "1"]
+    assert row["verdict"] == "holds"
+
+
+def test_strict_names_the_normalized_point(tmp_path, capsys):
+    code, out, err = run([*_semiprime_point_argv(tmp_path), "--strict"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "expected ['1013', '1']" in err
+
+
 @pytest.mark.parametrize("command", [["search-shared"], ["search-su", "--c", "1"]])
 def test_search_negative_budget_usage_error(command, capsys):
     code, _, err = run(

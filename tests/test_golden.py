@@ -36,6 +36,9 @@ CASES = {
     "trace_rows": (["trace", *FAM, "--pairs", "trace_pairs.json"], 0),
     "trace_diagonal": (["trace", *FAM, "--pairs", "diagonal_pairs.json"], 0),
     "trace_digits3": (["trace", *FAM, "--pairs", "trace_pairs.json", "--digits", "3"], 0),
+    # x-heights near 10^4 with diagonal pairs: P(x) has non-S cofactors past
+    # the default trial horizon, which the untruncated count never factors
+    "trace_large_height": (["trace", *FAM, "--pairs", "large_height_pairs.json"], 0),
     "subspace": (
         ["subspace", "--forms", "forms.json", "--points", "points.json", "--s", "2,3",
          "--epsilon", "1/10"],

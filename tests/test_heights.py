@@ -1,5 +1,6 @@
 """Measurement layer: heights, counting functions, exact log comparisons."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from urskit import heights
-from urskit.arith import FactoringBudgetError, SContext, is_s_integer
+from urskit.arith import FactoringBudgetError, SContext, factor, is_s_integer, non_s_part
 from urskit.heights import (
     EQUAL,
     GREATER,
@@ -72,12 +73,29 @@ def test_counting_zero_error():
     "x", [1_000_003 * 1_000_033, F(1_000_003 * 1_000_033, 8)], ids=["int", "fraction"]
 )
 def test_counting_budget_error(x):
-    # counting factors the non-S part only to hold it to the budget
+    # the untruncated count is the non-S part, exact without factoring; only
+    # the truncated count needs the primes, so only it meets the budget
     small = SContext.of([2], factoring_budget=10**6)
-    with pytest.raises(FactoringBudgetError):
-        counting(small, x)
+    assert counting(small, x) == Magnitude(1_000_003 * 1_000_033)
     with pytest.raises(FactoringBudgetError):
         counting_trunc(small, 1, x)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    st.integers(min_value=-10**14, max_value=10**14).filter(lambda n: n != 0),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=10**4),
+)
+def test_counting_is_the_factored_non_s_part(num, k, den):
+    # a horizon of 10^4 leaves many of these numerators unfactorable
+    small = SContext.of([2, 3], factoring_budget=10**8)
+    x = F(num * 6**k, den)
+    try:
+        fz = factor(non_s_part(small, x)[0], small.factoring_budget)
+    except FactoringBudgetError:
+        assume(False)
+    assert counting(small, x) == Magnitude(math.prod(p**e for p, e in fz.factors))
 
 
 @pytest.mark.parametrize(

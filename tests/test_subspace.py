@@ -5,8 +5,10 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from urskit.arith import SContext, unit_equation_solutions
+from urskit.arith import SContext, non_s_ord_profile, unit_equation_solutions
 from urskit.heights import Magnitude, counting, counting_trunc
 from urskit.subspace import (
     HOLDS,
@@ -52,6 +54,40 @@ def test_form_system_shape_validation():
 )
 def test_normalize_examples(coords, expected):
     assert json.loads(stable_json(normalize_point(S23, coords).coords)) == expected
+
+
+def _normalize_oracle(S, coords):
+    """Normalization by valuation profiles: scale by p^(-min ord_p) over the
+    primes p outside S that divide some nonzero coordinate."""
+    cs = [F(c) for c in coords]
+    profiles = [non_s_ord_profile(S, c) for c in cs if c != 0]
+    primes = sorted(set().union(*(set(pr) for pr in profiles)))
+    scale = F(1)
+    for p in primes:
+        # absent primes have valuation 0 at that coordinate
+        low = min(pr.get(p, 0) for pr in profiles)
+        if low != 0:
+            scale *= F(p) ** (-low)
+    return tuple(c * scale for c in cs)
+
+
+coords_strategy = st.lists(
+    st.builds(
+        F,
+        st.integers(min_value=-10**4, max_value=10**4),
+        st.integers(min_value=1, max_value=10**4),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.sets(st.sampled_from([2, 3, 5, 7])), coords_strategy)
+def test_normalize_matches_profile_oracle(primes, coords):
+    assume(any(c != 0 for c in coords))
+    S = SContext.of(primes)
+    assert normalize_point(S, coords).coords == _normalize_oracle(S, coords)
 
 
 def test_normalize_zero_tuple_error():
