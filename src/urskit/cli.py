@@ -34,7 +34,7 @@ from .arith import (
     rational_str,
     unit_equation_solutions,
 )
-from .heights import DEFAULT_DISPLAY_DIGITS, MAX_DISPLAY_DIGITS
+from .heights import DEFAULT_DISPLAY_DIGITS, MAX_DISPLAY_DIGITS, nonnegative_epsilon
 from .polys import RatPoly, TrinomialFamily, validate_family
 from .report import SchemaError, render_table, stable_json
 from .sharing import SearchBudgetError, search_shared_pairs, share_check
@@ -444,12 +444,12 @@ def cmd_trace(args) -> int:
             file=sys.stderr,
         )
         return 1
+    nonnegative_epsilon(args.epsilon)  # before any per-row work
     pairs = load_pairs_file(args.pairs)
-    rows = build_trace_rows(S, fam, pairs)
-    P = fam.polynomial()
+    rows, values = build_trace_rows(S, fam, pairs)
     checks = {
-        "roth_chain": roth_chain_report(S, P, rows),
-        "unit_height": unit_height_check(S, P, rows),
+        "roth_chain": roth_chain_report(S, fam.polynomial(), rows, values),
+        "unit_height": unit_height_check(rows, values),
         "trunc_bounds": trunc_bound_check(S, fam, rows),
         "main_inequality": main_inequality_report(S, fam, args.epsilon, rows),
     }

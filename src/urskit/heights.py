@@ -89,6 +89,14 @@ class ScaledLog:
         return f"{val:.{digits}f}"
 
 
+def nonnegative_epsilon(eps) -> Fraction:
+    """eps as a Fraction; a ValueError when it is negative."""
+    eps = Fraction(eps)
+    if eps < 0:
+        raise ValueError("epsilon must be nonnegative")
+    return eps
+
+
 def height(x: Fraction) -> Magnitude:
     """Multiplicative Weil height max(|num|, den) of x in lowest terms."""
     if not isinstance(x, (int, Fraction)):

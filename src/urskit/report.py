@@ -32,24 +32,46 @@ class SchemaError(UrskitError):
         super().__init__(f"{location}: {message}")
 
 
-# dataclass type -> (sorted ('"key": ', key) pairs, None): its fields and
-# derived keys; or, for a class with a merge field, (None, its (key, merge)
-# layout), which is gathered into a dict and written as one
-_PLANS: dict[type, tuple] = {}
+# A plan writes one dataclass at one indent: ((separator + indent + '"key": ',
+# field name, dict key) in key order, closing text).  The dict key is _FIELD
+# where the value is the field itself, else its key in a merge field's dict.
+_FIELD = object()
+
+# (dataclass type, indent) -> plan, built on first use and kept across calls,
+# as it depends on neither the value nor `digits`; for a class with a merge
+# field, whose plan depends on the merged keys, (None, its layout).
+_PLANS: dict[tuple, tuple] = {}
 
 
-def _plan(cls: type) -> tuple:
+def _static_plan(cls: type, nl: str) -> tuple:
     if not is_dataclass(cls):
         raise TypeError(f"no JSON encoding for {cls.__name__}")
     layout = [(f.name, f.metadata.get("merge", False)) for f in fields(cls)]
     layout += [(name, False) for name in getattr(cls, "derived_keys", ())]
-    if any(merge for _, merge in layout):
-        plan = (None, tuple(layout))
-    else:
-        keys = sorted(key for key, _ in layout)
-        plan = (tuple((encode_basestring(k) + ": ", k) for k in keys), None)
-    _PLANS[cls] = plan
+    merges = any(merge for _, merge in layout)
+    plan = (None, tuple(layout)) if merges else _plan(layout, nl, None)
+    _PLANS[cls, nl] = plan
     return plan
+
+
+def _plan(layout, nl: str, value) -> tuple:
+    """The plan for a dataclass with this (field name, merge) layout; the
+    keys of merge fields are read from `value`, and where two fields give one
+    key the later wins, as in dict.update."""
+    source = {}
+    for name, merge in layout:
+        if merge:
+            for key in getattr(value, name):
+                source[key] = (name, key)
+        else:
+            source[name] = (name, _FIELD)
+    inner = nl + "  "
+    keys = sorted(source)
+    entries = tuple(
+        (("," if i else "{") + inner + _key(key), *source[key])
+        for i, key in enumerate(keys)
+    )
+    return entries, nl + "}" if keys else "{}"
 
 
 def _key(key) -> str:
@@ -65,81 +87,127 @@ def _key(key) -> str:
     raise TypeError(f"no JSON encoding for a {type(key).__name__} key")
 
 
-def _write(value, digits: int, nl: str, emit) -> None:
-    """Append the text of `value` through `emit`; `nl` is a newline plus
-    the indent of the line `value` starts on.  Dispatch is on the exact type
-    (`Fraction` is an ABC subclass, so isinstance tests on it are slow)."""
-    t = type(value)
-    if t is str:
-        emit(encode_basestring(value))
-    elif t is int:
-        emit(int.__repr__(value))
-    elif t is Fraction:
-        emit('"' + rational_str(value) + '"')
-    elif value is None:
-        emit("null")
-    elif t is bool:
-        emit("true" if value else "false")
-    elif t is tuple or t is list:
-        if not value:
-            emit("[]")
+# exact type -> text, for the values whose text needs neither indent nor
+# `digits` (`Fraction` is an ABC subclass, so isinstance tests on it are slow)
+_SCALARS = {
+    str: encode_basestring,
+    int: int.__repr__,
+    Fraction: lambda v: '"' + rational_str(v) + '"',
+    type(None): lambda v: "null",
+    bool: lambda v: "true" if v else "false",
+}
+
+
+def _writer(digits: int, emit):
+    """write(value, nl) appends the text of `value` through `emit`; `nl` is
+    a newline plus the indent of the line `value` starts on.  Magnitude text
+    and the plans of classes with a merge field are kept for the life of the
+    writer."""
+    scalars = _SCALARS
+    magnitudes: dict[tuple[int, str], str] = {}
+    # (type, indent, merged keys) -> plan, for classes with a merge field
+    merged_plans: dict[tuple, tuple] = {}
+
+    def magnitude(m: Magnitude, nl: str) -> str:
+        text = magnitudes.get((m.value, nl))
+        if text is None:
+            inner = nl + "  "
+            text = (f'{{{inner}"exact": "{m.value}",{inner}"log": '
+                    f'"{m.log_display(digits)}"{nl}}}')
+            magnitudes[m.value, nl] = text
+        return text
+
+    def write(value, nl: str) -> None:
+        t = type(value)
+        text = scalars.get(t)
+        if text is not None:
+            emit(text(value))
             return
-        inner = nl + "  "
-        sep = "[" + inner
-        for item in value:
-            emit(sep)
-            _write(item, digits, inner, emit)
-            sep = "," + inner
-        emit(nl + "]")
-    elif t is dict:
-        if not value:
-            emit("{}")
+        if t is Magnitude:
+            emit(magnitude(value, nl))
             return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key in sorted(value):
-            emit(sep + _key(key))
-            _write(value[key], digits, inner, emit)
-            sep = "," + inner
-        emit(nl + "}")
-    elif t is Magnitude:
-        inner = nl + "  "
-        emit(f'{{{inner}"exact": "{value.value}",{inner}"log": '
-             f'"{value.log_display(digits)}"{nl}}}')
-    elif t is ScaledLog:
-        inner = nl + "  "
-        emit("{" + inner + '"base": ')
-        _write(value.base, digits, inner, emit)
-        emit(f',{inner}"coefficient": "{rational_str(value.coefficient)}",'
-             f'{inner}"log": "{value.log_display(digits)}"{nl}}}')
-    else:
-        keys, layout = _PLANS.get(t) or _plan(t)
-        if keys is None:
-            merged = {}
-            for key, merge in layout:
-                if merge:
-                    merged.update(getattr(value, key))
+        if t is tuple or t is list:
+            if not value:
+                emit("[]")
+                return
+            inner = nl + "  "
+            sep = "[" + inner
+            for item in value:
+                text = scalars.get(type(item))
+                if text is not None:
+                    emit(sep + text(item))
+                elif type(item) is Magnitude:
+                    emit(sep + magnitude(item, inner))
                 else:
-                    merged[key] = getattr(value, key)
-            _write(merged, digits, nl, emit)
+                    emit(sep)
+                    write(item, inner)
+                sep = "," + inner
+            emit(nl + "]")
             return
-        if not keys:
-            emit("{}")
+        if t is dict:
+            if not value:
+                emit("{}")
+                return
+            inner = nl + "  "
+            sep = "{" + inner
+            for key in sorted(value):
+                prefix = _key(key)
+                item = value[key]
+                text = scalars.get(type(item))
+                if text is not None:
+                    emit(sep + prefix + text(item))
+                elif type(item) is Magnitude:
+                    emit(sep + prefix + magnitude(item, inner))
+                else:
+                    emit(sep + prefix)
+                    write(item, inner)
+                sep = "," + inner
+            emit(nl + "}")
             return
+        if t is ScaledLog:
+            inner = nl + "  "
+            emit("{" + inner + '"base": ')
+            write(value.base, inner)
+            emit(f',{inner}"coefficient": "{rational_str(value.coefficient)}",'
+                 f'{inner}"log": "{value.log_display(digits)}"{nl}}}')
+            return
+        entries, tail = _PLANS.get((t, nl)) or _static_plan(t, nl)
+        if entries is None:
+            # key equality mixes types (1 == True), so the types join the key
+            dicts = [getattr(value, name) for name, merge in tail if merge]
+            sig = (t, nl, *[(tuple(d), tuple(map(type, d))) for d in dicts])
+            plan = merged_plans.get(sig)
+            if plan is None:
+                plan = merged_plans[sig] = _plan(tail, nl, value)
+            entries, tail = plan
         inner = nl + "  "
-        sep = "{" + inner
-        for prefix, key in keys:
-            emit(sep + prefix)
-            _write(getattr(value, key), digits, inner, emit)
-            sep = "," + inner
-        emit(nl + "}")
+        for prefix, name, key in entries:
+            item = getattr(value, name)
+            if key is not _FIELD:
+                item = item[key]
+            text = scalars.get(type(item))
+            if text is not None:
+                emit(prefix + text(item))
+            elif type(item) is Magnitude:
+                emit(prefix + magnitude(item, inner))
+            else:
+                emit(prefix)
+                write(item, inner)
+        emit(tail)
+
+    return write
 
 
 def stable_json(value, digits: int = DEFAULT_DISPLAY_DIGITS) -> str:
     """The report text of `value`: sorted keys, two-space indent, trailing
-    newline; `digits` sets the decimal places of every display-only log."""
+    newline; `digits` sets the decimal places of every display-only log.
+
+    A dataclass is written from a plan of its keys at its indent, built on
+    first use and kept across calls; a class with a merge field gets one per
+    call for each set of merged keys.  The text of each Magnitude is made
+    once per call for each value and indent it appears at."""
     parts: list[str] = []
-    _write(value, digits, "\n", parts.append)
+    _writer(digits, parts.append)(value, "\n")
     parts.append("\n")
     return "".join(parts)
 

@@ -16,7 +16,14 @@ from typing import ClassVar
 
 from .arith import SContext, non_s_part, rational_str
 from .exactlinalg import det
-from .heights import Magnitude, ScaledLog, cmp_scaled, counting_trunc, height
+from .heights import (
+    Magnitude,
+    ScaledLog,
+    cmp_scaled,
+    counting_trunc,
+    height,
+    nonnegative_epsilon,
+)
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -143,9 +150,7 @@ def evaluate_conjecture(
     Points with a vanishing form are reported as skipped, matching the
     requirement that no form vanishes along the sequence under test.
     """
-    eps = Fraction(eps)
-    if eps < 0:
-        raise ValueError("epsilon must be nonnegative")
+    eps = nonnegative_epsilon(eps)
     gp = general_position_check(sys)
     if not gp.ok:
         raise ValueError(f"degenerate system: forms {gp.witness} are dependent")
@@ -246,9 +251,11 @@ def corollary_eval(
     eps: Fraction,
     pairs,
 ) -> list[CorollaryRow]:
-    """Evaluate the two-variable consequence on pairs satisfying A*x+B*y=C."""
+    """Evaluate the two-variable consequence on pairs satisfying A*x+B*y=C.
+
+    A negative eps is rejected before any pair is looked at."""
+    eps = nonnegative_epsilon(eps)
     A, B, C = Fraction(A), Fraction(B), Fraction(C)
-    eps = Fraction(eps)
     if A == 0 or B == 0 or C == 0:
         raise ValueError("A, B, C must all be nonzero")
     sys = LinearFormSystem.of(1, [[1, 0], [0, 1], [C, -A]])

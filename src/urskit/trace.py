@@ -25,9 +25,10 @@ from .heights import (
     counting,
     counting_trunc,
     height,
+    nonnegative_epsilon,
 )
 from .polys import RatPoly, TrinomialFamily, validate_family
-from .sharing import _pair_join, share_check
+from .sharing import _pair_join, evaluated_share
 
 
 def _exact(v):
@@ -133,8 +134,12 @@ def _maybe_counting(S, value, level=None):
     return counting_trunc(S, level, value)
 
 
-def build_trace_rows(S: SContext, fam: TrinomialFamily, pairs) -> list[TraceRow]:
+def build_trace_rows(S: SContext, fam: TrinomialFamily, pairs):
     """Run share_check on each (x, y) and attach every derived quantity.
+
+    Returns (rows, values): the TraceRows, and per row the (P(x), P(y)) the
+    sharing verdict was decided from, which roth_chain_report and
+    unit_height_check take instead of evaluating P again.
 
     Zero values (eta, zeta, x, y, or the shifted terms) leave the affected
     counting entries unset and add a flag; downstream checks skip those rows
@@ -142,8 +147,10 @@ def build_trace_rows(S: SContext, fam: TrinomialFamily, pairs) -> list[TraceRow]
     """
     P = fam.polynomial()
     rows = []
+    values = []
     for raw_x, raw_y in pairs:
-        sp = share_check(S, P, raw_x, raw_y)
+        sp, px, py = evaluated_share(S, P, raw_x, raw_y)
+        values.append((px, py))
         x, y, u = sp.x, sp.y, sp.u
         flags = []
         if not sp.shares:
@@ -161,8 +168,6 @@ def build_trace_rows(S: SContext, fam: TrinomialFamily, pairs) -> list[TraceRow]
                 flags.append("zeta_zero")
             if u == 0:
                 flags.append("unit_zero")
-        xm_a = x**fam.m + fam.a
-        ym_a = y**fam.m + fam.a
         if x == 0:
             flags.append("x_zero")
         if y == 0:
@@ -189,12 +194,12 @@ def build_trace_rows(S: SContext, fam: TrinomialFamily, pairs) -> list[TraceRow]
                 n2_eta=_maybe_counting(S, eta if count else None, 2),
                 n2_zeta=_maybe_counting(S, zeta if count else None, 2),
                 n2_u=_maybe_counting(S, u if count else None, 2),
-                n_xm_a=_maybe_counting(S, xm_a if count else None),
-                n_ym_a=_maybe_counting(S, ym_a if count else None),
+                n_xm_a=_maybe_counting(S, x**fam.m + fam.a if count else None),
+                n_ym_a=_maybe_counting(S, y**fam.m + fam.a if count else None),
                 flags=tuple(flags),
             )
         )
-    return rows
+    return rows, values
 
 
 @dataclass(frozen=True)
@@ -223,16 +228,17 @@ class CheckReport:
         return all(r.ok is not False for r in self.rows)
 
 
-def roth_chain_report(S: SContext, P: RatPoly, rows) -> CheckReport:
+def roth_chain_report(S: SContext, P: RatPoly, rows, values) -> CheckReport:
     """Exact kernel of the height-comparability step: for sharing rows,
     counting(S, P(x)) == counting(S, P(y)) and both are bounded by
-    C_P * h(.)^deg(P).  Height ratios are reported for display only."""
+    C_P * h(.)^deg(P).  Height ratios are reported for display only.
+
+    `values` holds (P(x), P(y)) for each row, as build_trace_rows returns
+    them; P itself is not evaluated here."""
     c_p = evaluation_height_constant(P)
     n = P.degree
     out = []
-    for row in rows:
-        px = P.evaluate(row.x)
-        py = P.evaluate(row.y)
+    for row, (px, py) in zip(rows, values, strict=True):
         if px == 0 or py == 0:
             out.append(
                 RowCheck(row.x, row.y, None, error="vanishing P value on this row")
@@ -268,15 +274,18 @@ def roth_chain_report(S: SContext, P: RatPoly, rows) -> CheckReport:
     return CheckReport("roth_chain", tuple(out), {"C_P": c_p, "degree": n})
 
 
-def unit_height_check(S: SContext, P: RatPoly, rows) -> CheckReport:
-    """h(u) <= h(P(x)) * h(P(y)) as Magnitudes (quotient height law)."""
+def unit_height_check(rows, values) -> CheckReport:
+    """h(u) <= h(P(x)) * h(P(y)) as Magnitudes (quotient height law).
+
+    `values` holds (P(x), P(y)) for each row, as build_trace_rows returns
+    them."""
     out = []
-    for row in rows:
+    for row, (px, py) in zip(rows, values, strict=True):
         if row.u is None:
             out.append(RowCheck(row.x, row.y, None, error="unit undefined on this row"))
             continue
-        hpx = height(P.evaluate(row.x))
-        hpy = height(P.evaluate(row.y))
+        hpx = height(px)
+        hpy = height(py)
         ok = row.h_u.value <= hpx.value * hpy.value
         out.append(
             RowCheck(
@@ -334,10 +343,8 @@ def trunc_bound_check(S: SContext, fam: TrinomialFamily, rows) -> CheckReport:
         detail["unit_trunc_zero"] = unit_zero
         checks.append(unit_zero)
         if row.identity_ok:
-            total = row.eta + row.u + row.zeta
-            sum_zero = counting_trunc(S, 2, total).is_zero_quantity
-            detail["sum_trunc_zero"] = sum_zero
-            checks.append(sum_zero)
+            # eta + u + zeta == 1 exactly, and N^(2)(1) is zero
+            detail["sum_trunc_zero"] = True
         out.append(RowCheck(row.x, row.y, all(checks), detail))
     return CheckReport("trunc_bounds", tuple(out), {})
 
@@ -370,9 +377,7 @@ def main_inequality_report(
     beyond which rows would contradict the degree gap if the conjectural step
     held (invoked at eps/n for both orientations).
     """
-    eps = Fraction(eps)
-    if eps < 0:
-        raise ValueError("epsilon must be nonnegative")
+    eps = nonnegative_epsilon(eps)
     validation = validate_family(S, fam)
     if not validation.passed:
         failed = [c.name for c in validation.checks if not c.passed]
@@ -387,6 +392,8 @@ def main_inequality_report(
     gap = Fraction(n - 2 * m - 4) - eps
     ceiling = ScaledLog(1 / gap, c_total) if gap > 0 else None
     one_minus = Fraction(1) - eps
+    n_eps = Fraction(n) - eps
+    two_m = Fraction(2 + m)
     out = []
     for row in rows:
         if row.u is None:
@@ -420,13 +427,12 @@ def main_inequality_report(
             detail["eta_floor_ok"] = floor_ok
             checks.append(floor_ok)
         # derived comparison (n-eps) h(x) vs (2+m)(h(x)+h(y))
-        n_eps = Fraction(n) - eps
         if n_eps < 0:
             detail["derived_step"] = "holds"
         else:
             cmp = cmp_scaled(
                 ScaledLog(n_eps, row.h_x),
-                ScaledLog(Fraction(2 + m), row.h_x * row.h_y),
+                ScaledLog(two_m, row.h_x * row.h_y),
             )
             detail["derived_step"] = (
                 "holds" if cmp <= 0 else "exceeds"

@@ -11,6 +11,7 @@ import pytest
 from urskit import cli
 from urskit.cli import main
 from urskit.heights import MAX_DISPLAY_DIGITS
+from urskit.polys import RatPoly
 
 
 def write(tmp_path, name, payload):
@@ -165,6 +166,45 @@ def test_trace_invalid_family_exit(tmp_path, capsys):
     )
     assert code == 1
     assert "validate-poly" in err
+
+
+def test_trace_evaluates_p_once_per_value(monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    pairs = json.loads((GOLDEN / "trace_pairs.json").read_text(encoding="utf-8"))
+    calls = []
+    evaluate = RatPoly.evaluate
+
+    def counted(self, x):
+        calls.append(x)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(RatPoly, "evaluate", counted)
+    assert main(["trace", *BASE, "--pairs", "trace_pairs.json", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2 * len(pairs)
+
+
+def test_negative_epsilon_rejected_before_any_row(tmp_path, capsys, monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("rows built for a negative epsilon")
+
+    monkeypatch.setattr(cli, "build_trace_rows", no_rows)
+    pairs = write(tmp_path, "pairs.json", [{"x": "0", "y": "-1"}])
+    code, out, err = run(["trace", *BASE, "--pairs", pairs, "--epsilon=-1/10"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: epsilon must be nonnegative\n"
+
+
+def test_corollary_negative_epsilon_exits_2_off_the_line(tmp_path, capsys):
+    # (1, 1) misses x + y = 5, so no pair reaches evaluate_conjecture's check
+    pairs = write(tmp_path, "pairs.json", [{"x": "1", "y": "1"}])
+    code, out, err = run(
+        ["subspace", "--corollary", "--A", "1", "--B", "1", "--C", "5", "--pairs", pairs,
+         "--s", "2,3", "--epsilon=-1/10", "--format", "json"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: epsilon must be nonnegative\n"
 
 
 # --- subspace -----------------------------------------------------------------------

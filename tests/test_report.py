@@ -92,17 +92,33 @@ def test_dataclass_fields_merge_and_derived_keys():
 
 
 @pytest.mark.parametrize("value", [0.5, {1, 2}, object(), [1, {"k": 0.5}],
-                                   {"k": {1, 2}}, {(1, 2): 0}])
+                                   {"k": {1, 2}}, {(1, 2): 0}, [Magnitude(2), 0.5],
+                                   _Row(F(1), {"k": object()})])
 def test_unknown_types_are_rejected(value):
     with pytest.raises(TypeError, match="no JSON encoding"):
         stable_json(value)
 
 
 def test_long_ints_raise_as_str_does():
-    with pytest.raises(ValueError, match="4300"):
-        stable_json({"n": 10**5000})
-    with pytest.raises(ValueError, match="4300"):
-        stable_json(Magnitude(10**5000))
+    for value in [{"n": 10**5000}, Magnitude(10**5000), [10**5000], [Magnitude(10**5000)],
+                  {"m": Magnitude(10**5000)}, _Row(F(1), {"n": 10**5000})]:
+        with pytest.raises(ValueError, match="4300"):
+            stable_json(value)
+
+
+def test_one_value_at_two_depths():
+    # a Magnitude's text depends on its indent, and so does a dataclass's
+    m = Magnitude(12)
+    row = _Row(F(1, 3), {"h": m})
+    plain = _Plain(m, row)
+    value = {"a": m, "b": [row, plain, [m, row, {"c": [plain]}]], "c": row, "d": plain}
+    assert stable_json(value, 4) == reference_json(value, 4)
+
+
+def test_back_to_back_calls_with_other_digits():
+    value = [Magnitude(10), {"m": Magnitude(10)}, ScaledLog(F(1, 3), Magnitude(10))]
+    for digits in (3, 17, 3):
+        assert stable_json(value, digits) == reference_json(value, digits)
 
 
 @dataclass(frozen=True)
@@ -137,6 +153,17 @@ class _Empty:
     pass
 
 
+@dataclass(frozen=True)
+class _Bag:
+    """Only merged keys, so they need not be strings."""
+
+    items: dict = field(metadata={"merge": True})
+
+
+# one instance each, so a drawn tree holds them at several depths
+SHARED_MAGNITUDE = Magnitude(2**61 - 1)
+SHARED_ROW = _Row(F(-7, 2), {"h": SHARED_MAGNITUDE, "n": None})
+
 scalars = (
     st.none()
     | st.booleans()
@@ -148,6 +175,7 @@ scalars = (
     | st.builds(ScaledLog, st.fractions(min_value=0, max_denominator=50),
                 st.integers(1, 10**12).map(Magnitude))
     | st.just(_Empty())
+    | st.sampled_from([SHARED_MAGNITUDE, SHARED_ROW])
 )
 keys = st.text(max_size=6) | st.sampled_from(["a", "b", "m", "z", "extra", "é"])
 
@@ -161,6 +189,8 @@ def _values(children):
         | st.builds(_Plain, children, children)
         | st.builds(_Merged, children, st.dictionaries(keys, children, max_size=4),
                     children)
+        | st.builds(_Bag, st.dictionaries(st.integers(-2, 2) | st.booleans(), children,
+                                          max_size=3))
     )
 
 
@@ -173,6 +203,7 @@ def test_stable_json_matches_json_dumps_of_the_dict_tree(value, digits):
     assert stable_json(value, digits) == reference_json(value, digits)
 
 
-@pytest.mark.parametrize("value", [{True: [], False: {}}, {None: 1}, {2: 0, 10: 1, -3: 2}])
+@pytest.mark.parametrize("value", [{True: [], False: {}}, {None: 1}, {2: 0, 10: 1, -3: 2},
+                                   [_Bag({True: 1}), _Bag({1: 2}), _Bag({False: 0, 2: 3})]])
 def test_keyword_keys_as_json_writes_them(value):
     assert stable_json(value) == reference_json(value)

@@ -1,6 +1,7 @@
 """Proof-engine tests: auxiliary identities, chain inequalities with explicit
 constants, dependence detection, case classification, uniqueness search."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from urskit.arith import SContext, unit_equation_solutions
-from urskit.heights import Magnitude, ScaledLog
+from urskit.heights import Magnitude, ScaledLog, counting, height
 from urskit.polys import RatPoly, TrinomialFamily
 from urskit.sharing import SearchBudgetError, s_integer_box
 from urskit.trace import (
@@ -24,6 +25,8 @@ from urskit.trace import (
     roth_chain_report,
     shift_height_constant,
     strong_uniqueness_search,
+    CheckReport,
+    RowCheck,
     trunc_bound_check,
     unit_height_check,
 )
@@ -144,8 +147,12 @@ def test_shift_height_constant_is_a_bound():
 # --- row building and chain checks --------------------------------------------
 
 
-def rows_for(pairs):
+def trace_for(pairs):
     return build_trace_rows(S23, FAM, pairs)
+
+
+def rows_for(pairs):
+    return trace_for(pairs)[0]
 
 
 def test_build_trace_rows_flags():
@@ -157,8 +164,8 @@ def test_build_trace_rows_flags():
 
 
 def test_roth_chain_examples():
-    rows = rows_for([(F(0), F(-1)), (F(2), F(2)), (F(1), F(0))])
-    rep = roth_chain_report(S23, P7, rows)
+    rows, values = trace_for([(F(0), F(-1)), (F(2), F(2)), (F(1), F(0))])
+    rep = roth_chain_report(S23, P7, rows, values)
     assert rep.constants["C_P"] == 4
     assert rep.ok
     by_pair = {(r.x, r.y): r for r in rep.rows}
@@ -169,19 +176,137 @@ def test_roth_chain_examples():
 
 def test_roth_chain_row_errors():
     rows = rows_for([(F(0), F(-1)), (F(2), F(3))])
-    rep = roth_chain_report(S23, RatPoly.of([0, 1]), rows)  # P = X vanishes at 0
+    # P = X vanishes at 0; the values passed are X's, not those of P7
+    rep = roth_chain_report(S23, RatPoly.of([0, 1]), rows, [(r.x, r.y) for r in rows])
     vanish, nonshare = rep.rows
     assert vanish.ok is None and "vanishing" in vanish.error
     assert nonshare.ok is None and "share" in nonshare.error
 
 
 def test_unit_height_examples():
-    rows = rows_for([(F(1), F(0)), (F(0), F(-1)), (F(3), F(3))])
-    rep = unit_height_check(S23, P7, rows)
+    rows, values = trace_for([(F(1), F(0)), (F(0), F(-1)), (F(3), F(3))])
+    rep = unit_height_check(rows, values)
     assert rep.ok
     row = rep.rows[0]
     assert row.detail["h_u"] == "3"
     assert row.detail["h_px"] == "3" and row.detail["h_py"] == "1"
+
+
+def _roth_chain_oracle(S, P, rows):
+    """roth_chain_report as it was before it took the row values: it
+    evaluates P at each row's x and y itself."""
+    c_p = evaluation_height_constant(P)
+    n = P.degree
+    out = []
+    for row in rows:
+        px = P.evaluate(row.x)
+        py = P.evaluate(row.y)
+        if px == 0 or py == 0:
+            out.append(
+                RowCheck(row.x, row.y, None, error="vanishing P value on this row")
+            )
+            continue
+        if not row.shares:
+            out.append(
+                RowCheck(row.x, row.y, None, error="row does not share; chain not applicable")
+            )
+            continue
+        cx = counting(S, px)
+        cy = counting(S, py)
+        counting_equal = cx == cy
+        bound_x = cx.value <= c_p * row.h_x.value**n
+        bound_y = cy.value <= c_p * row.h_y.value**n
+        lx, ly = math.log(row.h_x.value), math.log(row.h_y.value)
+        ratio = None if ly == 0 or lx == 0 else f"{lx / ly:.6f}"
+        out.append(
+            RowCheck(
+                row.x,
+                row.y,
+                counting_equal and bound_x and bound_y,
+                {
+                    "count_px": str(cx.value),
+                    "count_py": str(cy.value),
+                    "counting_equal": counting_equal,
+                    "bound_x_ok": bound_x,
+                    "bound_y_ok": bound_y,
+                    "height_ratio": ratio,
+                },
+            )
+        )
+    return CheckReport("roth_chain", tuple(out), {"C_P": c_p, "degree": n})
+
+
+def _unit_height_oracle(S, P, rows):
+    """unit_height_check as it was before it took the row values."""
+    out = []
+    for row in rows:
+        if row.u is None:
+            out.append(RowCheck(row.x, row.y, None, error="unit undefined on this row"))
+            continue
+        hpx = height(P.evaluate(row.x))
+        hpy = height(P.evaluate(row.y))
+        ok = row.h_u.value <= hpx.value * hpy.value
+        out.append(
+            RowCheck(
+                row.x,
+                row.y,
+                ok,
+                {
+                    "h_u": str(row.h_u.value),
+                    "h_px": str(hpx.value),
+                    "h_py": str(hpy.value),
+                },
+            )
+        )
+    return CheckReport("unit_height", tuple(out), {})
+
+
+BOX23 = s_integer_box(S23, 12, 1)
+
+
+@st.composite
+def _trace_cases(draw):
+    """A family X^n + a*X^(n-m) + b, where b may be chosen to make P vanish
+    at a box value, and pairs from the box: diagonal, with a zero
+    coordinate, or at that root."""
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(1, n - 1))
+    a = draw(st.sampled_from([F(1), F(-1), F(2), F(-3), F(1, 2), F(-4, 3)]))
+    root = draw(st.sampled_from([None, F(1), F(-1), F(2), F(-1, 2), F(3)]))
+    if root is None:
+        b = draw(st.sampled_from([F(1), F(-1), F(6), F(-2, 3), F(9, 4)]))
+    else:
+        b = -(root**n + a * root ** (n - m))
+        assume(b != 0)
+    box = st.sampled_from(BOX23)
+    special = st.sampled_from([F(0)] + ([root] if root is not None else []))
+    pair = (
+        st.tuples(box, box)
+        | box.map(lambda v: (v, v))
+        | st.tuples(special, box)
+        | st.tuples(box, special)
+        | special.map(lambda v: (v, v))
+    )
+    return TrinomialFamily(n, m, a, b), draw(st.lists(pair, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trace_cases())
+def test_checks_on_row_values_match_reevaluating_oracles(case):
+    fam, pairs = case
+    P = fam.polynomial()
+    rows, values = build_trace_rows(S23, fam, pairs)
+    assert values == [(P.evaluate(r.x), P.evaluate(r.y)) for r in rows]
+    assert roth_chain_report(S23, P, rows, values) == _roth_chain_oracle(S23, P, rows)
+    assert unit_height_check(rows, values) == _unit_height_oracle(S23, P, rows)
+
+
+def test_checks_reject_values_of_another_length():
+    rows, values = trace_for([(F(1), F(0)), (F(2), F(2))])
+    with pytest.raises(ValueError):
+        roth_chain_report(S23, P7, rows, values[:1])
+    with pytest.raises(ValueError):
+        unit_height_check(rows, values + values)
 
 
 def test_trunc_bound_fixture_x5():
@@ -232,10 +357,10 @@ def test_bulk_chain_on_second_validated_family():
     P = fam.polynomial()
     pairs = [(sp.x, sp.y) for sp in search_shared_pairs(S, P, 8, 1)]
     assert pairs  # diagonal-free sharing pairs exist in the box
-    rows = build_trace_rows(S, fam, pairs)
+    rows, values = build_trace_rows(S, fam, pairs)
     assert trunc_bound_check(S, fam, rows).ok
-    assert roth_chain_report(S, P, rows).ok
-    assert unit_height_check(S, P, rows).ok
+    assert roth_chain_report(S, P, rows, values).ok
+    assert unit_height_check(rows, values).ok
     assert main_inequality_report(S, fam, F(1, 10), rows).ok
 
 
@@ -405,7 +530,7 @@ def _c2_zero_cases(draw):
 @given(_c2_zero_cases())
 def test_case_c2_zero_membership_matches_enumeration(case):
     S, fam, y = case
-    rows = build_trace_rows(S, fam, [(y, y)])
+    rows, _ = build_trace_rows(S, fam, [(y, y)])
     rep = case_classify(S, fam, (F(1), F(1), F(1, 2)), rows)
     assert rep.branch == "C2_zero"
     for row in rep.rows:
