@@ -160,7 +160,7 @@ def load_forms_file(path: str) -> LinearFormSystem:
     if not isinstance(data, dict) or "r" not in data or "forms" not in data:
         raise SchemaError(path, 'forms file needs fields "r" and "forms"')
     r = data["r"]
-    if not isinstance(r, int) or r < 1:
+    if type(r) is not int or r < 1:  # bool is an int subclass: true is not 1
         raise SchemaError(f"{path}.r", "must be an integer >= 1")
     rows = []
     if not isinstance(data["forms"], list):
@@ -450,7 +450,7 @@ def cmd_trace(args) -> int:
     checks = {
         "roth_chain": roth_chain_report(S, fam.polynomial(), rows, values),
         "unit_height": unit_height_check(rows, values),
-        "trunc_bounds": trunc_bound_check(S, fam, rows),
+        "trunc_bounds": trunc_bound_check(rows),
         "main_inequality": main_inequality_report(S, fam, args.epsilon, rows),
     }
     usable = [r for r in rows if r.u is not None]

@@ -21,15 +21,13 @@ from .polys import RatPoly
 
 
 class SearchBudgetError(UrskitError):
-    """An enumeration hit its budget; carries the completed prefix."""
+    """A pair search's n*(n-1) candidate pairs exceed its budget; raised
+    before P is evaluated, so there is no partial result."""
 
-    def __init__(self, message: str, partial, completed: int, total: int):
-        self.partial = partial
-        self.completed = completed
+    def __init__(self, message: str, total: int, budget: int):
         self.total = total
-        super().__init__(
-            f"{message}: completed {completed} of {total} candidate pairs"
-        )
+        self.budget = budget
+        super().__init__(f"{message}: {total} candidate pairs > pair budget {budget}")
 
 
 @dataclass(frozen=True)
@@ -106,58 +104,43 @@ def s_integer_box(
         denominators = {
             d * p**e for d in denominators for e in range(denom_exponent_bound + 1)
         }
-    out = []
-    for d in sorted(denominators):
-        if d > height_bound and d > 1:
-            continue
-        for a in range(-height_bound, height_bound + 1):
-            if gcd(a, d) == 1 and max(abs(a), d) <= height_bound:
-                out.append(Fraction(a, d))
-    out.sort(key=lambda v: (v.numerator, v.denominator))
-    return out
+    ds = sorted(d for d in denominators if d <= height_bound)
+    return [
+        Fraction(a, d)
+        for a in range(-height_bound, height_bound + 1)
+        for d in ds
+        if gcd(a, d) == 1
+    ]
 
 
 def _pair_join(
-    S, P, height_bound, denom_exponent_bound, pair_budget, key, partner_key, hit, what
+    S, P, height_bound, denom_exponent_bound, pair_budget, key, partner_key, pair, what
 ):
-    """The results of hit(x, P(x), y, P(y)) that are not None, over the
-    ordered pairs x != y of the S-integer box with partner_key(P(x)) ==
-    key(P(y)).
+    """pair(x, P(x), y, P(y)) for each ordered pair x != y of the S-integer
+    box with partner_key(P(x)) == key(P(y)), x-major in box order.
 
-    A negative pair_budget is rejected before the box is built.  P is
-    evaluated once per box value.  With x = values[i] and y = values[j], a
-    pair's canonical index is i*(n-1) + j - [j > i]; hits come out in that
-    order.  Only pairs below pair_budget are examined, and when the budget is
-    smaller than the n*(n-1) candidate pairs a SearchBudgetError carrying the
-    hits found so far is raised.  Work is O(n + pairs emitted).
+    The budget is decided from the box size alone: a negative pair_budget is
+    rejected before the box is built, and a SearchBudgetError is raised when
+    the n*(n-1) candidate pairs exceed pair_budget, before P is evaluated.
+    Otherwise P is evaluated once per box value and the work is
+    O(n + pairs emitted).
     """
     if pair_budget is not None and pair_budget < 0:
         raise ValueError("pair_budget must be >= 0")
     values = s_integer_box(S, height_bound, denom_exponent_bound)
+    total = len(values) * (len(values) - 1)
+    if pair_budget is not None and total > pair_budget:
+        raise SearchBudgetError(f"{what} budget exceeded", total, pair_budget)
     evals = [P.evaluate(v) for v in values]
-    n = len(values)
-    total = n * (n - 1)
-    limit = total if pair_budget is None else min(pair_budget, total)
     groups: dict = {}
     for j, pv in enumerate(evals):
         groups.setdefault(key(pv), []).append(j)
-    hits = []
-    for i, x in enumerate(values):
-        row = i * (n - 1)
-        if row >= limit:
-            break
-        px = evals[i]
-        for j in groups.get(partner_key(px), ()):
-            if j == i:
-                continue
-            if row + j - (j > i) >= limit:
-                break
-            result = hit(x, px, values[j], evals[j])
-            if result is not None:
-                hits.append(result)
-    if limit < total:
-        raise SearchBudgetError(f"{what} budget exceeded", hits, limit, total)
-    return hits
+    return [
+        pair(x, px, values[j], evals[j])
+        for i, (x, px) in enumerate(zip(values, evals))
+        for j in groups.get(partner_key(px), ())
+        if j != i
+    ]
 
 
 def search_shared_pairs(
@@ -171,20 +154,17 @@ def search_shared_pairs(
 
     A hash join: u = P(x)/P(y) is an S-unit exactly when P(x) and P(y) have
     the same non-S part, so only pairs within one group of that key (or
-    within the group of vanishing values) are probed.  The result is in
-    canonical order.  When the number of candidate pairs exceeds
-    pair_budget, exactly the first pair_budget pairs in canonical order are
-    examined and a SearchBudgetError carrying those results is raised.
+    within the group of vanishing values) are probed, and every probed pair
+    shares; each comes out as its _share verdict, x-major in box order.
+    When the box's n*(n-1) candidate pairs exceed pair_budget, a
+    SearchBudgetError is raised before P is evaluated; there is no partial
+    result.
     """
 
     def key(pv):
         return None if pv == 0 else non_s_part(S, pv)
 
-    def hit(x, px, y, py):
-        share = _share(S, x, px, y, py)
-        return share if share.shares else None
-
     return _pair_join(
-        S, P, height_bound, denom_exponent_bound, pair_budget, key, key, hit,
-        "shared-pair search",
+        S, P, height_bound, denom_exponent_bound, pair_budget, key, key,
+        lambda x, px, y, py: _share(S, x, px, y, py), "shared-pair search",
     )

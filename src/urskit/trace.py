@@ -302,7 +302,7 @@ def unit_height_check(rows, values) -> CheckReport:
     return CheckReport("unit_height", tuple(out), {})
 
 
-def trunc_bound_check(S: SContext, fam: TrinomialFamily, rows) -> CheckReport:
+def trunc_bound_check(rows) -> CheckReport:
     """The two displayed truncation bounds plus the vanishing of N^(2) at the
     unit and at the identity sum, all as exact Magnitude comparisons."""
     out = []
@@ -707,17 +707,16 @@ def strong_uniqueness_search(
 
     Evidence probe: for a genuine strong uniqueness polynomial the list stays
     finite and height-bounded as the box grows.  sharing._pair_join groups
-    the box by P(y) and looks up P(x)/c, so pairs come out in canonical
-    order under the budget of search_shared_pairs.
+    the box by P(y) and looks up P(x)/c, so every probed pair is a hit; pairs
+    come out x-major in box order.  The budget is that of
+    search_shared_pairs: over budget, SearchBudgetError is raised before P is
+    evaluated, with no partial result.
     """
     c = Fraction(c)
     if c == 0:
         raise ValueError("the unit constant c must be nonzero")
-
-    def hit(x, px, y, py):
-        return (x, y) if px == c * py else None
-
     return _pair_join(
         S, P, height_bound, denom_exponent_bound, pair_budget,
-        lambda pv: pv, lambda pv: pv / c, hit, "strong-uniqueness search",
+        lambda pv: pv, lambda pv: pv / c, lambda x, px, y, py: (x, y),
+        "strong-uniqueness search",
     )

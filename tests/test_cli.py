@@ -245,6 +245,18 @@ def test_subspace_missing_files_schema_error(capsys):
     assert "forms" in err
 
 
+@pytest.mark.parametrize("r", [True, False, 1.0, "1", 0])
+def test_forms_r_not_a_positive_int_is_schema_error(r, tmp_path, capsys):
+    # true would pass an isinstance(r, int) test as r = 1
+    forms = write(tmp_path, "forms.json", {"r": r, "forms": [["1", "0"], ["0", "1"], ["1", "1"]]})
+    points = write(tmp_path, "points.json", [["10", "15"]])
+    code, out, err = run(
+        ["subspace", "--s", "2,3", "--forms", forms, "--points", points], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == f"schema error: {forms}.r: must be an integer >= 1\n"
+
+
 # one argv per input flag, with {path} standing for the input under test
 INPUT_FLAG_ARGVS = [
     ["share", *BASE, "--pairs", "{path}"],

@@ -137,7 +137,11 @@ def box_oracle(S, bound, exp_bound):
 
 @pytest.mark.parametrize("bound,exp", [(0, 0), (1, 0), (6, 1), (9, 2), (12, 3)])
 def test_s_integer_box_matches_oracle(bound, exp):
-    assert s_integer_box(S23, bound, exp) == box_oracle(S23, bound, exp)
+    for primes in ((), (2,), (2, 3), (3, 5), (2, 3, 5)):
+        S = SContext.of(primes)
+        got = [(v.numerator, v.denominator) for v in s_integer_box(S, bound, exp)]
+        want = [(v.numerator, v.denominator) for v in box_oracle(S, bound, exp)]
+        assert got == want, primes
 
 
 def test_s_integer_box_bound_zero_empty():
@@ -187,11 +191,15 @@ def test_search_matches_oracle_with_denominators():
     assert [(sp.x, sp.y, sp.u) for sp in found] == search_oracle(S23, P7, 6, 1)
 
 
-def test_search_budget_partial_results():
+def test_search_budget_raises_with_total_and_budget():
+    n = len(s_integer_box(S23, 8, 0))  # 17 values, 272 candidate pairs
     with pytest.raises(SearchBudgetError) as err:
         search_shared_pairs(S23, P7, 8, 0, pair_budget=40)
-    assert err.value.completed == 40
-    assert err.value.total > 40
+    assert (err.value.total, err.value.budget) == (n * (n - 1), 40)
+    assert "272 candidate pairs > pair budget 40" in str(err.value)
+    assert not hasattr(err.value, "partial")
+    full = search_shared_pairs(S23, P7, 8, 0)
+    assert search_shared_pairs(S23, P7, 8, 0, pair_budget=n * (n - 1)) == full
 
 
 def test_negative_budget_rejected_before_the_box(monkeypatch):
@@ -203,18 +211,6 @@ def test_negative_budget_rejected_before_the_box(monkeypatch):
         search_shared_pairs(S23, P7, 8, 0, pair_budget=-1)
     with pytest.raises(ValueError, match="pair_budget must be >= 0"):
         trace.strong_uniqueness_search(S23, P7, F(1), 8, 0, pair_budget=-1)
-
-
-def canonical_prefix(values, hits, limit):
-    """The oracle's hits whose canonical pair index is below limit."""
-    n = len(values)
-    index = {v: k for k, v in enumerate(values)}
-
-    def canonical(hit):
-        i, j = index[hit[0]], index[hit[1]]
-        return i * (n - 1) + j - (j > i)
-
-    return [h for h in hits if canonical(h) < limit]
 
 
 @st.composite
@@ -235,21 +231,16 @@ def search_cases(draw):
 
 
 def budget_choices(n):
-    """None, 0, 1, mid-row, a row boundary, exactly and above N(N-1)."""
+    """None, and budgets below, at and above the N(N-1) candidate pairs."""
     total = n * (n - 1)
-    row = max(n - 1, 1)
-    return st.sampled_from(
-        [None, 0, 1, total, total + 7, (total // 2 // row) * row,
-         (total // 2 // row) * row + row // 2, row, row + 1, max(total - 1, 0)]
-    )
+    return st.sampled_from([None, 0, 1, max(total - 1, 0), total, total + 7])
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(search_cases(), st.data())
 def test_search_join_matches_oracle(case, data):
     S, P, bound, exp = case
-    values = box_oracle(S, bound, exp)
-    n = len(values)
+    n = len(box_oracle(S, bound, exp))
     budget = data.draw(budget_choices(n))
     expected = search_oracle(S, P, bound, exp)
     if budget is None or budget >= n * (n - 1):
@@ -259,18 +250,29 @@ def test_search_join_matches_oracle(case, data):
         return
     with pytest.raises(SearchBudgetError) as err:
         search_shared_pairs(S, P, bound, exp, pair_budget=budget)
-    partial = [(sp.x, sp.y, sp.u) for sp in err.value.partial]
-    assert partial == canonical_prefix(values, expected, budget)
-    assert (err.value.completed, err.value.total) == (budget, n * (n - 1))
+    assert (err.value.total, err.value.budget) == (n * (n - 1), budget)
 
 
-def test_search_output_sensitive_on_constant_polynomial():
-    """P = 1 shares on every pair; ~4*10^8 candidates, 10 examined."""
+def test_over_budget_search_never_evaluates(monkeypatch):
+    """P = 1 over a box of 2*10^4 + 1 values: ~4*10^8 candidate pairs are
+    refused from the box size alone, before P is evaluated anywhere."""
+    calls = []
+
+    def spy(self, x):
+        calls.append(x)
+        raise AssertionError("P was evaluated")
+
+    monkeypatch.setattr(RatPoly, "evaluate", spy)
     one = RatPoly.constant(1)
+    n = 2 * 10**4 + 1
     with pytest.raises(SearchBudgetError) as err:
         search_shared_pairs(S23, one, 10**4, 0, pair_budget=10)
-    n = 2 * 10**4 + 1
-    assert (err.value.completed, err.value.total) == (10, n * (n - 1))
-    x = F(-(10**4))
-    expected = [(x, F(k), F(1)) for k in range(-(10**4) + 1, -(10**4) + 11)]
-    assert [(sp.x, sp.y, sp.u) for sp in err.value.partial] == expected
+    assert (err.value.total, err.value.budget) == (n * (n - 1), 10)
+    with pytest.raises(SearchBudgetError) as err:
+        trace.strong_uniqueness_search(S23, one, F(1), 10**4, 0, pair_budget=10)
+    assert (err.value.total, err.value.budget) == (n * (n - 1), 10)
+    assert calls == []
+    # the spy is live: a search within its budget does reach evaluate
+    with pytest.raises(AssertionError, match="P was evaluated"):
+        search_shared_pairs(S23, one, 1, 0, pair_budget=6)
+    assert calls
