@@ -63,7 +63,7 @@ def _parse_primes(text: str) -> tuple[int, ...]:
     primes = []
     for part in text.split(","):
         part = part.strip()
-        if not part.isdigit():
+        if not part.isdecimal():  # isdigit() also passes '²', which int() rejects
             raise argparse.ArgumentTypeError(f"not a prime: {part!r}")
         p = int(part)
         if not is_certified_prime(p):
@@ -114,6 +114,8 @@ def _load_json(path: str):
         raise SchemaError(path, f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise SchemaError(path, f"invalid JSON: {exc}")
+    except RecursionError:
+        raise SchemaError(path, "invalid JSON: nested too deeply to read")
 
 
 def _parse_rat_field(raw, location: str) -> Fraction:

@@ -8,9 +8,9 @@ the non-S part of the numerator and never factors.
 A `Magnitude` stores the positive integer M and *means* log M; multiplying
 Magnitudes adds the underlying log values with no rounding.  Every inequality
 verdict in the package goes through `cmp_scaled`, which decides
-a*log(A) vs b*log(B) exactly: small cases by the integer powers themselves,
-large ones by integer bounds on bit lengths where those suffice, with the
-integer powers as the fallback.  Decimal output exists only for display.
+a*log(A) vs b*log(B) exactly, by integer bounds on bit lengths where those
+suffice and by the integer powers otherwise.  Decimal output exists only for
+display.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ LESS, EQUAL, GREATER = -1, 0, 1
 DEFAULT_DISPLAY_DIGITS = 6
 # a double carries about 17 significant digits; more places only show noise
 MAX_DISPLAY_DIGITS = 17
-
-# cmp_scaled builds the integer powers at once while they hold at most this
-# many bits in total; above it, exact bounds on bit lengths decide first.
-_EXACT_POWER_BITS = 1 << 14
 
 
 @dataclass(frozen=True, order=True)
@@ -137,12 +133,11 @@ def counting_trunc(S: SContext, level: int, x: Fraction) -> Magnitude:
 def cmp_scaled(lhs: ScaledLog, rhs: ScaledLog) -> int:
     """Exact ordering of a*log(A) vs b*log(B): -1, 0 or +1.
 
-    The verdict is always the order of A**(a*d) and B**(b*d), where d is the
-    common denominator of the two coefficients, but those powers are built
-    at once only when they hold at most `_EXACT_POWER_BITS` bits together.
-    Above that, zero quantities and then the bounds 2**(len-1) <= A < 2**len
-    on bit lengths decide when they can; what they leave, `_cmp_exact`
-    decides by building the powers.  No floating point decides a verdict.
+    The verdict is the order of A**(a*d) and B**(b*d), where d is the common
+    denominator of the two coefficients.  Zero quantities, equal bases and
+    then the bounds 2**(len-1) <= A < 2**len on bit lengths decide when they
+    can; what they leave, the two powers decide.  No floating point decides
+    a verdict.
     """
     a, b = lhs.coefficient, rhs.coefficient
     d = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
@@ -150,40 +145,18 @@ def cmp_scaled(lhs: ScaledLog, rhs: ScaledLog) -> int:
     eb = b.numerator * (d // b.denominator)
     A = lhs.base.value
     B = rhs.base.value
-    if A == B:
-        if A == 1:
-            return EQUAL
-        return (ea > eb) - (ea < eb)
-    la, lb = A.bit_length(), B.bit_length()
-    if ea * la + eb * lb <= _EXACT_POWER_BITS:
-        left = A**ea
-        right = B**eb
-        return (left > right) - (left < right)
     left_zero = ea == 0 or A == 1
     right_zero = eb == 0 or B == 1
     if left_zero or right_zero:
         return right_zero - left_zero
+    if A == B:
+        return (ea > eb) - (ea < eb)
+    la, lb = A.bit_length(), B.bit_length()
     # A**ea >= 2**(ea*(la-1)) and B**eb < 2**(eb*lb), and the mirror image
     if ea * (la - 1) >= eb * lb:
         return GREATER
     if eb * (lb - 1) >= ea * la:
         return LESS
-    return _cmp_exact(lhs, rhs)
-
-
-def _cmp_exact(lhs: ScaledLog, rhs: ScaledLog) -> int:
-    """The order of A**(a*d) and B**(b*d), built as integers: the reference
-    `cmp_scaled` must agree with, and its last resort."""
-    a, b = lhs.coefficient, rhs.coefficient
-    d = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-    ea = int(a * d)
-    eb = int(b * d)
-    A = lhs.base.value
-    B = rhs.base.value
-    if A == B:
-        if A == 1:
-            return EQUAL
-        return (ea > eb) - (ea < eb)
     left = A**ea
     right = B**eb
     return (left > right) - (left < right)

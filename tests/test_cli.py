@@ -291,6 +291,17 @@ def test_non_utf8_input_is_usage_error(argv, tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", INPUT_FLAG_ARGVS)
+def test_deeply_nested_input_is_usage_error(argv, tmp_path, capsys, monkeypatch):
+    # json.load recurses once per level, so this depth exhausts the stack
+    monkeypatch.chdir(GOLDEN)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    code, out, err = run([arg.format(path=deep) for arg in argv], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"schema error: {deep}: invalid JSON: nested too deeply to read\n"
+
+
 @pytest.mark.parametrize("fmt", ["json", "both"])
 def test_unwritable_out_is_usage_error(fmt, tmp_path, capsys):
     out_file = tmp_path / "missing" / "report.json"
@@ -329,6 +340,16 @@ def test_empty_prime_set_allowed(capsys):
         capsys,
     )
     assert code == 0  # 1 and -1 are S-units for every S
+
+
+@pytest.mark.parametrize("part", ["4", "²", "-2", ""])
+def test_s_entry_not_a_prime_is_usage_error(part, capsys):
+    # '²' passes str.isdigit but not int(); only a parsed entry is shown bare
+    with pytest.raises(SystemExit) as exc:
+        main(["unit-eq", "--s", f"2,{part}", "--bound", "1"])
+    assert exc.value.code == 2
+    shown = part if part == "4" else repr(part)
+    assert capsys.readouterr().err.endswith(f"argument --s: not a prime: {shown}\n")
 
 
 def test_zero_b_fails_unit_check(capsys):

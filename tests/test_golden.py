@@ -49,6 +49,13 @@ CASES = {
          "--epsilon", "1/1000000"],
         1,
     ),
+    # (2^36, 3^20): the max height and x0 + x1 have the same bit length, so
+    # only the powers themselves order them
+    "subspace_near_tie": (
+        ["subspace", "--forms", "forms.json", "--points", "near_tie_points.json", "--s",
+         "2,3", "--epsilon", "1/10000"],
+        0,
+    ),
     "subspace_strict": (
         ["subspace", "--forms", "forms.json", "--points", "points.json", "--s", "2,3",
          "--strict"],

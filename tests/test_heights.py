@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from urskit import heights
+from urskit import subspace
 from urskit.arith import FactoringBudgetError, SContext, factor, is_s_integer, non_s_part
 from urskit.heights import (
     EQUAL,
@@ -17,7 +17,6 @@ from urskit.heights import (
     LESS,
     Magnitude,
     ScaledLog,
-    _cmp_exact,
     cmp_scaled,
     counting,
     counting_trunc,
@@ -200,10 +199,27 @@ def test_exact_tie_characterization():
     assert cmp_scaled(ScaledLog.of(F(3, 2), 4), ScaledLog.of(3, 2)) == EQUAL
 
 
+def _cmp_exact(lhs, rhs):
+    """The oracle: the order of A**(a*d) and B**(b*d), built as integers."""
+    a, b = lhs.coefficient, rhs.coefficient
+    d = math.lcm(a.denominator, b.denominator)
+    ea = int(a * d)
+    eb = int(b * d)
+    A = lhs.base.value
+    B = rhs.base.value
+    if A == B:
+        if A == 1:
+            return EQUAL
+        return (ea > eb) - (ea < eb)
+    left = A**ea
+    right = B**eb
+    return (left > right) - (left < right)
+
+
 # Oracle cases for cmp_scaled, each kept to at most ~2*10^5 power bits so the
-# exact comparison stays affordable.  GATE is the power size up to which
-# cmp_scaled builds the powers itself.
-GATE = heights._EXACT_POWER_BITS
+# exact comparison stays affordable.  LARGE is a power size in bits past which
+# building the powers is the slow way to decide.
+LARGE = 1 << 14
 
 
 @st.composite
@@ -211,7 +227,7 @@ def near_ties(draw):
     """(1 - 1/D) log A against log B with B within 3 of A: bit lengths below D
     leave these to the exact powers."""
     la = draw(st.integers(min_value=20, max_value=100))
-    D = draw(st.integers(min_value=GATE // (2 * la) + 1, max_value=1000))
+    D = draw(st.integers(min_value=LARGE // (2 * la) + 1, max_value=1000))
     A = draw(st.integers(min_value=2 ** (la - 1), max_value=2**la - 1))
     B = A + draw(st.integers(min_value=-3, max_value=3))
     return (1 - F(1, D), A), (1, B)
@@ -219,15 +235,15 @@ def near_ties(draw):
 
 @st.composite
 def exact_ties(draw):
-    """C^s and C^t with coefficients in ratio t : s, sized above the gate,
-    exact or nudged by 1/D."""
+    """C^s and C^t with coefficients in ratio t : s, with powers above LARGE
+    bits, exact or nudged by 1/D."""
     C = draw(st.integers(min_value=2, max_value=30))
     s = draw(st.integers(min_value=1, max_value=8))
     t = draw(st.integers(min_value=1, max_value=8).filter(lambda t: t != s))
     A, B = C**s, C**t
     q = draw(st.sampled_from([1, 7, 11, 13]))
     # m prime to q keeps d = q, so the powers hold m*(t*len(A) + s*len(B)) bits
-    m = GATE // (t * A.bit_length() + s * B.bit_length()) + draw(st.integers(1, 5))
+    m = LARGE // (t * A.bit_length() + s * B.bit_length()) + draw(st.integers(1, 5))
     if q > 1 and m % q == 0:
         m += 1
     D = draw(st.integers(min_value=2, max_value=12))
@@ -236,18 +252,29 @@ def exact_ties(draw):
 
 
 @st.composite
-def gate_edges(draw):
-    """Equal exponents e and bit lengths summing to T/e, for T one below, at or
-    one above the gate, with B built from A to keep the two sides close."""
-    T = draw(st.sampled_from([GATE - 1, GATE, GATE + 1]))
-    e = draw(st.sampled_from([k for k in range(1, 200) if T % k == 0]))
-    la = T // e // 2
-    lb = T // e - la
+def bracket_edges(draw):
+    """Exponents ea, eb and bit lengths la, lb with ea*(la-1) - eb*lb in
+    {-1, 0, 1}: the bit-length bracket decides at 0 and 1, and only just
+    fails at -1.  The test also runs each case mirrored."""
+    la = draw(st.integers(min_value=2, max_value=120))
+    ea = draw(st.integers(min_value=1, max_value=150))
+    target = ea * (la - 1) - draw(st.sampled_from([-1, 0, 1]))
+    eb = draw(st.sampled_from([k for k in range(1, 150) if target % k == 0]))
+    lb = target // eb
+    assume(lb >= 2)
     A = draw(st.integers(min_value=2 ** (la - 1), max_value=2**la - 1))
-    B = (A << (lb - la)) + draw(st.integers(min_value=0, max_value=3))
-    assume(B.bit_length() == lb)
+    B = draw(st.integers(min_value=2 ** (lb - 1), max_value=2**lb - 1))
     q = draw(st.integers(min_value=1, max_value=5))
-    return (F(e, q), A), (F(e, q), B)
+    return (F(ea, q), A), (F(eb, q), B)
+
+
+@st.composite
+def small_operands(draw):
+    """Bases below 2^20 and exponents below 64, with a common denominator q."""
+    q = draw(st.integers(min_value=1, max_value=8))
+    exponent = st.integers(min_value=0, max_value=63)
+    base = st.integers(min_value=1, max_value=2**20 - 1)
+    return (F(draw(exponent), q), draw(base)), (F(draw(exponent), q), draw(base))
 
 
 @st.composite
@@ -260,21 +287,23 @@ def same_bases(draw):
 
 @st.composite
 def zero_quantities(draw):
-    """A zero side (coefficient 0 or base 1) against a side above the gate."""
+    """A zero side (coefficient 0 or base 1) against a side, with powers above
+    LARGE bits in total."""
     if draw(st.booleans()):
         zero = (0, draw(st.integers(min_value=2, max_value=2**100)))
     else:
-        zero = (draw(st.integers(min_value=1, max_value=GATE)), 1)
+        zero = (draw(st.integers(min_value=1, max_value=LARGE)), 1)
     b = draw(st.integers(min_value=0, max_value=20000))
     B = draw(st.sampled_from([1, draw(st.integers(min_value=2, max_value=2**10))]))
-    assume(b * B.bit_length() + zero[0] * zero[1].bit_length() > GATE)
+    assume(b * B.bit_length() + zero[0] * zero[1].bit_length() > LARGE)
     return zero, (b, B)
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
+@settings(max_examples=500, derandomize=True, deadline=None)
 @given(
     st.one_of(
-        near_ties(), exact_ties(), gate_edges(), same_bases(), zero_quantities(),
+        near_ties(), exact_ties(), bracket_edges(), small_operands(), same_bases(),
+        zero_quantities(),
     )
 )
 def test_cmp_scaled_matches_exact_powers(case):
@@ -283,8 +312,21 @@ def test_cmp_scaled_matches_exact_powers(case):
     assert cmp_scaled(rhs, lhs) == _cmp_exact(rhs, lhs)
 
 
-def _no_powers(lhs, rhs):
-    raise AssertionError("cmp_scaled fell back to the exact powers")
+class NoPowers(int):
+    """A base that fails the test if cmp_scaled raises it to a power."""
+
+    def __pow__(self, exponent, modulo=None):
+        raise AssertionError(f"cmp_scaled built {int(self)}**{exponent}")
+
+
+class CountedPowers(int):
+    """A base that counts the powers cmp_scaled builds of it."""
+
+    built = 0
+
+    def __pow__(self, exponent, modulo=None):
+        self.built += 1
+        return pow(int(self), exponent, modulo)
 
 
 @pytest.mark.parametrize(
@@ -293,20 +335,26 @@ def _no_powers(lhs, rhs):
         # the bit-length bounds: 10^6 * 133 bits would be built otherwise
         ((1 - F(1, 10**6), 10**40), (1, 10**39), GREATER),
         ((1, 10**39), (1 - F(1, 10**6), 10**40), LESS),
-        # zero quantities above the gate
+        # zero quantities, whatever the other side's power size
         ((0, 10**40), (20000, 1), EQUAL),
         ((0, 10**40), (F(20000, 7), 3), LESS),
     ],
 )
-def test_cmp_scaled_builds_no_big_power(lhs, rhs, expected, monkeypatch):
-    monkeypatch.setattr(heights, "_cmp_exact", _no_powers)
-    assert cmp_scaled(ScaledLog.of(*lhs), ScaledLog.of(*rhs)) == expected
+def test_cmp_scaled_builds_no_big_power(lhs, rhs, expected):
+    (a, A), (b, B) = lhs, rhs
+    verdict = cmp_scaled(ScaledLog.of(a, NoPowers(A)), ScaledLog.of(b, NoPowers(B)))
+    assert verdict == expected
 
 
 def test_fine_epsilon_point_builds_no_big_power(monkeypatch):
     # a fine-eps benchmark point: 31-smooth coordinates of height in
     # [2^13, 10^4], three truncated counts with a 32-bit product, eps 1/10^5
-    monkeypatch.setattr(heights, "_cmp_exact", _no_powers)
+    def no_powers(*sides):
+        return cmp_scaled(
+            *(ScaledLog(s.coefficient, Magnitude(NoPowers(s.base.value))) for s in sides)
+        )
+
+    monkeypatch.setattr(subspace, "cmp_scaled", no_powers)
     forms = LinearFormSystem.of(1, [[1, 0], [0, 1], [1, 1]])
     S = SContext.of([2, 3])
     (row,) = evaluate_conjecture(S, forms, F(1, 10**5), [[F(9918), F(-9269)]])
@@ -314,18 +362,13 @@ def test_fine_epsilon_point_builds_no_big_power(monkeypatch):
     assert row.verdict == "holds"
 
 
-def test_cmp_scaled_falls_back_on_equal_bit_lengths(monkeypatch):
-    # log(2^k + 1) vs log(2^k): the bit-length bounds cannot separate them
-    calls = []
-
-    def spy(lhs, rhs):
-        calls.append((lhs, rhs))
-        return _cmp_exact(lhs, rhs)
-
-    monkeypatch.setattr(heights, "_cmp_exact", spy)
-    k = GATE // 2
-    assert cmp_scaled(ScaledLog.of(1, 2**k + 1), ScaledLog.of(1, 2**k)) == GREATER
-    assert len(calls) == 1
+def test_cmp_scaled_falls_back_on_equal_bit_lengths():
+    # log(2^k + 1) vs log(2^k): the bit-length bounds cannot separate them,
+    # so each side's power is built, once
+    k = LARGE // 2
+    A, B = CountedPowers(2**k + 1), CountedPowers(2**k)
+    assert cmp_scaled(ScaledLog.of(1, A), ScaledLog.of(1, B)) == GREATER
+    assert (A.built, B.built) == (1, 1)
 
 
 @pytest.mark.parametrize(
