@@ -53,20 +53,24 @@ class RatPoly:
             c.numerator * (lcm // c.denominator) for c in reversed(self.coeffs)
         )
 
-    def evaluate(self, x: Fraction) -> Fraction:
-        """P(x), by homogeneous Horner on integers: for x = p/q,
-        P(x) = sum L*c_i p^i q^(d-i) / (L q^d)."""
-        if not isinstance(x, (int, Fraction)):
-            x = Fraction(x)
+    def evaluate_unreduced(self, p: int, q: int) -> tuple[int, int]:
+        """(num, den) with P(p/q) = num/den and den = L q^d > 0 for q > 0,
+        not reduced: homogeneous Horner on integers,
+        num = sum L*c_i p^i q^(d-i)."""
         lcm, cs = self._cleared
         if not cs:
-            return Fraction(0)
-        p, q = x.numerator, x.denominator
+            return 0, 1
         num, qpow = cs[0], 1
         for c in cs[1:]:
             qpow *= q
             num = num * p + c * qpow
-        return Fraction(num, lcm * qpow)
+        return num, lcm * qpow
+
+    def evaluate(self, x: Fraction) -> Fraction:
+        """P(x), as a Fraction of evaluate_unreduced."""
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        return Fraction(*self.evaluate_unreduced(x.numerator, x.denominator))
 
     def __call__(self, x):
         return self.evaluate(x)

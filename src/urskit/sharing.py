@@ -6,15 +6,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cache
+from itertools import combinations
+from math import gcd, prod
 
 from .arith import (
     SContext,
     UrskitError,
+    _strip_supported,
     is_s_integer,
     is_s_unit,
     non_s_ord_profile,
-    non_s_part,
     rational_str,
 )
 from .polys import RatPoly
@@ -22,7 +24,7 @@ from .polys import RatPoly
 
 class SearchBudgetError(UrskitError):
     """A pair search's n*(n-1) candidate pairs exceed its budget; raised
-    before P is evaluated, so there is no partial result."""
+    before the box is built or P evaluated, so there is no partial result."""
 
     def __init__(self, message: str, total: int, budget: int):
         self.total = total
@@ -92,11 +94,11 @@ def ord_profile_equal(S: SContext, P: RatPoly, x: Fraction, y: Fraction) -> bool
     return non_s_ord_profile(S, px) == non_s_ord_profile(S, py)
 
 
-def s_integer_box(
+def _box_denominators(
     S: SContext, height_bound: int, denom_exponent_bound: int
-) -> list[Fraction]:
-    """All S-integers of height <= bound whose denominator S-exponents are
-    <= the given bound, sorted by (numerator, denominator)."""
+) -> list[int]:
+    """The denominators of s_integer_box, increasing: S-products d <= the
+    height bound whose S-exponents are <= the exponent bound."""
     if height_bound < 0 or denom_exponent_bound < 0:
         raise ValueError("bounds must be nonnegative")
     denominators = {1}
@@ -104,7 +106,15 @@ def s_integer_box(
         denominators = {
             d * p**e for d in denominators for e in range(denom_exponent_bound + 1)
         }
-    ds = sorted(d for d in denominators if d <= height_bound)
+    return sorted(d for d in denominators if d <= height_bound)
+
+
+def s_integer_box(
+    S: SContext, height_bound: int, denom_exponent_bound: int
+) -> list[Fraction]:
+    """All S-integers of height <= bound whose denominator S-exponents are
+    <= the given bound, sorted by (numerator, denominator)."""
+    ds = _box_denominators(S, height_bound, denom_exponent_bound)
     return [
         Fraction(a, d)
         for a in range(-height_bound, height_bound + 1)
@@ -113,34 +123,70 @@ def s_integer_box(
     ]
 
 
+def _box_size(S: SContext, height_bound: int, denom_exponent_bound: int) -> int:
+    """len(s_integer_box(...)) without building it: for each denominator d,
+    the numerators 0 < |a| <= H prime to d number 2*sum over T of the primes
+    of d of (-1)^|T| * floor(H / prod T), and d = 1 also takes a = 0."""
+    size = 0
+    for d in _box_denominators(S, height_bound, denom_exponent_bound):
+        ps = [p for p in S.primes if d % p == 0]
+        size += d == 1
+        for r in range(len(ps) + 1):
+            for T in combinations(ps, r):
+                size += 2 * (-1) ** r * (height_bound // prod(T))
+    return size
+
+
 def _pair_join(
     S, P, height_bound, denom_exponent_bound, pair_budget, key, partner_key, pair, what
 ):
     """pair(x, P(x), y, P(y)) for each ordered pair x != y of the S-integer
-    box with partner_key(P(x)) == key(P(y)), x-major in box order.
+    box with partner_key(key(x)) == key(y), x-major in box order; key(x) is
+    key(num, den) of P.evaluate_unreduced at x.
 
     The budget is decided from the box size alone: a negative pair_budget is
-    rejected before the box is built, and a SearchBudgetError is raised when
-    the n*(n-1) candidate pairs exceed pair_budget, before P is evaluated.
-    Otherwise P is evaluated once per box value and the work is
+    rejected first, and a SearchBudgetError is raised when the n*(n-1)
+    candidate pairs exceed pair_budget, with n counted in closed form before
+    the box is built or P evaluated.  Otherwise P is evaluated on integers
+    once per box value, which keeps only its key and box index, and the
+    Fraction P(x) is built only for values in a pair: the work is
     O(n + pairs emitted).
     """
     if pair_budget is not None and pair_budget < 0:
         raise ValueError("pair_budget must be >= 0")
+    n = _box_size(S, height_bound, denom_exponent_bound)
+    if pair_budget is not None and n * (n - 1) > pair_budget:
+        raise SearchBudgetError(f"{what} budget exceeded", n * (n - 1), pair_budget)
     values = s_integer_box(S, height_bound, denom_exponent_bound)
-    total = len(values) * (len(values) - 1)
-    if pair_budget is not None and total > pair_budget:
-        raise SearchBudgetError(f"{what} budget exceeded", total, pair_budget)
-    evals = [P.evaluate(v) for v in values]
+    evaluate = P.evaluate_unreduced
+    keys = [key(*evaluate(v.numerator, v.denominator)) for v in values]
     groups: dict = {}
-    for j, pv in enumerate(evals):
-        groups.setdefault(key(pv), []).append(j)
+    for j, k in enumerate(keys):
+        groups.setdefault(k, []).append(j)
+    value = cache(lambda i: P.evaluate(values[i]))
     return [
-        pair(x, px, values[j], evals[j])
-        for i, (x, px) in enumerate(zip(values, evals))
-        for j in groups.get(partner_key(px), ())
+        pair(values[i], value(i), values[j], value(j))
+        for i, k in enumerate(keys)
+        for j in groups.get(partner_key(k), ())
         if j != i
     ]
+
+
+def _shared_key(S: SContext, P: RatPoly):
+    """key(num, den) = non_s_part(S, num/den), or None when num = 0, for
+    num/den = P.evaluate_unreduced at an S-integer: its den is L times an
+    S-product, so the non-S part of den is that of L whatever the point."""
+    primes = S.primes
+    s_den = _strip_supported(P.coefficient_denominator_lcm(), primes)
+
+    def key(num, den):
+        if num == 0:
+            return None
+        s_num = _strip_supported(abs(num), primes)
+        h = gcd(s_num, s_den)
+        return s_num // h, s_den // h
+
+    return key
 
 
 def search_shared_pairs(
@@ -155,16 +201,14 @@ def search_shared_pairs(
     A hash join: u = P(x)/P(y) is an S-unit exactly when P(x) and P(y) have
     the same non-S part, so only pairs within one group of that key (or
     within the group of vanishing values) are probed, and every probed pair
-    shares; each comes out as its _share verdict, x-major in box order.
-    When the box's n*(n-1) candidate pairs exceed pair_budget, a
-    SearchBudgetError is raised before P is evaluated; there is no partial
-    result.
+    shares; each comes out as its _share verdict, x-major in box order.  The
+    keys are computed on integers; P(x) and P(y) are built as Fractions for
+    the pairs found only.  When the box's n*(n-1) candidate pairs exceed
+    pair_budget, a SearchBudgetError is raised before the box is built or P
+    evaluated; there is no partial result.
     """
-
-    def key(pv):
-        return None if pv == 0 else non_s_part(S, pv)
-
+    key = _shared_key(S, P)
     return _pair_join(
-        S, P, height_bound, denom_exponent_bound, pair_budget, key, key,
+        S, P, height_bound, denom_exponent_bound, pair_budget, key, lambda k: k,
         lambda x, px, y, py: _share(S, x, px, y, py), "shared-pair search",
     )

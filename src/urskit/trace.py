@@ -707,16 +707,24 @@ def strong_uniqueness_search(
 
     Evidence probe: for a genuine strong uniqueness polynomial the list stays
     finite and height-bounded as the box grows.  sharing._pair_join groups
-    the box by P(y) and looks up P(x)/c, so every probed pair is a hit; pairs
+    the box by P(y), kept as a reduced integer pair (num, den), and looks up
+    P(x)/c, reduced from x's own key, so every probed pair is a hit; pairs
     come out x-major in box order.  The budget is that of
-    search_shared_pairs: over budget, SearchBudgetError is raised before P is
-    evaluated, with no partial result.
+    search_shared_pairs: over budget, SearchBudgetError is raised before the
+    box is built or P evaluated, with no partial result.
     """
     c = Fraction(c)
     if c == 0:
         raise ValueError("the unit constant c must be nonzero")
+    inv = 1 / c  # its denominator is positive, as every key's is
+
+    def key(num, den):
+        g = math.gcd(num, den)
+        return num // g, den // g
+
     return _pair_join(
-        S, P, height_bound, denom_exponent_bound, pair_budget,
-        lambda pv: pv, lambda pv: pv / c, lambda x, px, y, py: (x, y),
+        S, P, height_bound, denom_exponent_bound, pair_budget, key,
+        lambda k: key(k[0] * inv.numerator, k[1] * inv.denominator),
+        lambda x, px, y, py: (x, y),
         "strong-uniqueness search",
     )

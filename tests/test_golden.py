@@ -97,7 +97,18 @@ CASES = {
          "--denom-exponent", "1"],
         0,
     ),
+    # a coefficient denominator (5) outside S
+    "search_shared_fifth": (
+        ["search-shared", "--poly", "poly_fifth.json", "--s", "2,3", "--height-bound", "40",
+         "--denom-exponent", "1"],
+        0,
+    ),
     "search_su": (["search-su", *FAM, "--c", "1", "--height-bound", "20"], 0),
+    "search_su_fifth": (
+        ["search-su", "--poly", "poly_fifth.json", "--s", "2,3", "--c", "1",
+         "--height-bound", "40", "--denom-exponent", "1"],
+        0,
+    ),
     "search_su_linear": (
         ["search-su", "--poly", "linear.json", "--s", "2", "--c", "-1", "--height-bound",
          "3", "--denom-exponent", "1"],

@@ -216,12 +216,13 @@ def test_negative_budget_rejected_before_the_box(monkeypatch):
 @st.composite
 def search_cases(draw):
     """(S, P, height bound, denominator exponent bound): zero, constant and
-    random polynomials, some with a root in the box so values vanish."""
+    random polynomials, with coefficient denominators up to 10 (so 5 and 7
+    fall outside most S), some with a root in the box so values vanish."""
     S = draw(st.sampled_from(S_CHOICES))
     bound = draw(st.integers(0, 6))
     exp = draw(st.integers(0, 2))
     coeffs = draw(
-        st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=5)
+        st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=10), max_size=5)
     )
     P = RatPoly.of(coeffs)
     box = s_integer_box(S, bound, exp)
@@ -253,16 +254,118 @@ def test_search_join_matches_oracle(case, data):
     assert (err.value.total, err.value.budget) == (n * (n - 1), budget)
 
 
+# --- the integer-keyed join against the Fraction-keyed one ---------------------
+
+
+def fraction_join(
+    S, P, height_bound, denom_exponent_bound, pair_budget, key, partner_key, pair, what
+):
+    """The oracle: the join with Fraction keys, P evaluated to a Fraction at
+    every box value and the budget decided once the box is built."""
+    if pair_budget is not None and pair_budget < 0:
+        raise ValueError("pair_budget must be >= 0")
+    values = s_integer_box(S, height_bound, denom_exponent_bound)
+    total = len(values) * (len(values) - 1)
+    if pair_budget is not None and total > pair_budget:
+        raise SearchBudgetError(f"{what} budget exceeded", total, pair_budget)
+    evals = [P.evaluate(v) for v in values]
+    groups: dict = {}
+    for j, pv in enumerate(evals):
+        groups.setdefault(key(pv), []).append(j)
+    return [
+        pair(x, px, values[j], evals[j])
+        for i, (x, px) in enumerate(zip(values, evals))
+        for j in groups.get(partner_key(px), ())
+        if j != i
+    ]
+
+
+def shared_join_oracle(S, P, bound, exp, budget):
+    def key(pv):
+        return None if pv == 0 else non_s_part(S, pv)
+
+    return fraction_join(
+        S, P, bound, exp, budget, key, key,
+        lambda x, px, y, py: sharing._share(S, x, px, y, py), "shared-pair search",
+    )
+
+
+def su_join_oracle(S, P, c, bound, exp, budget):
+    return fraction_join(
+        S, P, bound, exp, budget, lambda pv: pv, lambda pv: pv / c,
+        lambda x, px, y, py: (x, y), "strong-uniqueness search",
+    )
+
+
+def outcome(search, *args):
+    """A search's result, or its budget error's message and numbers."""
+    try:
+        return search(*args)
+    except SearchBudgetError as err:
+        return str(err), err.total, err.budget
+
+
+SU_CONSTANTS = [F(1), F(-1), F(2), F(-3), F(4), F(1, 4), F(-2, 3), F(-5, 7), F(9)]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(search_cases(), st.sampled_from(SU_CONSTANTS), st.data())
+def test_integer_join_matches_fraction_join(case, c, data):
+    S, P, bound, exp = case
+    budget = data.draw(budget_choices(len(s_integer_box(S, bound, exp))))
+    assert outcome(search_shared_pairs, S, P, bound, exp, budget) == outcome(
+        shared_join_oracle, S, P, bound, exp, budget
+    )
+    assert outcome(trace.strong_uniqueness_search, S, P, c, bound, exp, budget) == outcome(
+        su_join_oracle, S, P, c, bound, exp, budget
+    )
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(search_cases())
+def test_shared_key_is_the_non_s_part(case):
+    S, P, bound, exp = case
+    key = sharing._shared_key(S, P)
+    for x in s_integer_box(S, bound, exp):
+        px = P.evaluate(x)
+        want = None if px == 0 else non_s_part(S, px)
+        assert key(*P.evaluate_unreduced(x.numerator, x.denominator)) == want
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.sampled_from([(), (2,), (2, 3), (3, 5), (2, 3, 5)]),
+    st.integers(0, 40),
+    st.integers(0, 3),
+)
+def test_box_size_counts_the_box(primes, bound, exp):
+    S = SContext.of(primes)
+    assert sharing._box_size(S, bound, exp) == len(s_integer_box(S, bound, exp))
+
+
+def test_box_size_rejects_negative_bounds():
+    for bound, exp in ((-1, 0), (3, -1)):
+        with pytest.raises(ValueError, match="bounds must be nonnegative"):
+            sharing._box_size(S23, bound, exp)
+
+
 def test_over_budget_search_never_evaluates(monkeypatch):
     """P = 1 over a box of 2*10^4 + 1 values: ~4*10^8 candidate pairs are
-    refused from the box size alone, before P is evaluated anywhere."""
+    refused from the counted box size alone, before the box is built or P
+    evaluated anywhere, on integers or to a Fraction."""
     calls = []
 
-    def spy(self, x):
-        calls.append(x)
-        raise AssertionError("P was evaluated")
+    def spy(name):
+        def record(*args):
+            calls.append(name)
+            raise AssertionError(f"{name} was called")
 
-    monkeypatch.setattr(RatPoly, "evaluate", spy)
+        return record
+
+    box, unreduced = sharing.s_integer_box, RatPoly.evaluate_unreduced
+    monkeypatch.setattr(sharing, "s_integer_box", spy("s_integer_box"))
+    monkeypatch.setattr(RatPoly, "evaluate_unreduced", spy("evaluate_unreduced"))
+    monkeypatch.setattr(RatPoly, "evaluate", spy("evaluate"))
     one = RatPoly.constant(1)
     n = 2 * 10**4 + 1
     with pytest.raises(SearchBudgetError) as err:
@@ -272,7 +375,14 @@ def test_over_budget_search_never_evaluates(monkeypatch):
         trace.strong_uniqueness_search(S23, one, F(1), 10**4, 0, pair_budget=10)
     assert (err.value.total, err.value.budget) == (n * (n - 1), 10)
     assert calls == []
-    # the spy is live: a search within its budget does reach evaluate
-    with pytest.raises(AssertionError, match="P was evaluated"):
+    # the spies are live: a search within its budget builds the box, then
+    # evaluates P on integers, then builds P(x) for its hits
+    with pytest.raises(AssertionError, match="s_integer_box was called"):
         search_shared_pairs(S23, one, 1, 0, pair_budget=6)
-    assert calls
+    monkeypatch.setattr(sharing, "s_integer_box", box)
+    with pytest.raises(AssertionError, match="evaluate_unreduced was called"):
+        search_shared_pairs(S23, one, 1, 0, pair_budget=6)
+    monkeypatch.setattr(RatPoly, "evaluate_unreduced", unreduced)
+    with pytest.raises(AssertionError, match="evaluate was called"):
+        search_shared_pairs(S23, one, 1, 0, pair_budget=6)
+    assert calls == ["s_integer_box", "evaluate_unreduced", "evaluate"]

@@ -615,11 +615,12 @@ def test_su_search_budget():
 @st.composite
 def su_cases(draw):
     """(S, P, c, height bound, denominator exponent bound) with zero,
-    constant, even and random polynomials and monomials, and c other than
-    +-1 (X^2 with c = 4 has the hits x = +-2y)."""
+    constant, even and random polynomials and monomials, coefficient
+    denominators up to 10, and c other than +-1 (X^2 with c = 4 has the hits
+    x = +-2y)."""
     S = SContext.of(draw(st.sampled_from([(), (2,), (2, 3), (3, 5), (2, 3, 5)])))
     coeffs = draw(
-        st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=5)
+        st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=10), max_size=5)
     )
     shape = draw(st.sampled_from(["random", "even", "monomial"]))
     if shape == "even":
