@@ -56,6 +56,12 @@ CASES = {
          "2,3", "--epsilon", "1/10000"],
         0,
     ),
+    # x0 + x1 vanishes at (1, -1): its rhs is undetermined and the point skipped
+    "subspace_vanishing": (
+        ["subspace", "--forms", "forms.json", "--points", "vanishing_points.json", "--s",
+         "2,3"],
+        1,
+    ),
     "subspace_strict": (
         ["subspace", "--forms", "forms.json", "--points", "points.json", "--s", "2,3",
          "--strict"],
@@ -116,8 +122,22 @@ CASES = {
     ),
 }
 
-# the case named after each command, rendered with --format table
-TABLE_CASES = [name.replace("-", "_") for name in COMMAND_NAMES]
+# the cases also rendered with --format table: one per command, plus the
+# cells those leave out (an error row, 13-digit magnitudes, non-sharing rows,
+# a vanishing form)
+TABLE_CASES = [
+    "validate_poly",
+    "share",
+    "share_poly",
+    "trace",
+    "subspace",
+    "subspace_corollary",
+    "subspace_stubborn",
+    "subspace_vanishing",
+    "unit_eq",
+    "search_shared",
+    "search_su",
+]
 
 # name -> (argv, the stream the parser writes, exit code)
 TEXT_CASES = {
