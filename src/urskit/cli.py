@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -213,11 +214,12 @@ def _context(args) -> SContext:
     return SContext(args.s, args.budget)
 
 
-def _emit(args, command: str, config: dict, payload: dict, table) -> None:
-    """Print the table (`table()` builds it) and write the JSON report, as
-    --format and --out ask; neither is built unless it is written."""
+def _emit(args, command: str, config: dict, payload: dict, *tables) -> None:
+    """Print the tables, each a (columns, items) pair for render_table and
+    separated by a blank line, and write the JSON report, as --format and
+    --out ask; neither is rendered unless it is written."""
     if args.format in ("table", "both"):
-        print(table())
+        print("\n\n".join(render_table(*table) for table in tables))
     if args.format == "table" and not args.out:
         return
     report = {
@@ -258,19 +260,46 @@ def _search_config(args, P: RatPoly, **extra) -> dict:
     )
 
 
+# --format table layouts: (header, getter) pairs, one per column, each cell
+# written by report.render_table by its type
+_X, _Y, _U = ((name, attrgetter(name)) for name in "xyu")
+_PAIR_COLUMNS = (("x", itemgetter(0)), ("y", itemgetter(1)))
+_UNIT_EQ_COLUMNS = (("u", itemgetter(0)), ("v", itemgetter(1)))
+_SHARE_COLUMNS = (_X, _Y, _U, ("shares", attrgetter("shares")))
+_CHECK_COLUMNS = (
+    ("check", attrgetter("name")),
+    ("passed", attrgetter("passed")),
+    ("detail", attrgetter("detail")),
+)
+_COROLLARY_COLUMNS = (
+    _X,
+    _Y,
+    ("verdict", attrgetter("verdict")),
+    ("direct", attrgetter("direct_verdict")),
+    ("agree", attrgetter("agree")),
+)
+_POINT_COLUMNS = (
+    ("point", lambda r: "(" + ",".join(map(rational_str, r.point)) + ")"),
+    ("max_height", attrgetter("max_height")),
+    ("rhs", attrgetter("rhs")),
+    ("verdict", attrgetter("verdict")),
+)
+_TRACE_COLUMNS = (
+    *_SHARE_COLUMNS,
+    ("identity", attrgetter("identity_ok")),
+    ("flags", lambda r: ",".join(r.flags) or "-"),
+)
+_OK_COLUMNS = (("check", itemgetter(0)), ("ok", itemgetter(1)))
+
+
 def cmd_validate_poly(args) -> int:
     S = _context(args)
     fam = _family_from_args(args)
     rep = validate_family(S, fam)
     config = _common_config(args, n=fam.n, m=fam.m, a=fam.a, b=fam.b)
-
-    def table() -> str:
-        return render_table(
-            ["check", "passed", "detail"],
-            [[c.name, str(c.passed), c.detail] for c in rep.checks],
-        )
-
-    _emit(args, "validate-poly", config, {"validation": rep}, table)
+    _emit(
+        args, "validate-poly", config, {"validation": rep}, (_CHECK_COLUMNS, rep.checks)
+    )
     return 0 if rep.passed else 1
 
 
@@ -280,22 +309,7 @@ def cmd_share(args) -> int:
     pairs = load_pairs_file(args.pairs)
     rows = [share_check(S, P, x, y) for x, y in pairs]
     config = _common_config(args, pairs=args.pairs, poly=str(P))
-
-    def table() -> str:
-        return render_table(
-            ["x", "y", "u", "shares"],
-            [
-                [
-                    rational_str(r.x),
-                    rational_str(r.y),
-                    "-" if r.u is None else rational_str(r.u),
-                    str(r.shares),
-                ]
-                for r in rows
-            ],
-        )
-
-    _emit(args, "share", config, {"rows": rows}, table)
+    _emit(args, "share", config, {"rows": rows}, (_SHARE_COLUMNS, rows))
     return 0 if all(r.shares for r in rows) else 1
 
 
@@ -303,13 +317,8 @@ def cmd_unit_eq(args) -> int:
     S = _context(args)
     sols = unit_equation_solutions(S, args.bound)
     config = _common_config(args, exponent_bound=args.bound)
-
-    def table() -> str:
-        return render_table(
-            ["u", "v"], [[rational_str(u), rational_str(v)] for u, v in sols]
-        )
-
-    _emit(args, "unit-eq", config, {"solutions": sols, "count": len(sols)}, table)
+    payload = {"solutions": sols, "count": len(sols)}
+    _emit(args, "unit-eq", config, payload, (_UNIT_EQ_COLUMNS, sols))
     return 0
 
 
@@ -324,21 +333,8 @@ def cmd_search_shared(args) -> int:
         pair_budget=args.pair_budget,
     )
     config = _search_config(args, P)
-
-    def table() -> str:
-        return render_table(
-            ["x", "y", "u"],
-            [
-                [
-                    rational_str(r.x),
-                    rational_str(r.y),
-                    "-" if r.u is None else rational_str(r.u),
-                ]
-                for r in rows
-            ],
-        )
-
-    _emit(args, "search-shared", config, {"rows": rows, "count": len(rows)}, table)
+    payload = {"rows": rows, "count": len(rows)}
+    _emit(args, "search-shared", config, payload, ((_X, _Y, _U), rows))
     return 0
 
 
@@ -354,13 +350,8 @@ def cmd_search_su(args) -> int:
         pair_budget=args.pair_budget,
     )
     config = _search_config(args, P, c=args.c)
-
-    def table() -> str:
-        return render_table(
-            ["x", "y"], [[rational_str(x), rational_str(y)] for x, y in pairs]
-        )
-
-    _emit(args, "search-su", config, {"pairs": pairs, "count": len(pairs)}, table)
+    payload = {"pairs": pairs, "count": len(pairs)}
+    _emit(args, "search-su", config, payload, (_PAIR_COLUMNS, pairs))
     return 0
 
 
@@ -383,23 +374,7 @@ def cmd_subspace(args) -> int:
             epsilon=args.epsilon,
             pairs=args.pairs,
         )
-
-        def table() -> str:
-            return render_table(
-                ["x", "y", "verdict", "direct", "agree"],
-                [
-                    [
-                        rational_str(r.x),
-                        rational_str(r.y),
-                        r.verdict,
-                        r.direct_verdict,
-                        str(r.agree),
-                    ]
-                    for r in rows
-                ],
-            )
-
-        _emit(args, "subspace", config, {"rows": rows}, table)
+        _emit(args, "subspace", config, {"rows": rows}, (_COROLLARY_COLUMNS, rows))
         bad = any(r.verdict == VIOLATED or r.verdict == "error" for r in rows)
         return 1 if bad else 0
     if not args.forms or not args.points:
@@ -416,22 +391,7 @@ def cmd_subspace(args) -> int:
         strict=args.strict,
     )
     payload = {"rows": reports, "summary": summarize_defects(reports)}
-
-    def table() -> str:
-        return render_table(
-            ["point", "max_height", "rhs", "verdict"],
-            [
-                [
-                    "(" + ",".join(rational_str(c) for c in r.point) + ")",
-                    str(r.max_height.value),
-                    "-" if r.rhs is None else str(r.rhs.value),
-                    r.verdict,
-                ]
-                for r in reports
-            ],
-        )
-
-    _emit(args, "subspace", config, payload, table)
+    _emit(args, "subspace", config, payload, (_POINT_COLUMNS, reports))
     return 1 if any(r.verdict == VIOLATED for r in reports) else 0
 
 
@@ -472,31 +432,11 @@ def cmd_trace(args) -> int:
         "checks": checks,
         "dependence": dependence,
     }
-
-    def table() -> str:
-        rows_table = render_table(
-            ["x", "y", "u", "shares", "identity", "flags"],
-            [
-                [
-                    rational_str(r.x),
-                    rational_str(r.y),
-                    "-" if r.u is None else rational_str(r.u),
-                    str(r.shares),
-                    str(r.identity_ok),
-                    ",".join(r.flags) or "-",
-                ]
-                for r in rows
-            ],
-        )
-        summary = render_table(
-            ["check", "ok"], [[name, str(c.ok)] for name, c in checks.items()]
-        )
-        return rows_table + "\n\n" + summary
-
-    _emit(args, "trace", config, payload, table)
+    oks = {name: c.ok for name, c in checks.items()}
+    tables = (_TRACE_COLUMNS, rows), (_OK_COLUMNS, oks.items())
+    _emit(args, "trace", config, payload, *tables)
     identity_fail = any(r.identity_ok is False for r in rows)
-    exact_fail = not all(c.ok for c in checks.values())
-    return 1 if identity_fail or exact_fail else 0
+    return 1 if identity_fail or not all(oks.values()) else 0
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -1,5 +1,5 @@
 """Report serialization: the JSON wire format, written byte-stably in one
-pass, and a plain-text table for the console.
+pass, and plain-text tables for the console.
 
 This module owns the wire format; the report classes are plain dataclasses
 and know nothing of it.  `stable_json` writes a report value straight to
@@ -12,6 +12,12 @@ further keys, and a field whose metadata sets "merge" has its dict merged
 into the object instead of nesting under its name.  Keys are sorted, items
 indented by two spaces, and strings escaped as JSON does with non-ASCII
 characters kept.
+
+`render_table` writes a console table from a column spec, one (header,
+getter) pair per column, and the items that make its rows.  Each cell goes
+through one formatter, `_cell`, also by exact type: rationals as 'a/b',
+None (an undetermined value) as '-', a magnitude as its exact integer, and
+anything else through str.
 """
 
 from __future__ import annotations
@@ -96,6 +102,17 @@ _SCALARS = {
     type(None): lambda v: "null",
     bool: lambda v: "true" if v else "false",
 }
+
+# exact type -> table cell text, for the types str does not write as wanted
+_CELLS = {
+    Fraction: rational_str,
+    type(None): lambda v: "-",
+    Magnitude: lambda m: str(m.value),
+}
+
+
+def _cell(value) -> str:
+    return _CELLS.get(type(value), str)(value)
 
 
 def _writer(digits: int, emit):
@@ -212,9 +229,12 @@ def stable_json(value, digits: int = DEFAULT_DISPLAY_DIGITS) -> str:
     return "".join(parts)
 
 
-def render_table(headers: list[str], rows: list[list[str]]) -> str:
-    """Minimal aligned text table."""
-    cells = [[str(c) for c in row] for row in rows]
+def render_table(columns, items) -> str:
+    """An aligned text table: a row per item and a column per (header,
+    getter) pair in `columns`, each cell `_cell(getter(item))`; two spaces
+    between columns, a dashed line under the headers, trailing spaces cut."""
+    headers = [header for header, _ in columns]
+    cells = [[_cell(get(item)) for _, get in columns] for item in items]
     widths = [len(h) for h in headers]
     for row in cells:
         for i, c in enumerate(row):

@@ -386,11 +386,37 @@ def test_table_format_builds_no_json(tmp_path, capsys, monkeypatch):
     assert not out.lstrip().startswith("{")
 
 
+COROLLARY = ["subspace", "--corollary", "--A", "1", "--B", "1", "--C", "1"]
+FORMS = ["--forms", str(GOLDEN / "forms.json"), "--points", str(GOLDEN / "points.json")]
+
+
+def test_undetermined_cells_print_a_dash(tmp_path, capsys):
+    # u is undetermined on both rows, and with it the identity check; in
+    # corollary mode, agree is undetermined on both rows too
+    pairs = write(tmp_path, "pairs.json", [{"x": "0", "y": "1"}, {"x": "1", "y": "1"}])
+    fam = ["--n", "7", "--m", "1", "--a", "-2", "--b", "1", "--s", "2,3"]
+    code, out, _ = run(["trace", *fam, "--pairs", pairs], capsys)
+    assert code == 0
+    assert out.splitlines()[2:4] == [
+        "0  1  -  False   -         not_sharing,unit_undefined,x_zero",
+        "1  1  -  True    -         unit_undefined",
+    ]
+    code, out, _ = run([*COROLLARY, "--pairs", pairs, "--s", "2,3"], capsys)
+    assert code == 1
+    assert "None" not in out and out.splitlines()[2].split()[-1] == "-"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["trace", *BASE, "--pairs", "PAIRS"],
         ["search-shared", *BASE, "--height-bound", "5"],
+        ["validate-poly", *BASE],
+        ["share", *BASE, "--pairs", "PAIRS"],
+        ["subspace", *FORMS, "--s", "2,3"],
+        [*COROLLARY, "--pairs", "PAIRS", "--s", "2,3"],
+        ["unit-eq", "--s", "2,3", "--bound", "2"],
+        ["search-su", *BASE, "--c", "1", "--height-bound", "5"],
     ],
 )
 def test_json_format_builds_no_table(argv, tmp_path, capsys, monkeypatch):
@@ -402,7 +428,8 @@ def test_json_format_builds_no_table(argv, tmp_path, capsys, monkeypatch):
     out_file = tmp_path / "report.json"
     argv = [pairs if a == "PAIRS" else a for a in argv]
     code, out, _ = run([*argv, "--format", "json", "--out", str(out_file)], capsys)
-    assert code == 0
+    # both subspace inputs fail a verdict: (81, -80) violates, (0, -1) misses x + y = 1
+    assert code == (1 if argv[0] == "subspace" else 0)
     assert out == ""
     assert json.loads(out_file.read_text())["command"] == argv[0]
 

@@ -1,8 +1,9 @@
 """Golden reports: every README example, plus the flags the README leaves out,
 run with --format json and compared byte for byte with tests/golden/expected.
-One case per command is also run with --format table, pinning the console
-table.  The parser's own text (help, usage errors) is pinned the same way,
-with COLUMNS=80 so that help wrapping does not depend on the terminal.
+The cases in TABLE_CASES, at least one per command, are also run with
+--format table, pinning the console tables.  The parser's own text (help,
+usage errors) is pinned the same way, with COLUMNS=80 so that help wrapping
+does not depend on the terminal.
 
 Each case runs with tests/golden as the working directory, so the file names
 echoed in "config" are relative and the reports are machine-independent.

@@ -1,9 +1,11 @@
 """The wire format: `stable_json` writes report values by their exact type,
-byte for byte as `json.dumps` renders the dict tree of `to_json` below."""
+byte for byte as `json.dumps` renders the dict tree of `to_json` below.
+`render_table` writes each console cell by its exact type too."""
 
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction as F
+from operator import itemgetter
 from typing import ClassVar
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from urskit.arith import rational_str
 from urskit.heights import Magnitude, ScaledLog
-from urskit.report import stable_json
+from urskit.report import render_table, stable_json
 
 
 def to_json(value, digits=6):
@@ -207,3 +209,31 @@ def test_stable_json_matches_json_dumps_of_the_dict_tree(value, digits):
                                    [_Bag({True: 1}), _Bag({1: 2}), _Bag({False: 0, 2: 3})]])
 def test_keyword_keys_as_json_writes_them(value):
     assert stable_json(value) == reference_json(value)
+
+
+def test_render_table_cells_by_type():
+    rows = [
+        (F(-3, 4), "rational"),
+        (F(5), "integral rational"),
+        (None, "undetermined"),
+        (True, ""),
+        (False, ""),
+        (Magnitude(1234567890123), "magnitude"),
+        ("text", ""),
+        (42, "int"),
+    ]
+    # columns as wide as their widest cell or header, two spaces apart; the
+    # empty last cells leave no trailing spaces
+    assert render_table((("value", itemgetter(0)), ("kind", itemgetter(1))), rows) == (
+        "value          kind\n"
+        "-------------  -----------------\n"
+        "-3/4           rational\n"
+        "5              integral rational\n"
+        "-              undetermined\n"
+        "True\n"
+        "False\n"
+        "1234567890123  magnitude\n"
+        "text\n"
+        "42             int"
+    )
+    assert render_table((("a", itemgetter(0)), ("b", itemgetter(1))), []) == "a  b\n-  -"
