@@ -129,20 +129,24 @@ def _parse_rat_field(raw, location: str) -> Fraction:
 
 
 def load_pairs_file(path: str) -> list[tuple[Fraction, Fraction]]:
+    """The pairs of a pairs file; each distinct string is parsed once."""
     data = _load_json(path)
     if not isinstance(data, list):
         raise SchemaError(path, "pairs file must be a JSON array")
+    parsed: dict[str, Fraction] = {}
+
+    def field(raw, location):
+        if isinstance(raw, str) and raw in parsed:
+            return parsed[raw]
+        value = parsed[raw] = _parse_rat_field(raw, location)  # raw is a str
+        return value
+
     pairs = []
     for i, entry in enumerate(data):
         loc = f"{path}[{i}]"
         if not isinstance(entry, dict) or "x" not in entry or "y" not in entry:
             raise SchemaError(loc, 'each pair needs fields "x" and "y"')
-        pairs.append(
-            (
-                _parse_rat_field(entry["x"], f"{loc}.x"),
-                _parse_rat_field(entry["y"], f"{loc}.y"),
-            )
-        )
+        pairs.append((field(entry["x"], f"{loc}.x"), field(entry["y"], f"{loc}.y")))
     return pairs
 
 
@@ -413,7 +417,7 @@ def cmd_trace(args) -> int:
         "roth_chain": roth_chain_report(S, fam.polynomial(), rows, values),
         "unit_height": unit_height_check(rows, values),
         "trunc_bounds": trunc_bound_check(rows),
-        "main_inequality": main_inequality_report(S, fam, args.epsilon, rows),
+        "main_inequality": main_inequality_report(S, fam, args.epsilon, rows, validation),
     }
     usable = [r for r in rows if r.u is not None]
     dependence = dependence_detect(rows) if usable else None

@@ -67,7 +67,8 @@ class ScaledLog:
     base: Magnitude
 
     def __post_init__(self):
-        if self.coefficient < 0:
+        # the sign is the numerator's: a Fraction's denominator is positive
+        if self.coefficient.numerator < 0:
             raise ValueError("ScaledLog coefficients must be nonnegative")
 
     @classmethod

@@ -48,12 +48,6 @@ class SharePoint:
 
 def share_check(S: SContext, P: RatPoly, x: Fraction, y: Fraction) -> SharePoint:
     """Decide whether the pair shares the zero set of P outside S."""
-    return evaluated_share(S, P, x, y)[0]
-
-
-def evaluated_share(S: SContext, P: RatPoly, x: Fraction, y: Fraction):
-    """share_check's verdict with the values it was decided from:
-    (SharePoint, P(x), P(y)), P evaluated once at each of x and y."""
     # Fraction() of a Fraction goes through its slow ABC checks
     x = x if type(x) is Fraction else Fraction(x)
     y = y if type(y) is Fraction else Fraction(y)
@@ -62,8 +56,7 @@ def evaluated_share(S: SContext, P: RatPoly, x: Fraction, y: Fraction):
             raise ValueError(
                 f"{name} = {rational_str(value)} is not an S-integer for S = {S}"
             )
-    px, py = P.evaluate(x), P.evaluate(y)
-    return _share(S, x, px, y, py), px, py
+    return _share(S, x, P.evaluate(x), y, P.evaluate(y))
 
 
 def _share(S: SContext, x, px, y, py) -> SharePoint:

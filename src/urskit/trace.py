@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar
 
-from .arith import SContext, is_s_unit, ord_at, rational_str
+from .arith import SContext, is_s_integer, is_s_unit, non_s_part, ord_at, rational_str
 from .exactlinalg import nullspace_basis
 from .heights import (
     GREATER,
@@ -27,8 +27,8 @@ from .heights import (
     height,
     nonnegative_epsilon,
 )
-from .polys import RatPoly, TrinomialFamily, validate_family
-from .sharing import _pair_join, evaluated_share
+from .polys import RatPoly, TrinomialFamily, ValidationReport, validate_family
+from .sharing import _pair_join
 
 
 def _exact(v):
@@ -36,27 +36,27 @@ def _exact(v):
     return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
-def aux_build(fam: TrinomialFamily, x: Fraction, y: Fraction, u: Fraction):
-    """The auxiliary pair: eta = -(1/b)*x^(n-m)*(x^m+a) and
-    zeta = (1/b)*y^(n-m)*(y^m+a)*u, exactly.
+def _w(fam: TrinomialFamily, v: Fraction) -> Fraction:
+    """w(v) = v^(n-m)*(v^m+a)/b for b != 0, so eta = -w(x), zeta = w(y)*u.
 
-    On integers: for x = p/q, x^(n-m)*(x^m+a) = p^(n-m)*(p^m*a_d + a_n*q^m)
-    / (q^n*a_d) with a = a_n/a_d, so each value is one Fraction.
+    On integers: for v = p/q, v^(n-m)*(v^m+a) = p^(n-m)*(p^m*a_d + a_n*q^m)
+    / (q^n*a_d) with a = a_n/a_d, so w is one Fraction.
     """
-    if fam.b == 0:
-        raise ValueError("auxiliary sequences require b != 0")
-    x, y, u = _exact(x), _exact(y), _exact(u)
     n, m = fam.n, fam.m
     an, ad = fam.a.numerator, fam.a.denominator
-    bn, bd = fam.b.numerator, fam.b.denominator
-    p, q = x.numerator, x.denominator
-    r, s = y.numerator, y.denominator
-    eta = Fraction(-(p ** (n - m)) * (p**m * ad + an * q**m) * bd, q**n * ad * bn)
-    zeta = Fraction(
-        r ** (n - m) * (r**m * ad + an * s**m) * u.numerator * bd,
-        s**n * ad * u.denominator * bn,
+    p, q = v.numerator, v.denominator
+    return Fraction(
+        p ** (n - m) * (p**m * ad + an * q**m) * fam.b.denominator,
+        q**n * ad * fam.b.numerator,
     )
-    return eta, zeta
+
+
+def aux_build(fam: TrinomialFamily, x: Fraction, y: Fraction, u: Fraction):
+    """The auxiliary pair: eta = -(1/b)*x^(n-m)*(x^m+a) and
+    zeta = (1/b)*y^(n-m)*(y^m+a)*u, exactly."""
+    if fam.b == 0:
+        raise ValueError("auxiliary sequences require b != 0")
+    return -_w(fam, _exact(x)), _w(fam, _exact(y)) * _exact(u)
 
 
 def identity_check(fam: TrinomialFamily, x: Fraction, y: Fraction, u: Fraction) -> bool:
@@ -126,6 +126,22 @@ class TraceRow:
     flags: tuple[str, ...]
 
 
+def _per_value(fn):
+    """fn memoised for one call by its argument's identity.  build_trace_rows
+    keeps one _TracedValue and returns one P(v) object per distinct value,
+    so on those this is once per distinct value; an id hashes faster than a
+    Fraction."""
+    memo = {}
+
+    def get(v):
+        hit = memo.get(id(v))
+        if hit is None:
+            hit = memo[id(v)] = v, fn(v)  # holding v keeps its id from reuse
+        return hit[1]
+
+    return get
+
+
 def _maybe_counting(S, value, level=None):
     if value is None or value == 0:
         return None
@@ -134,39 +150,100 @@ def _maybe_counting(S, value, level=None):
     return counting_trunc(S, level, value)
 
 
+class _TracedValue:
+    """What the rows need of one value v, whichever side it is on: P(v), the
+    non-S part of P(v) (None when P(v) = 0), h(v), w(v) =
+    v^(n-m)*(v^m+a)/b, eta = -w(v) and h(eta).  w, eta and h(eta) stay None
+    when b = 0, where a row with a unit raises before it reads them."""
+
+    __slots__ = ("v", "p", "key", "h", "w", "eta", "h_eta")
+
+    def __init__(self, S: SContext, fam: TrinomialFamily, P: RatPoly, v: Fraction):
+        self.v = v
+        self.p = P.evaluate(v)
+        self.key = None if self.p == 0 else non_s_part(S, self.p)
+        self.h = height(v)
+        self.w = self.eta = self.h_eta = None
+        if fam.b != 0:
+            self.w = _w(fam, v)
+            self.eta = -self.w
+            self.h_eta = height(self.eta)
+
+
 def build_trace_rows(S: SContext, fam: TrinomialFamily, pairs):
-    """Run share_check on each (x, y) and attach every derived quantity.
+    """The sharing verdict of share_check on each (x, y), with every derived
+    quantity.
 
     Returns (rows, values): the TraceRows, and per row the (P(x), P(y)) the
     sharing verdict was decided from, which roth_chain_report and
     unit_height_check take instead of evaluating P again.
+
+    Each distinct value is checked, evaluated and measured once per call,
+    whichever sides it takes (_TracedValue), and its counts are computed
+    the first time a sharing row asks for them; a pair adds only
+    u = P(x)/P(y), zeta = w(y)*u, their heights and counts, and the
+    identity, one integer cross-multiplication.  The pair shares when P(x)
+    and P(y) have the same non-S part (both vanishing included), the join
+    key of sharing.search_shared_pairs.  Rows ask for their counts in the
+    order n1_x, n1_y, n2_eta, n2_zeta, n2_u, so the first
+    FactoringBudgetError names the same cofactor as a row-by-row
+    computation would.
 
     Zero values (eta, zeta, x, y, or the shifted terms) leave the affected
     counting entries unset and add a flag; downstream checks skip those rows
     and list them separately.
     """
     P = fam.polynomial()
+    traced: dict = {}
+
+    def trace_value(v, name):
+        # Fraction() of a Fraction goes through its slow ABC checks
+        v = v if type(v) is Fraction else Fraction(v)
+        key = v.numerator, v.denominator  # hashes faster than the Fraction
+        t = traced.get(key)
+        if t is None:
+            if not is_s_integer(S, v):
+                raise ValueError(
+                    f"{name} = {rational_str(v)} is not an S-integer for S = {S}"
+                )
+            t = traced[key] = _TracedValue(S, fam, P, v)
+        return t
+
+    # per value, on the first sharing row that asks
+    n1 = _per_value(lambda t: _maybe_counting(S, t.v, 1))
+    n2_eta = _per_value(lambda t: _maybe_counting(S, t.eta, 2))
+    n_shift = _per_value(lambda t: _maybe_counting(S, t.v**fam.m + fam.a))
+
     rows = []
     values = []
     for raw_x, raw_y in pairs:
-        sp, px, py = evaluated_share(S, P, raw_x, raw_y)
+        tx, ty = trace_value(raw_x, "x"), trace_value(raw_y, "y")
+        x, y, px, py = tx.v, ty.v, tx.p, ty.p
         values.append((px, py))
-        x, y, u = sp.x, sp.y, sp.u
+        shares = tx.key == ty.key
         flags = []
-        if not sp.shares:
+        if not shares:
             flags.append("not_sharing")
-        if u is None:
+        if py == 0:
             flags.append("unit_undefined")
-            eta = zeta = None
-            identity_ok = None
+            u = eta = zeta = identity_ok = h_u = h_eta = h_zeta = None
         else:
-            eta, zeta = aux_build(fam, x, y, u)
-            identity_ok = eta + u + zeta == 1
-            if eta == 0:
+            if fam.b == 0:
+                raise ValueError("auxiliary sequences require b != 0")
+            u = px / py
+            eta = tx.eta
+            zeta = ty.w * u
+            # eta + u + zeta == 1, over the common denominator
+            en, ed = eta.numerator, eta.denominator
+            un, ud = u.numerator, u.denominator
+            zn, zd = zeta.numerator, zeta.denominator
+            identity_ok = (en * ud + un * ed) * zd + zn * ed * ud == ed * ud * zd
+            h_u, h_eta, h_zeta = height(u), tx.h_eta, height(zeta)
+            if en == 0:
                 flags.append("eta_zero")
-            if zeta == 0:
+            if zn == 0:
                 flags.append("zeta_zero")
-            if u == 0:
+            if un == 0:
                 flags.append("unit_zero")
         if x == 0:
             flags.append("x_zero")
@@ -174,28 +251,35 @@ def build_trace_rows(S: SContext, fam: TrinomialFamily, pairs):
             flags.append("y_zero")
         # counting quantities belong to the chain, whose premise is sharing;
         # rows failing it keep heights only and are excluded by every check
-        count = sp.shares
+        if shares:
+            n1_x, n1_y = n1(tx), n1(ty)
+            n2_eta_x = None if u is None else n2_eta(tx)
+            n2_zeta = _maybe_counting(S, zeta, 2)
+            n2_u = _maybe_counting(S, u, 2)
+            n_xm_a, n_ym_a = n_shift(tx), n_shift(ty)
+        else:
+            n1_x = n1_y = n2_eta_x = n2_zeta = n2_u = n_xm_a = n_ym_a = None
         rows.append(
             TraceRow(
                 x=x,
                 y=y,
                 u=u,
-                shares=sp.shares,
+                shares=shares,
                 eta=eta,
                 zeta=zeta,
                 identity_ok=identity_ok,
-                h_x=height(x),
-                h_y=height(y),
-                h_u=None if u is None else height(u),
-                h_eta=None if eta is None else height(eta),
-                h_zeta=None if zeta is None else height(zeta),
-                n1_x=_maybe_counting(S, x if count else None, 1),
-                n1_y=_maybe_counting(S, y if count else None, 1),
-                n2_eta=_maybe_counting(S, eta if count else None, 2),
-                n2_zeta=_maybe_counting(S, zeta if count else None, 2),
-                n2_u=_maybe_counting(S, u if count else None, 2),
-                n_xm_a=_maybe_counting(S, x**fam.m + fam.a if count else None),
-                n_ym_a=_maybe_counting(S, y**fam.m + fam.a if count else None),
+                h_x=tx.h,
+                h_y=ty.h,
+                h_u=h_u,
+                h_eta=h_eta,
+                h_zeta=h_zeta,
+                n1_x=n1_x,
+                n1_y=n1_y,
+                n2_eta=n2_eta_x,
+                n2_zeta=n2_zeta,
+                n2_u=n2_u,
+                n_xm_a=n_xm_a,
+                n_ym_a=n_ym_a,
                 flags=tuple(flags),
             )
         )
@@ -234,9 +318,11 @@ def roth_chain_report(S: SContext, P: RatPoly, rows, values) -> CheckReport:
     C_P * h(.)^deg(P).  Height ratios are reported for display only.
 
     `values` holds (P(x), P(y)) for each row, as build_trace_rows returns
-    them; P itself is not evaluated here."""
+    them; P itself is not evaluated here, and each distinct value is counted
+    once."""
     c_p = evaluation_height_constant(P)
     n = P.degree
+    count = _per_value(lambda v: counting(S, v))
     out = []
     for row, (px, py) in zip(rows, values, strict=True):
         if px == 0 or py == 0:
@@ -249,8 +335,8 @@ def roth_chain_report(S: SContext, P: RatPoly, rows, values) -> CheckReport:
                 RowCheck(row.x, row.y, None, error="row does not share; chain not applicable")
             )
             continue
-        cx = counting(S, px)
-        cy = counting(S, py)
+        cx = count(px)
+        cy = count(py)
         counting_equal = cx == cy
         bound_x = cx.value <= c_p * row.h_x.value**n
         bound_y = cy.value <= c_p * row.h_y.value**n
@@ -278,14 +364,15 @@ def unit_height_check(rows, values) -> CheckReport:
     """h(u) <= h(P(x)) * h(P(y)) as Magnitudes (quotient height law).
 
     `values` holds (P(x), P(y)) for each row, as build_trace_rows returns
-    them."""
+    them; each distinct value is measured once."""
+    h = _per_value(height)
     out = []
     for row, (px, py) in zip(rows, values, strict=True):
         if row.u is None:
             out.append(RowCheck(row.x, row.y, None, error="unit undefined on this row"))
             continue
-        hpx = height(px)
-        hpy = height(py)
+        hpx = h(px)
+        hpy = h(py)
         ok = row.h_u.value <= hpx.value * hpy.value
         out.append(
             RowCheck(
@@ -365,7 +452,11 @@ class MainInequalityReport:
 
 
 def main_inequality_report(
-    S: SContext, fam: TrinomialFamily, eps: Fraction, rows
+    S: SContext,
+    fam: TrinomialFamily,
+    eps: Fraction,
+    rows,
+    validation: ValidationReport | None = None,
 ) -> MainInequalityReport:
     """Every quantity in the contradiction chain, with explicit constants.
 
@@ -376,9 +467,13 @@ def main_inequality_report(
     whether h(x)+h(y) exceeds the ceiling H* = log(C_total)/(n-2m-4-eps)
     beyond which rows would contradict the degree gap if the conjectural step
     held (invoked at eps/n for both orientations).
+
+    `validation` is validate_family(S, fam) when the caller has it already;
+    without it the family is validated here.
     """
     eps = nonnegative_epsilon(eps)
-    validation = validate_family(S, fam)
+    if validation is None:
+        validation = validate_family(S, fam)
     if not validation.passed:
         failed = [c.name for c in validation.checks if not c.passed]
         raise ValueError(
@@ -427,12 +522,13 @@ def main_inequality_report(
             detail["eta_floor_ok"] = floor_ok
             checks.append(floor_ok)
         # derived comparison (n-eps) h(x) vs (2+m)(h(x)+h(y))
+        h_xy = row.h_x * row.h_y
         if n_eps < 0:
             detail["derived_step"] = "holds"
         else:
             cmp = cmp_scaled(
                 ScaledLog(n_eps, row.h_x),
-                ScaledLog(two_m, row.h_x * row.h_y),
+                ScaledLog(two_m, h_xy),
             )
             detail["derived_step"] = (
                 "holds" if cmp <= 0 else "exceeds"
@@ -440,7 +536,7 @@ def main_inequality_report(
         if ceiling is not None:
             over = (
                 cmp_scaled(
-                    ScaledLog(Fraction(1), row.h_x * row.h_y), ceiling
+                    ScaledLog(Fraction(1), h_xy), ceiling
                 )
                 == GREATER
             )

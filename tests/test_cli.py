@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 from urskit import cli
+from urskit import trace as trace_module
+from urskit.arith import parse_rational
 from urskit.cli import main
 from urskit.heights import MAX_DISPLAY_DIGITS
-from urskit.polys import RatPoly
+from urskit.polys import RatPoly, validate_family
 
 
 def write(tmp_path, name, payload):
@@ -168,9 +170,12 @@ def test_trace_invalid_family_exit(tmp_path, capsys):
     assert "validate-poly" in err
 
 
-def test_trace_evaluates_p_once_per_value(monkeypatch, capsys):
+def _distinct_and_evaluated(monkeypatch, capsys, family, pairs_file):
+    """The distinct values of a pairs file, and the points one `trace` run
+    on it evaluates P at."""
     monkeypatch.chdir(GOLDEN)
-    pairs = json.loads((GOLDEN / "trace_pairs.json").read_text(encoding="utf-8"))
+    pairs = json.loads((GOLDEN / pairs_file).read_text(encoding="utf-8"))
+    distinct = {parse_rational(v) for pair in pairs for v in pair.values()}
     calls = []
     evaluate = RatPoly.evaluate
 
@@ -179,9 +184,41 @@ def test_trace_evaluates_p_once_per_value(monkeypatch, capsys):
         return evaluate(self, x)
 
     monkeypatch.setattr(RatPoly, "evaluate", counted)
+    assert main(["trace", *family, "--pairs", pairs_file, "--format", "json"]) == 0
+    capsys.readouterr()
+    return distinct, calls
+
+
+def test_trace_evaluates_p_once_per_value(monkeypatch, capsys):
+    distinct, calls = _distinct_and_evaluated(monkeypatch, capsys, BASE, "trace_pairs.json")
+    assert len(distinct) == 12  # of 18 value slots
+    assert sorted(calls) == sorted(distinct)
+
+
+def test_trace_evaluates_p_once_per_value_not_per_string(monkeypatch, capsys):
+    # the file writes 2 also as "6/3"
+    family = [*BASE[:4], "--a=-2", *BASE[6:]]
+    distinct, calls = _distinct_and_evaluated(
+        monkeypatch, capsys, family, "trace_vanishing_pairs.json"
+    )
+    assert len(distinct) == 4  # of 16 value slots
+    assert sorted(calls) == sorted(distinct)
+
+
+def test_trace_validates_the_family_once(monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    calls = []
+
+    def counted(S, fam):
+        calls.append(fam)
+        return validate_family(S, fam)
+
+    # every module that binds the name, as a tracer wrapping it would
+    for module in (cli, trace_module):
+        monkeypatch.setattr(module, "validate_family", counted)
     assert main(["trace", *BASE, "--pairs", "trace_pairs.json", "--format", "json"]) == 0
     capsys.readouterr()
-    assert len(calls) == 2 * len(pairs)
+    assert len(calls) == 1
 
 
 def test_negative_epsilon_rejected_before_any_row(tmp_path, capsys, monkeypatch):

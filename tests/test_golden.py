@@ -40,6 +40,13 @@ CASES = {
     # x-heights near 10^4 with diagonal pairs: P(x) has non-S cofactors past
     # the default trial horizon, which the untruncated count never factors
     "trace_large_height": (["trace", *FAM, "--pairs", "large_height_pairs.json"], 0),
+    # P = X^7 - 2X^6 + 1 vanishes at 1: on both sides, on one side, beside
+    # x = 0 and y = 0; values repeat in both roles, and 2 is also written 6/3
+    "trace_vanishing": (
+        ["trace", "--n", "7", "--m", "1", "--a=-2", "--b", "1", "--s", "2,3", "--pairs",
+         "trace_vanishing_pairs.json"],
+        0,
+    ),
     "subspace": (
         ["subspace", "--forms", "forms.json", "--points", "points.json", "--s", "2,3",
          "--epsilon", "1/10"],

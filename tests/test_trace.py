@@ -9,10 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from urskit.arith import SContext, unit_equation_solutions
-from urskit.heights import Magnitude, ScaledLog, counting, height
+from urskit.arith import FactoringBudgetError, SContext, unit_equation_solutions
+from urskit.heights import Magnitude, ScaledLog, counting, counting_trunc, height
 from urskit.polys import RatPoly, TrinomialFamily
-from urskit.sharing import SearchBudgetError, s_integer_box
+from urskit.sharing import SearchBudgetError, s_integer_box, share_check
 from urskit.trace import (
     aux_build,
     build_trace_rows,
@@ -27,6 +27,7 @@ from urskit.trace import (
     strong_uniqueness_search,
     CheckReport,
     RowCheck,
+    TraceRow,
     trunc_bound_check,
     unit_height_check,
 )
@@ -307,6 +308,138 @@ def test_checks_reject_values_of_another_length():
         roth_chain_report(S23, P7, rows, values[:1])
     with pytest.raises(ValueError):
         unit_height_check(rows, values + values)
+
+
+def test_checks_read_values_made_afresh_for_each_row():
+    # each value is a new object, dropped after its row, so ids repeat for
+    # other values: a memo must hold what it keyed on
+    rows, values = trace_for([(x, x) for x in BOX23[:30]] + list(zip(BOX23, BOX23[1:])))
+
+    def fresh():
+        return ((F(px.numerator, px.denominator), F(py.numerator, py.denominator))
+                for px, py in values)
+
+    assert roth_chain_report(S23, P7, rows, fresh()) == roth_chain_report(S23, P7, rows, values)
+    assert unit_height_check(rows, fresh()) == unit_height_check(rows, values)
+
+
+def _maybe_counting(S, value, level=None):
+    if value is None or value == 0:
+        return None
+    if level is None:
+        return counting(S, value)
+    return counting_trunc(S, level, value)
+
+
+def _build_trace_rows_oracle(S, fam, pairs):
+    """build_trace_rows as it was before it traced each value once: every
+    pair goes through share_check and recomputes each value's quantities."""
+    P = fam.polynomial()
+    rows = []
+    values = []
+    for raw_x, raw_y in pairs:
+        sp = share_check(S, P, raw_x, raw_y)
+        px, py = P.evaluate(sp.x), P.evaluate(sp.y)
+        values.append((px, py))
+        x, y, u = sp.x, sp.y, sp.u
+        flags = []
+        if not sp.shares:
+            flags.append("not_sharing")
+        if u is None:
+            flags.append("unit_undefined")
+            eta = zeta = None
+            identity_ok = None
+        else:
+            eta, zeta = aux_build(fam, x, y, u)
+            identity_ok = eta + u + zeta == 1
+            if eta == 0:
+                flags.append("eta_zero")
+            if zeta == 0:
+                flags.append("zeta_zero")
+            if u == 0:
+                flags.append("unit_zero")
+        if x == 0:
+            flags.append("x_zero")
+        if y == 0:
+            flags.append("y_zero")
+        count = sp.shares
+        rows.append(
+            TraceRow(
+                x=x,
+                y=y,
+                u=u,
+                shares=sp.shares,
+                eta=eta,
+                zeta=zeta,
+                identity_ok=identity_ok,
+                h_x=height(x),
+                h_y=height(y),
+                h_u=None if u is None else height(u),
+                h_eta=None if eta is None else height(eta),
+                h_zeta=None if zeta is None else height(zeta),
+                n1_x=_maybe_counting(S, x if count else None, 1),
+                n1_y=_maybe_counting(S, y if count else None, 1),
+                n2_eta=_maybe_counting(S, eta if count else None, 2),
+                n2_zeta=_maybe_counting(S, zeta if count else None, 2),
+                n2_u=_maybe_counting(S, u if count else None, 2),
+                n_xm_a=_maybe_counting(S, x**fam.m + fam.a if count else None),
+                n_ym_a=_maybe_counting(S, y**fam.m + fam.a if count else None),
+                flags=tuple(flags),
+            )
+        )
+    return rows, values
+
+
+def _outcome(build, S, fam, pairs):
+    """build's (rows, values), or the type and message of what it raised."""
+    try:
+        return build(S, fam, pairs)
+    except (ValueError, FactoringBudgetError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _oracle_cases(draw):
+    """S of (2,3), (2,) or (3,5) with a budget of 10^2 to 10^6; a family
+    that may vanish at a box value, or have b = 0; up to 12 pairs over a few values (of a
+    box of height 30, integers up to 3000, 0 and that root), so values
+    repeat, some given as ints; maybe a non-S-integer 1/7 at a random
+    position."""
+    primes = draw(st.sampled_from([(2, 3), (2,), (3, 5)]))
+    budget = draw(st.sampled_from([10**e for e in range(2, 7)]) | st.integers(10**2, 10**6))
+    S = SContext.of(primes, budget)
+    box = s_integer_box(S, 30, 1)
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(1, n - 1))
+    a = draw(st.sampled_from([F(1), F(-1), F(2), F(-3), F(1, 2), F(-4, 3)]))
+    root = draw(st.none() | st.sampled_from(box))
+    if root is None:
+        # b = 0: a row with a unit raises, as aux_build does
+        b = draw(st.sampled_from([F(1), F(-1), F(6), F(-2, 3), F(9, 4), F(0)]))
+    else:
+        b = -(root**n + a * root ** (n - m))
+        assume(b != 0)
+    # integers past the box have non-S parts the smaller budgets cannot factor
+    wide = st.integers(-3000, 3000).map(F)
+    pool = draw(st.lists(st.sampled_from(box) | wide, min_size=1, max_size=5))
+    value = st.sampled_from(pool + [F(0)] + ([root] if root is not None else []))
+    value = value | value.filter(lambda v: v.denominator == 1).map(int)
+    pair = st.tuples(value, value) | value.map(lambda v: (v, v))
+    pairs = draw(st.lists(pair, max_size=12))
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(pairs)))
+        other = draw(value)
+        bad = (F(1, 7), other) if draw(st.booleans()) else (other, F(1, 7))
+        pairs.insert(i, bad)
+    return S, TrinomialFamily(n, m, a, b), pairs
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_oracle_cases())
+def test_build_trace_rows_matches_per_pair_oracle(case):
+    S, fam, pairs = case
+    expected = _outcome(_build_trace_rows_oracle, S, fam, pairs)
+    assert _outcome(build_trace_rows, S, fam, pairs) == expected
 
 
 def test_trunc_bound_fixture_x5():
