@@ -15,7 +15,6 @@ from .arith import (
     UrskitError,
     _strip_supported,
     is_s_integer,
-    is_s_unit,
     non_s_ord_profile,
     rational_str,
 )
@@ -46,29 +45,42 @@ class SharePoint:
     shares: bool
 
 
-def share_check(S: SContext, P: RatPoly, x: Fraction, y: Fraction) -> SharePoint:
-    """Decide whether the pair shares the zero set of P outside S."""
+def share_key(S: SContext, P: RatPoly):
+    """key(num, den) = non_s_part(S, num/den), or None when num = 0, for
+    num/den = P.evaluate_unreduced at an S-integer: its den is L times an
+    S-product, so the non-S part of den is that of L whatever the point.
+    Two values share exactly when their keys are equal (both vanishing too)."""
+    primes = S.primes
+    s_den = _strip_supported(P.coefficient_denominator_lcm(), primes)
+
+    def key(num, den):
+        if num == 0:
+            return None
+        s_num = _strip_supported(abs(num), primes)
+        h = gcd(s_num, s_den)
+        return s_num // h, s_den // h
+
+    return key
+
+
+def _keyed_value(S: SContext, P: RatPoly, key, name: str, v):
+    """(v, P(v), key of P(v)) for the S-integer v, from one evaluation;
+    a v that is not an S-integer raises ValueError naming it as `name`."""
     # Fraction() of a Fraction goes through its slow ABC checks
-    x = x if type(x) is Fraction else Fraction(x)
-    y = y if type(y) is Fraction else Fraction(y)
-    for name, value in (("x", x), ("y", y)):
-        if not is_s_integer(S, value):
-            raise ValueError(
-                f"{name} = {rational_str(value)} is not an S-integer for S = {S}"
-            )
-    return _share(S, x, P.evaluate(x), y, P.evaluate(y))
+    v = v if type(v) is Fraction else Fraction(v)
+    if not is_s_integer(S, v):
+        raise ValueError(f"{name} = {rational_str(v)} is not an S-integer for S = {S}")
+    num, den = P.evaluate_unreduced(v.numerator, v.denominator)
+    return v, Fraction(num, den), key(num, den)
 
 
-def _share(S: SContext, x, px, y, py) -> SharePoint:
-    """The sharing verdict for the pair (x, y) with px = P(x), py = P(y).
-
-    Vanishing convention: if both P(x) and P(y) vanish the pair shares with u
-    undetermined; if exactly one vanishes it does not share.
-    """
-    if py == 0:
-        return SharePoint(x, y, None, px == 0)
-    u = px / py
-    return SharePoint(x, y, u, is_s_unit(S, u))
+def share_check(S: SContext, P: RatPoly, x: Fraction, y: Fraction) -> SharePoint:
+    """Decide whether the pair shares the zero set of P outside S: whether
+    P(x) and P(y) have the same share_key."""
+    key = share_key(S, P)
+    x, px, kx = _keyed_value(S, P, key, "x", x)
+    y, py, ky = _keyed_value(S, P, key, "y", y)
+    return SharePoint(x, y, None if py == 0 else px / py, kx == ky)
 
 
 def ord_profile_equal(S: SContext, P: RatPoly, x: Fraction, y: Fraction) -> bool:
@@ -91,15 +103,26 @@ def _box_denominators(
     S: SContext, height_bound: int, denom_exponent_bound: int
 ) -> list[int]:
     """The denominators of s_integer_box, increasing: S-products d <= the
-    height bound whose S-exponents are <= the exponent bound."""
+    height bound whose S-exponents are <= the exponent bound, found without
+    passing the height bound, whatever the exponent bound."""
     if height_bound < 0 or denom_exponent_bound < 0:
         raise ValueError("bounds must be nonnegative")
-    denominators = {1}
+    denominators = [1]
     for p in S.primes:
-        denominators = {
-            d * p**e for d in denominators for e in range(denom_exponent_bound + 1)
-        }
+        for d in denominators[:]:
+            for _ in range(denom_exponent_bound):
+                d *= p
+                if d > height_bound:
+                    break
+                denominators.append(d)
     return sorted(d for d in denominators if d <= height_bound)
+
+
+def _box_points(S: SContext, height_bound: int, denom_exponent_bound: int):
+    """The points (a, d) of s_integer_box, a/d in lowest terms with d > 0,
+    in its order: by a, then by d."""
+    ds, H = _box_denominators(S, height_bound, denom_exponent_bound), height_bound
+    return ((a, d) for a in range(-H, H + 1) for d in ds if gcd(a, d) == 1)
 
 
 def s_integer_box(
@@ -107,13 +130,7 @@ def s_integer_box(
 ) -> list[Fraction]:
     """All S-integers of height <= bound whose denominator S-exponents are
     <= the given bound, sorted by (numerator, denominator)."""
-    ds = _box_denominators(S, height_bound, denom_exponent_bound)
-    return [
-        Fraction(a, d)
-        for a in range(-height_bound, height_bound + 1)
-        for d in ds
-        if gcd(a, d) == 1
-    ]
+    return [Fraction(a, d) for a, d in _box_points(S, height_bound, denom_exponent_bound)]
 
 
 def _box_size(S: SContext, height_bound: int, denom_exponent_bound: int) -> int:
@@ -140,46 +157,30 @@ def _pair_join(
     The budget is decided from the box size alone: a negative pair_budget is
     rejected first, and a SearchBudgetError is raised when the n*(n-1)
     candidate pairs exceed pair_budget, with n counted in closed form before
-    the box is built or P evaluated.  Otherwise P is evaluated on integers
-    once per box value, which keeps only its key and box index, and the
-    Fraction P(x) is built only for values in a pair: the work is
-    O(n + pairs emitted).
+    the box is enumerated or P evaluated.  Otherwise the box is enumerated
+    as integer points (a, d) and P evaluated on integers once per point;
+    the Fractions x = a/d and P(x) are built from those integers only for
+    values in a pair: the work is O(n + pairs emitted).
     """
     if pair_budget is not None and pair_budget < 0:
         raise ValueError("pair_budget must be >= 0")
     n = _box_size(S, height_bound, denom_exponent_bound)
     if pair_budget is not None and n * (n - 1) > pair_budget:
         raise SearchBudgetError(f"{what} budget exceeded", n * (n - 1), pair_budget)
-    values = s_integer_box(S, height_bound, denom_exponent_bound)
     evaluate = P.evaluate_unreduced
-    keys = [key(*evaluate(v.numerator, v.denominator)) for v in values]
+    points = _box_points(S, height_bound, denom_exponent_bound)
+    box = [(a, d, *evaluate(a, d)) for a, d in points]
+    keys = [key(num, den) for _, _, num, den in box]
     groups: dict = {}
     for j, k in enumerate(keys):
         groups.setdefault(k, []).append(j)
-    value = cache(lambda i: P.evaluate(values[i]))
+    value = cache(lambda i: (Fraction(*box[i][:2]), Fraction(*box[i][2:])))
     return [
-        pair(values[i], value(i), values[j], value(j))
+        pair(*value(i), *value(j))
         for i, k in enumerate(keys)
         for j in groups.get(partner_key(k), ())
         if j != i
     ]
-
-
-def _shared_key(S: SContext, P: RatPoly):
-    """key(num, den) = non_s_part(S, num/den), or None when num = 0, for
-    num/den = P.evaluate_unreduced at an S-integer: its den is L times an
-    S-product, so the non-S part of den is that of L whatever the point."""
-    primes = S.primes
-    s_den = _strip_supported(P.coefficient_denominator_lcm(), primes)
-
-    def key(num, den):
-        if num == 0:
-            return None
-        s_num = _strip_supported(abs(num), primes)
-        h = gcd(s_num, s_den)
-        return s_num // h, s_den // h
-
-    return key
 
 
 def search_shared_pairs(
@@ -191,17 +192,18 @@ def search_shared_pairs(
 ) -> list[SharePoint]:
     """All sharing pairs (x, y), x != y, over the S-integer box.
 
-    A hash join: u = P(x)/P(y) is an S-unit exactly when P(x) and P(y) have
-    the same non-S part, so only pairs within one group of that key (or
-    within the group of vanishing values) are probed, and every probed pair
-    shares; each comes out as its _share verdict, x-major in box order.  The
-    keys are computed on integers; P(x) and P(y) are built as Fractions for
-    the pairs found only.  When the box's n*(n-1) candidate pairs exceed
-    pair_budget, a SearchBudgetError is raised before the box is built or P
-    evaluated; there is no partial result.
+    A hash join on share_key: only pairs within one group of the key are
+    probed, and every probed pair shares, so each comes out as its
+    SharePoint with shares=True and u = P(x)/P(y) (None when P(y) = 0),
+    x-major in box order, with no S-unit test per pair.  The keys are
+    computed on integers; x, y, P(x) and P(y) are built as Fractions for the
+    pairs found only.  When the box's n*(n-1) candidate pairs exceed
+    pair_budget, a SearchBudgetError is raised before the box is enumerated
+    or P evaluated; there is no partial result.
     """
-    key = _shared_key(S, P)
+    key = share_key(S, P)
     return _pair_join(
         S, P, height_bound, denom_exponent_bound, pair_budget, key, lambda k: k,
-        lambda x, px, y, py: _share(S, x, px, y, py), "shared-pair search",
+        lambda x, px, y, py: SharePoint(x, y, None if py == 0 else px / py, True),
+        "shared-pair search",
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar
 
-from .arith import SContext, is_s_integer, is_s_unit, non_s_part, ord_at, rational_str
+from .arith import SContext, is_s_unit, ord_at, rational_str
 from .exactlinalg import nullspace_basis
 from .heights import (
     GREATER,
@@ -28,7 +28,7 @@ from .heights import (
     nonnegative_epsilon,
 )
 from .polys import RatPoly, TrinomialFamily, ValidationReport, validate_family
-from .sharing import _pair_join
+from .sharing import _keyed_value, _pair_join, share_key
 
 
 def _exact(v):
@@ -151,17 +151,15 @@ def _maybe_counting(S, value, level=None):
 
 
 class _TracedValue:
-    """What the rows need of one value v, whichever side it is on: P(v), the
-    non-S part of P(v) (None when P(v) = 0), h(v), w(v) =
+    """What the rows need of one value v, whichever side it is on: P(v) and
+    its sharing key, as sharing._keyed_value gives them, h(v), w(v) =
     v^(n-m)*(v^m+a)/b, eta = -w(v) and h(eta).  w, eta and h(eta) stay None
     when b = 0, where a row with a unit raises before it reads them."""
 
     __slots__ = ("v", "p", "key", "h", "w", "eta", "h_eta")
 
-    def __init__(self, S: SContext, fam: TrinomialFamily, P: RatPoly, v: Fraction):
-        self.v = v
-        self.p = P.evaluate(v)
-        self.key = None if self.p == 0 else non_s_part(S, self.p)
+    def __init__(self, fam: TrinomialFamily, v: Fraction, p: Fraction, key):
+        self.v, self.p, self.key = v, p, key
         self.h = height(v)
         self.w = self.eta = self.h_eta = None
         if fam.b != 0:
@@ -183,30 +181,26 @@ def build_trace_rows(S: SContext, fam: TrinomialFamily, pairs):
     the first time a sharing row asks for them; a pair adds only
     u = P(x)/P(y), zeta = w(y)*u, their heights and counts, and the
     identity, one integer cross-multiplication.  The pair shares when P(x)
-    and P(y) have the same non-S part (both vanishing included), the join
-    key of sharing.search_shared_pairs.  Rows ask for their counts in the
-    order n1_x, n1_y, n2_eta, n2_zeta, n2_u, so the first
-    FactoringBudgetError names the same cofactor as a row-by-row
-    computation would.
+    and P(y) have the same sharing.share_key, the key share_check and
+    search_shared_pairs decide by.  Rows ask for their counts in the order
+    n1_x, n1_y, n2_eta, n2_zeta, n2_u, so the first FactoringBudgetError
+    names the same cofactor as a row-by-row computation would.
 
     Zero values (eta, zeta, x, y, or the shifted terms) leave the affected
     counting entries unset and add a flag; downstream checks skip those rows
     and list them separately.
     """
     P = fam.polynomial()
+    key = share_key(S, P)
     traced: dict = {}
 
     def trace_value(v, name):
         # Fraction() of a Fraction goes through its slow ABC checks
         v = v if type(v) is Fraction else Fraction(v)
-        key = v.numerator, v.denominator  # hashes faster than the Fraction
-        t = traced.get(key)
+        nd = v.numerator, v.denominator  # hashes faster than the Fraction
+        t = traced.get(nd)
         if t is None:
-            if not is_s_integer(S, v):
-                raise ValueError(
-                    f"{name} = {rational_str(v)} is not an S-integer for S = {S}"
-                )
-            t = traced[key] = _TracedValue(S, fam, P, v)
+            t = traced[nd] = _TracedValue(fam, *_keyed_value(S, P, key, name, v))
         return t
 
     # per value, on the first sharing row that asks

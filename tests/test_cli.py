@@ -4,6 +4,7 @@ import argparse
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -177,13 +178,14 @@ def _distinct_and_evaluated(monkeypatch, capsys, family, pairs_file):
     pairs = json.loads((GOLDEN / pairs_file).read_text(encoding="utf-8"))
     distinct = {parse_rational(v) for pair in pairs for v in pair.values()}
     calls = []
-    evaluate = RatPoly.evaluate
+    evaluate = RatPoly.evaluate_unreduced
 
-    def counted(self, x):
-        calls.append(x)
-        return evaluate(self, x)
+    # every evaluation of P, to a Fraction or not, goes through this
+    def counted(self, p, q):
+        calls.append(Fraction(p, q))
+        return evaluate(self, p, q)
 
-    monkeypatch.setattr(RatPoly, "evaluate", counted)
+    monkeypatch.setattr(RatPoly, "evaluate_unreduced", counted)
     assert main(["trace", *family, "--pairs", pairs_file, "--format", "json"]) == 0
     capsys.readouterr()
     return distinct, calls

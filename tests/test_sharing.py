@@ -15,6 +15,7 @@ from urskit.heights import counting, counting_trunc, height
 from urskit.polys import RatPoly, TrinomialFamily, build_from_roots
 from urskit.sharing import (
     SearchBudgetError,
+    SharePoint,
     ord_profile_equal,
     s_integer_box,
     search_shared_pairs,
@@ -42,6 +43,8 @@ def test_share_check_examples():
 def test_share_check_rejects_non_s_integer():
     with pytest.raises(ValueError, match="not an S-integer"):
         share_check(S23, P7, F(1, 5), F(0))
+    with pytest.raises(ValueError, match=r"^y = 1/5 is not an S-integer for S = "):
+        share_check(S23, P7, F(0), F(1, 5))
 
 
 def test_share_check_vanishing_convention():
@@ -52,6 +55,54 @@ def test_share_check_vanishing_convention():
     assert not one.shares and one.u is None
     other = share_check(S23, P, F(1), F(0))  # u = 0, not a unit
     assert not other.shares and other.u == 0
+
+
+def _share(S, x, px, y, py) -> SharePoint:
+    """The oracle: the sharing verdict for the pair (x, y) with px = P(x),
+    py = P(y), decided by testing u = P(x)/P(y) for an S-unit.
+
+    Vanishing convention: if both P(x) and P(y) vanish the pair shares with u
+    undetermined; if exactly one vanishes it does not share.
+    """
+    if py == 0:
+        return SharePoint(x, y, None, px == 0)
+    u = px / py
+    return SharePoint(x, y, u, is_s_unit(S, u))
+
+
+@st.composite
+def share_inputs(draw):
+    """(S, P, x, y): x and y drawn from a small S-integer box, each given as
+    a Fraction, an int when it is one, or a string written unreduced (2 as
+    "6/3"); P sometimes vanishes at a box value."""
+    S = draw(st.sampled_from(S_CHOICES))
+    box = s_integer_box(S, 6, 2)
+    coeffs = draw(
+        st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=10), max_size=5)
+    )
+    P = RatPoly.of(coeffs)
+    if draw(st.booleans()):
+        P = P * RatPoly.of([-draw(st.sampled_from(box)), 1])
+
+    def written(v):
+        k = draw(st.integers(1, 4))
+        forms = [v, f"{v.numerator * k}/{v.denominator * k}"]
+        if v.denominator == 1:
+            forms.append(int(v))
+        return draw(st.sampled_from(forms))
+
+    return S, P, written(draw(st.sampled_from(box))), written(draw(st.sampled_from(box)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(share_inputs())
+def test_share_check_matches_s_unit_oracle(case):
+    S, P, x, y = case
+    fx, fy = F(x), F(y)
+    want = _share(S, fx, P.evaluate(fx), fy, P.evaluate(fy))
+    got = share_check(S, P, x, y)
+    assert (got.x, got.y, got.u, got.shares) == (want.x, want.y, want.u, want.shares)
+    assert type(got.x) is F and type(got.y) is F
 
 
 def test_non_s_part_iff_profile_iff_share_on_box():
@@ -206,7 +257,7 @@ def test_negative_budget_rejected_before_the_box(monkeypatch):
     def no_box(*args):
         raise AssertionError("the box was built")
 
-    monkeypatch.setattr(sharing, "s_integer_box", no_box)
+    monkeypatch.setattr(sharing, "_box_points", no_box)
     with pytest.raises(ValueError, match="pair_budget must be >= 0"):
         search_shared_pairs(S23, P7, 8, 0, pair_budget=-1)
     with pytest.raises(ValueError, match="pair_budget must be >= 0"):
@@ -286,7 +337,7 @@ def shared_join_oracle(S, P, bound, exp, budget):
 
     return fraction_join(
         S, P, bound, exp, budget, key, key,
-        lambda x, px, y, py: sharing._share(S, x, px, y, py), "shared-pair search",
+        lambda x, px, y, py: _share(S, x, px, y, py), "shared-pair search",
     )
 
 
@@ -325,7 +376,7 @@ def test_integer_join_matches_fraction_join(case, c, data):
 @given(search_cases())
 def test_shared_key_is_the_non_s_part(case):
     S, P, bound, exp = case
-    key = sharing._shared_key(S, P)
+    key = sharing.share_key(S, P)
     for x in s_integer_box(S, bound, exp):
         px = P.evaluate(x)
         want = None if px == 0 else non_s_part(S, px)
@@ -349,10 +400,29 @@ def test_box_size_rejects_negative_bounds():
             sharing._box_size(S23, bound, exp)
 
 
+def test_box_denominators_stop_at_the_height_bound():
+    # the (10^6 + 1)^2 exponent pairs are never formed
+    assert sharing._box_denominators(S23, 10, 10**6) == [1, 2, 3, 4, 6, 8, 9]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.sampled_from([(), (2,), (2, 3), (3, 5), (2, 3, 5)]),
+    st.integers(0, 60),
+    st.integers(0, 6),
+)
+def test_box_denominators_match_brute_force(primes, bound, exp):
+    S = SContext.of(primes)
+    every = {1}
+    for p in primes:
+        every = {d * p**e for d in every for e in range(exp + 1)}
+    assert sharing._box_denominators(S, bound, exp) == sorted(d for d in every if d <= bound)
+
+
 def test_over_budget_search_never_evaluates(monkeypatch):
     """P = 1 over a box of 2*10^4 + 1 values: ~4*10^8 candidate pairs are
-    refused from the counted box size alone, before the box is built or P
-    evaluated anywhere, on integers or to a Fraction."""
+    refused from the counted box size alone, before the box is enumerated or
+    P evaluated anywhere, on integers or to a Fraction."""
     calls = []
 
     def spy(name):
@@ -362,8 +432,8 @@ def test_over_budget_search_never_evaluates(monkeypatch):
 
         return record
 
-    box, unreduced = sharing.s_integer_box, RatPoly.evaluate_unreduced
-    monkeypatch.setattr(sharing, "s_integer_box", spy("s_integer_box"))
+    box, unreduced = sharing._box_points, RatPoly.evaluate_unreduced
+    monkeypatch.setattr(sharing, "_box_points", spy("_box_points"))
     monkeypatch.setattr(RatPoly, "evaluate_unreduced", spy("evaluate_unreduced"))
     monkeypatch.setattr(RatPoly, "evaluate", spy("evaluate"))
     one = RatPoly.constant(1)
@@ -375,14 +445,13 @@ def test_over_budget_search_never_evaluates(monkeypatch):
         trace.strong_uniqueness_search(S23, one, F(1), 10**4, 0, pair_budget=10)
     assert (err.value.total, err.value.budget) == (n * (n - 1), 10)
     assert calls == []
-    # the spies are live: a search within its budget builds the box, then
-    # evaluates P on integers, then builds P(x) for its hits
-    with pytest.raises(AssertionError, match="s_integer_box was called"):
+    # the spies are live: a search within its budget enumerates the box,
+    # then evaluates P on integers, and builds its hits' P(x) from those
+    with pytest.raises(AssertionError, match="_box_points was called"):
         search_shared_pairs(S23, one, 1, 0, pair_budget=6)
-    monkeypatch.setattr(sharing, "s_integer_box", box)
+    monkeypatch.setattr(sharing, "_box_points", box)
     with pytest.raises(AssertionError, match="evaluate_unreduced was called"):
         search_shared_pairs(S23, one, 1, 0, pair_budget=6)
     monkeypatch.setattr(RatPoly, "evaluate_unreduced", unreduced)
-    with pytest.raises(AssertionError, match="evaluate was called"):
-        search_shared_pairs(S23, one, 1, 0, pair_budget=6)
-    assert calls == ["s_integer_box", "evaluate_unreduced", "evaluate"]
+    assert len(search_shared_pairs(S23, one, 1, 0, pair_budget=6)) == 6
+    assert calls == ["_box_points", "evaluate_unreduced"]
