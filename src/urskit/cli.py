@@ -9,10 +9,11 @@ configuration.  `--workers` is accepted for compatibility and validated when
 the arguments are parsed; the searches are single-threaded, so it changes
 nothing and is not echoed.
 
-The seven commands live in one table, `COMMANDS`.  When the first argument
-names a command, the parser registers that command alone; otherwise it
-registers all seven and fills in the arguments of the invoked one only, since
-building every command costs far more than parsing one command line.
+The seven commands live in one table, `COMMANDS`, each with its arguments as
+data.  When the first argument names a command, the parser registers that
+command alone; otherwise it registers all seven and fills in the arguments of
+the invoked one only, since building every command costs far more than parsing
+one command line.
 """
 
 from __future__ import annotations
@@ -218,17 +219,18 @@ def _context(args) -> SContext:
     return SContext(args.s, args.budget)
 
 
-def _emit(args, command: str, config: dict, payload: dict, *tables) -> None:
+def _emit(args, config: dict, payload: dict, *tables) -> None:
     """Print the tables, each a (columns, items) pair for render_table and
     separated by a blank line, and write the JSON report, as --format and
-    --out ask; neither is rendered unless it is written."""
+    --out ask; neither is rendered unless it is written.  The report names
+    args.command, which the subparsers set."""
     if args.format in ("table", "both"):
         print("\n\n".join(render_table(*table) for table in tables))
     if args.format == "table" and not args.out:
         return
     report = {
         "artifact": {"name": "urskit", "version": __version__, "kernel": BACKEND},
-        "command": command,
+        "command": args.command,
         "config": config,
         **payload,
     }
@@ -301,9 +303,7 @@ def cmd_validate_poly(args) -> int:
     fam = _family_from_args(args)
     rep = validate_family(S, fam)
     config = _common_config(args, n=fam.n, m=fam.m, a=fam.a, b=fam.b)
-    _emit(
-        args, "validate-poly", config, {"validation": rep}, (_CHECK_COLUMNS, rep.checks)
-    )
+    _emit(args, config, {"validation": rep}, (_CHECK_COLUMNS, rep.checks))
     return 0 if rep.passed else 1
 
 
@@ -313,7 +313,7 @@ def cmd_share(args) -> int:
     pairs = load_pairs_file(args.pairs)
     rows = [share_check(S, P, x, y) for x, y in pairs]
     config = _common_config(args, pairs=args.pairs, poly=str(P))
-    _emit(args, "share", config, {"rows": rows}, (_SHARE_COLUMNS, rows))
+    _emit(args, config, {"rows": rows}, (_SHARE_COLUMNS, rows))
     return 0 if all(r.shares for r in rows) else 1
 
 
@@ -322,7 +322,7 @@ def cmd_unit_eq(args) -> int:
     sols = unit_equation_solutions(S, args.bound)
     config = _common_config(args, exponent_bound=args.bound)
     payload = {"solutions": sols, "count": len(sols)}
-    _emit(args, "unit-eq", config, payload, (_UNIT_EQ_COLUMNS, sols))
+    _emit(args, config, payload, (_UNIT_EQ_COLUMNS, sols))
     return 0
 
 
@@ -338,7 +338,7 @@ def cmd_search_shared(args) -> int:
     )
     config = _search_config(args, P)
     payload = {"rows": rows, "count": len(rows)}
-    _emit(args, "search-shared", config, payload, ((_X, _Y, _U), rows))
+    _emit(args, config, payload, ((_X, _Y, _U), rows))
     return 0
 
 
@@ -355,7 +355,7 @@ def cmd_search_su(args) -> int:
     )
     config = _search_config(args, P, c=args.c)
     payload = {"pairs": pairs, "count": len(pairs)}
-    _emit(args, "search-su", config, payload, (_PAIR_COLUMNS, pairs))
+    _emit(args, config, payload, (_PAIR_COLUMNS, pairs))
     return 0
 
 
@@ -378,7 +378,7 @@ def cmd_subspace(args) -> int:
             epsilon=args.epsilon,
             pairs=args.pairs,
         )
-        _emit(args, "subspace", config, {"rows": rows}, (_COROLLARY_COLUMNS, rows))
+        _emit(args, config, {"rows": rows}, (_COROLLARY_COLUMNS, rows))
         bad = any(r.verdict == VIOLATED or r.verdict == "error" for r in rows)
         return 1 if bad else 0
     if not args.forms or not args.points:
@@ -395,7 +395,7 @@ def cmd_subspace(args) -> int:
         strict=args.strict,
     )
     payload = {"rows": reports, "summary": summarize_defects(reports)}
-    _emit(args, "subspace", config, payload, (_POINT_COLUMNS, reports))
+    _emit(args, config, payload, (_POINT_COLUMNS, reports))
     return 1 if any(r.verdict == VIOLATED for r in reports) else 0
 
 
@@ -438,122 +438,96 @@ def cmd_trace(args) -> int:
     }
     oks = {name: c.ok for name, c in checks.items()}
     tables = (_TRACE_COLUMNS, rows), (_OK_COLUMNS, oks.items())
-    _emit(args, "trace", config, payload, *tables)
+    _emit(args, config, payload, *tables)
     identity_fail = any(r.identity_ok is False for r in rows)
     return 1 if identity_fail or not all(oks.values()) else 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--s",
+# each command's arguments: (flag, add_argument keywords) pairs, added in order
+_COMMON = (
+    ("--s", dict(
         type=_parse_primes,
         required=True,
         help="comma-separated finite primes of S (may be empty: --s '')",
-    )
-    p.add_argument(
-        "--budget",
+    )),
+    ("--budget", dict(
         type=int,
         default=DEFAULT_FACTORING_BUDGET,
         help="largest integer fully factorable by this run",
-    )
-    p.add_argument(
-        "--format",
+    )),
+    ("--format", dict(
         choices=("json", "table", "both"),
         default="table",
         help="report format (default: table)",
-    )
-    p.add_argument("--out", default=None, help="write the JSON report to this path")
-    p.add_argument(
-        "--digits",
+    )),
+    ("--out", dict(default=None, help="write the JSON report to this path")),
+    ("--digits", dict(
         type=_digits_arg,
         default=DEFAULT_DISPLAY_DIGITS,
-        help="decimal places for display-only log values "
-        f"(1 to {MAX_DISPLAY_DIGITS})",
+        help=f"decimal places for display-only log values (1 to {MAX_DISPLAY_DIGITS})",
+    )),
+)
+_FAMILY, _OPTIONAL_FAMILY = (
+    (
+        ("--n", dict(type=int, required=required)),
+        ("--m", dict(type=int, required=required)),
+        ("--a", dict(type=_rational_arg, required=required)),
+        ("--b", dict(type=_rational_arg, required=required)),
     )
-
-
-def _add_family(p: argparse.ArgumentParser, required: bool) -> None:
-    p.add_argument("--n", type=int, required=required)
-    p.add_argument("--m", type=int, required=required)
-    p.add_argument("--a", type=_rational_arg, required=required)
-    p.add_argument("--b", type=_rational_arg, required=required)
-
-
-def _add_search(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    _add_family(p, required=False)
-    p.add_argument("--poly", help="polynomial JSON file")
-    p.add_argument("--height-bound", type=int, required=True)
-    p.add_argument("--denom-exponent", type=int, default=0)
-    p.add_argument("--pair-budget", type=int, default=None)
-    p.add_argument(
-        "--workers",
+    for required in (True, False)
+)
+_SEARCH = (
+    *_COMMON,
+    *_OPTIONAL_FAMILY,
+    ("--poly", dict(help="polynomial JSON file")),
+    ("--height-bound", dict(type=int, required=True)),
+    ("--denom-exponent", dict(type=int, default=0)),
+    ("--pair-budget", dict(type=int, default=None)),
+    ("--workers", dict(
         type=_workers_arg,
         default=1,
         help="accepted for compatibility; the search is single-threaded "
         "and this has no effect (must be >= 1)",
-    )
+    )),
+)
+_EPSILON = ("--epsilon", dict(type=_rational_arg, default=Fraction(1, 10)))
 
 
-def _add_validate_poly(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    _add_family(p, required=True)
-
-
-def _add_share(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    _add_family(p, required=False)
-    p.add_argument("--poly", help="polynomial JSON file (alternative to --n/--m/--a/--b)")
-    p.add_argument("--pairs", required=True, help="JSON array of {x, y}")
-
-
-def _add_trace(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    _add_family(p, required=True)
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--epsilon", type=_rational_arg, default=Fraction(1, 10))
-
-
-def _add_subspace(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.add_argument("--forms", help="forms JSON file (conjecture mode)")
-    p.add_argument("--points", help="points JSON file (conjecture mode)")
-    p.add_argument("--strict", action="store_true", help="reject non-primitive points")
-    p.add_argument("--corollary", action="store_true", help="two-variable mode")
-    p.add_argument("--A", type=_rational_arg, default=None)
-    p.add_argument("--B", type=_rational_arg, default=None)
-    p.add_argument("--C", type=_rational_arg, default=None)
-    p.add_argument("--pairs", help="pairs JSON file (corollary mode)")
-    p.add_argument("--epsilon", type=_rational_arg, default=Fraction(1, 10))
-
-
-def _add_unit_eq(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.add_argument("--bound", type=int, required=True, help="max |ord_p(u)| over S")
-
-
-def _add_search_su(p: argparse.ArgumentParser) -> None:
-    _add_search(p)
-    p.add_argument("--c", type=_rational_arg, default=Fraction(1))
-
-
-# name -> (help, add_arguments, handler), in the order --help lists them
+# name -> (help, arguments, handler), in the order --help lists them
 COMMANDS = {
     "validate-poly": (
-        "check the trinomial family hypotheses", _add_validate_poly, cmd_validate_poly
+        "check the trinomial family hypotheses", (*_COMMON, *_FAMILY), cmd_validate_poly
     ),
-    "share": ("sharing certificates for a pairs file", _add_share, cmd_share),
-    "trace": ("full proof-chain report on a pairs file", _add_trace, cmd_trace),
-    "subspace": (
-        "evaluate the truncated inequality on points", _add_subspace, cmd_subspace
-    ),
-    "unit-eq": ("enumerate S-unit equation solutions u+v=1", _add_unit_eq, cmd_unit_eq),
+    "share": ("sharing certificates for a pairs file", (
+        *_COMMON,
+        *_OPTIONAL_FAMILY,
+        ("--poly", dict(help="polynomial JSON file (alternative to --n/--m/--a/--b)")),
+        ("--pairs", dict(required=True, help="JSON array of {x, y}")),
+    ), cmd_share),
+    "trace": ("full proof-chain report on a pairs file", (
+        *_COMMON, *_FAMILY, ("--pairs", dict(required=True)), _EPSILON
+    ), cmd_trace),
+    "subspace": ("evaluate the truncated inequality on points", (
+        *_COMMON,
+        ("--forms", dict(help="forms JSON file (conjecture mode)")),
+        ("--points", dict(help="points JSON file (conjecture mode)")),
+        ("--strict", dict(action="store_true", help="reject non-primitive points")),
+        ("--corollary", dict(action="store_true", help="two-variable mode")),
+        ("--A", dict(type=_rational_arg, default=None)),
+        ("--B", dict(type=_rational_arg, default=None)),
+        ("--C", dict(type=_rational_arg, default=None)),
+        ("--pairs", dict(help="pairs JSON file (corollary mode)")),
+        _EPSILON,
+    ), cmd_subspace),
+    "unit-eq": ("enumerate S-unit equation solutions u+v=1", (
+        *_COMMON, ("--bound", dict(type=int, required=True, help="max |ord_p(u)| over S"))
+    ), cmd_unit_eq),
     "search-shared": (
-        "hash-join search for sharing pairs in a box", _add_search, cmd_search_shared
+        "hash-join search for sharing pairs in a box", _SEARCH, cmd_search_shared
     ),
-    "search-su": (
-        "search pairs with P(x) = c*P(y), x != y", _add_search_su, cmd_search_su
-    ),
+    "search-su": ("search pairs with P(x) = c*P(y), x != y", (
+        *_SEARCH, ("--c", dict(type=_rational_arg, default=Fraction(1)))
+    ), cmd_search_su),
 }
 
 
@@ -587,10 +561,11 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         sub = parser.add_subparsers(dest="command", required=True)
         names = COMMANDS
     for name in names:
-        help_text, add_arguments, handler = COMMANDS[name]
+        help_text, arguments, handler = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         if name == invoked:
-            add_arguments(p)
+            for flag, keywords in arguments:
+                p.add_argument(flag, **keywords)
         p.set_defaults(func=handler)
     return parser
 

@@ -341,6 +341,47 @@ def test_deeply_nested_input_is_usage_error(argv, tmp_path, capsys, monkeypatch)
     assert err == f"schema error: {deep}: invalid JSON: nested too deeply to read\n"
 
 
+SHARE_PAIRS = ["share", *BASE, "--pairs", "{path}"]
+SHARE_POLY = ["share", "--poly", "{path}", "--s", "2,3", "--pairs", "pairs.json"]
+SUBSPACE_FORMS = ["subspace", "--s", "2,3", "--forms", "{path}", "--points", "points.json"]
+SUBSPACE_POINTS = ["subspace", "--s", "2,3", "--forms", "forms.json", "--points", "{path}"]
+COROLLARY = ["subspace", "--s", "2,3", "--corollary", "--A", "1", "--B", "1"]
+
+
+# one case per schema check: the input file's text (None writes no file), the
+# argv with {path} standing for that file, and the location the error names
+@pytest.mark.parametrize(
+    "text, argv, location",
+    [
+        (None, SHARE_PAIRS, "{path}"),  # file not found
+        ("[", SHARE_PAIRS, "{path}"),  # invalid JSON
+        ('[{"x": 1, "y": "2"}]', SHARE_PAIRS, "{path}[0].x"),
+        ("{}", SHARE_PAIRS, "{path}"),
+        ('{"coef": ["1"]}', SHARE_POLY, "{path}"),
+        ('{"coeffs": []}', SHARE_POLY, "{path}.coeffs"),
+        ('{"r": 1}', SUBSPACE_FORMS, "{path}"),
+        ('{"r": 1, "forms": {}}', SUBSPACE_FORMS, "{path}.forms"),
+        ('{"r": 1, "forms": [["1"]]}', SUBSPACE_FORMS, "{path}.forms[0]"),
+        ('{"r": 1, "forms": [["1", "0"]]}', SUBSPACE_FORMS, "{path}"),
+        ("{}", SUBSPACE_POINTS, "{path}"),
+        ('[["1"]]', SUBSPACE_POINTS, "{path}[0]"),
+        (None, ["validate-poly", "--n", "3", "--m", "3", *BASE[4:]], "--n/--m"),
+        (None, ["share", "--n", "7", "--s", "2,3", "--pairs", "pairs.json"], "--poly/--n"),
+        (None, [*COROLLARY, "--pairs", "pairs.json"], "--A/--B/--C"),
+        (None, [*COROLLARY, "--C", "1"], "--pairs"),
+    ],
+)
+def test_schema_error_names_location(text, argv, location, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    code, out, err = run([arg.format(path=path) for arg in argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"schema error: {location.format(path=path)}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("fmt", ["json", "both"])
 def test_unwritable_out_is_usage_error(fmt, tmp_path, capsys):
     out_file = tmp_path / "missing" / "report.json"
@@ -662,11 +703,22 @@ def test_main_reads_sys_argv(argv, capsys, monkeypatch):
 )
 def test_parser_fills_in_only_the_invoked_command(argv, filled, monkeypatch):
     seen = []
+
+    class Spy:
+        """An empty argument spec that records its command when iterated."""
+
+        def __init__(self, name):
+            self.name = name
+
+        def __iter__(self):
+            seen.append(self.name)
+            return iter(())
+
     monkeypatch.setattr(
         cli,
         "COMMANDS",
         {
-            name: (help_text, lambda p, name=name: seen.append(name), handler)
+            name: (help_text, Spy(name), handler)
             for name, (help_text, _, handler) in cli.COMMANDS.items()
         },
     )
