@@ -10,16 +10,19 @@ the arguments are parsed; the searches are single-threaded, so it changes
 nothing and is not echoed.
 
 The seven commands live in one table, `COMMANDS`, each with its arguments as
-data.  When the first argument names a command, the parser registers that
-command alone; otherwise it registers all seven and fills in the arguments of
-the invoked one only, since building every command costs far more than parsing
-one command line.
+data.  When the first argument names a command, main parses the rest with
+that command's parser alone, since building parsers costs more than parsing
+one command line; only when that leaves arguments over, or the first argument
+names no command, does it build the full parser, which registers all seven
+and prints the top-level help, --version and usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import shutil
 import sys
 from fractions import Fraction
 from operator import attrgetter, itemgetter
@@ -223,7 +226,7 @@ def _emit(args, config: dict, payload: dict, *tables) -> None:
     """Print the tables, each a (columns, items) pair for render_table and
     separated by a blank line, and write the JSON report, as --format and
     --out ask; neither is rendered unless it is written.  The report names
-    args.command, which the subparsers set."""
+    args.command, which _fill sets."""
     if args.format in ("table", "both"):
         print("\n\n".join(render_table(*table) for table in tables))
     if args.format == "table" and not args.out:
@@ -531,47 +534,77 @@ COMMANDS = {
 }
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser for argv (sys.argv[1:] when None).
+def _formatter():
+    """HelpFormatter at the width it would read itself, read once: argparse
+    builds a formatter per add_argument, and each would read the terminal
+    size again."""
+    return functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
 
-    When argv[0] is a command, only that command is registered, under the
-    metavar argparse would print for all seven, so usage and errors read the
-    same.  Otherwise (no argv, --help, an unknown command, an option first)
-    every command is registered, so help and choice errors list them all, and
-    only the first token that names a command gets its arguments.  Building
-    a command's parser costs more than parsing.
+
+def _fill(parser: argparse.ArgumentParser, name: str) -> None:
+    """Add command `name`'s arguments to parser, with its handler and name as
+    the defaults of func and command."""
+    _, arguments, handler = COMMANDS[name]
+    for flag, keywords in arguments:
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(func=handler, command=name)
+
+
+def _parse_invoked(argv: list[str]):
+    """The namespace of a valid command line, parsed by the parser of the
+    command argv[0] names alone; None when argv[0] names no command or
+    arguments are left over.
+
+    That parser is the one build_parser registers under the same prog, so
+    its help and errors read the same; only "unrecognized arguments", which
+    build_parser's top level adds, is left to the full parser.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    parser = argparse.ArgumentParser(prog=f"urskit {argv[0]}", formatter_class=_formatter())
+    _fill(parser, argv[0])
+    args, extra = parser.parse_known_args(argv[1:])
+    return None if extra else args
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The full parser for argv (sys.argv[1:] when None).
+
+    All seven commands are registered, so help, --version and usage errors
+    list them all; only the first token that names a command gets its
+    arguments, since building a command's parser costs more than parsing.
+    main builds it only when argv[0] names no command or that command's own
+    parser leaves arguments over.
     """
     if argv is None:
         argv = sys.argv[1:]
     invoked = next((arg for arg in argv if arg in COMMANDS), None)
+    formatter = _formatter()
     parser = argparse.ArgumentParser(
         prog="urskit",
         description=(
             "Exact S-unit sharing, heights, truncated counting functions, and "
             "unique-range-set experiments over Q"
         ),
+        formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=f"urskit {__version__}")
-    if argv and argv[0] == invoked:
-        sub = parser.add_subparsers(
-            dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}"
-        )
-        names = [invoked]
-    else:
-        sub = parser.add_subparsers(dest="command", required=True)
-        names = COMMANDS
-    for name in names:
-        help_text, arguments, handler = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
         if name == invoked:
-            for flag, keywords in arguments:
-                p.add_argument(flag, **keywords)
-        p.set_defaults(func=handler)
+            _fill(p, name)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser(argv).parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_invoked(argv)
+    if args is None:
+        args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

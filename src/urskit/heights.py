@@ -125,6 +125,8 @@ def counting_trunc(S: SContext, level: int, x: Fraction) -> Magnitude:
     if x == 0:
         raise ValueError("counting function undefined at zero")
     non_s = _strip_supported(abs(x.numerator), S.primes)
+    if non_s == 1:  # an S-unit numerator: nothing to factor
+        return Magnitude(1)
     capped = 1
     for p, e in factor(non_s, S.factoring_budget).factors:
         capped *= p ** min(e, level)

@@ -1,6 +1,7 @@
 """CLI contract: flags, file schemas, exit codes, byte-stable JSON."""
 
 import argparse
+import contextlib
 import json
 import subprocess
 import sys
@@ -15,6 +16,8 @@ from urskit.arith import parse_rational
 from urskit.cli import main
 from urskit.heights import MAX_DISPLAY_DIGITS
 from urskit.polys import RatPoly, validate_family
+
+BUILD_PARSER = cli.build_parser
 
 
 def write(tmp_path, name, payload):
@@ -733,8 +736,11 @@ def test_parser_fills_in_only_the_invoked_command(argv, filled, monkeypatch):
 ALL_COMMANDS = list(cli.COMMANDS)
 
 
-# only argv[0] can name the command that is registered alone; anywhere else a
-# command token leaves all seven registered, so top-level help lists them all
+# only argv[0] can name the command whose parser is built alone: a command
+# line that parser takes whole never reaches build_parser; anywhere else a
+# command token leaves build_parser to register all seven, so top-level help
+# lists them all
+@pytest.mark.no_parse_oracle
 @pytest.mark.parametrize(
     "argv, registered",
     [
@@ -748,14 +754,77 @@ ALL_COMMANDS = list(cli.COMMANDS)
         (["bogus"], ALL_COMMANDS),
     ],
 )
-def test_parser_registers_argv0_command_alone(argv, registered, monkeypatch):
-    def choices(parser):
-        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        return list(sub.choices)
+def test_parser_registers_argv0_command_alone(argv, registered, tmp_path, capsys, monkeypatch):
+    built, full = [], []
+    init = argparse.ArgumentParser.__init__
 
-    assert choices(cli.build_parser(argv)) == registered
+    def spy_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    def spy_build_parser(argv=None):
+        parser = BUILD_PARSER(argv)
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        full.append(list(sub.choices))
+        return parser
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy_init)
+    monkeypatch.setattr(cli, "build_parser", spy_build_parser)
+    monkeypatch.chdir(tmp_path)  # no file "share": trace exits 2 after parsing
     monkeypatch.setattr(sys, "argv", ["urskit", *argv])
-    assert choices(cli.build_parser()) == registered
+    for main_argv in (argv, None):
+        built.clear()
+        full.clear()
+        with contextlib.suppress(SystemExit):  # help, --version and usage errors
+            main(main_argv)
+        capsys.readouterr()
+        if registered == ALL_COMMANDS:
+            assert full == [ALL_COMMANDS]
+        else:
+            assert (built, full) == ([f"urskit {name}" for name in registered], [])
+
+
+def _golden_text(name):
+    return (GOLDEN / "expected" / name).read_text(encoding="utf-8")
+
+
+TOP_USAGE = """\
+usage: urskit [-h] [--version]
+              {validate-poly,share,trace,subspace,unit-eq,search-shared,search-su}
+              ...
+"""
+
+
+# a command line with something left over after the command's own arguments
+# goes to the full parser, whose top level prints the error; -h anywhere after
+# the command prints that command's help before anything else is checked
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["trace", *BASE, "--pairs", "pairs.json", "extra"], 2, "",
+         _golden_text("usage_trace_extra.txt")),
+        (["validate-poly", *BASE, "--version"], 2, "",
+         TOP_USAGE + "urskit: error: unrecognized arguments: --version\n"),
+        (["trace", *BASE, "--pairs", "pairs.json", "--bogus", "1"], 2, "",
+         TOP_USAGE + "urskit: error: unrecognized arguments: --bogus 1\n"),
+        (["unit-eq", "--s", "2,3", "--bound", "4", "--bogus"], 2, "",
+         TOP_USAGE + "urskit: error: unrecognized arguments: --bogus\n"),
+        (["trace", "--n", "7", "-h", "--m", "1"], 0, _golden_text("help_trace.txt"), ""),
+        (["unit-eq", "--bound", "4", "-h", "--s", "x"], 0, _golden_text("help_unit_eq.txt"),
+         ""),
+    ],
+    ids=[
+        "extra", "version", "unknown_flag_and_value", "unknown_flag", "help",
+        "help_before_bad_value",
+    ],
+)
+def test_leftover_arguments_and_mid_line_help(argv, code, out, err, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert capsys.readouterr() == (out, err)
 
 
 def test_module_invocation_smoke():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from urskit import subspace
+from urskit import heights, subspace
 from urskit.arith import FactoringBudgetError, SContext, factor, is_s_integer, non_s_part
 from urskit.heights import (
     EQUAL,
@@ -103,6 +103,40 @@ def test_counting_is_the_factored_non_s_part(num, k, den):
 )
 def test_counting_trunc_examples(level, x, expected):
     assert counting_trunc(S23, level, x) == Magnitude(expected)
+
+
+def test_counting_trunc_factors_nothing_at_an_s_unit(monkeypatch):
+    def no_factoring(*args):
+        raise AssertionError(f"factor called on {args}")
+
+    monkeypatch.setattr(heights, "factor", no_factoring)
+    for x in (F(1), F(-1), F(6), F(-8, 27), F(1, 35), 12):
+        assert counting_trunc(S23, 2, x) == Magnitude(1)
+    with pytest.raises(AssertionError, match="factor called"):
+        counting_trunc(S23, 2, F(10))
+
+
+def _factored_counting_trunc(S, level, x):
+    """The truncated count with the non-S part always factored, even when it
+    is 1."""
+    non_s = non_s_part(S, F(x))[0]
+    fz = factor(non_s, S.factoring_budget)
+    return Magnitude(math.prod(p ** min(e, level) for p, e in fz.factors))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    st.sampled_from([1, 1, 5, 25, 7 * 49, 1_000_003]),
+    st.integers(min_value=-8, max_value=8),
+    st.integers(min_value=-8, max_value=8),
+    st.integers(min_value=1, max_value=10**4),
+    st.booleans(),
+    st.integers(min_value=1, max_value=4),
+)
+def test_counting_trunc_matches_always_factoring(cofactor, i, j, den, negative, level):
+    # mostly S-units (cofactor 1), where the count skips factoring
+    x = F(cofactor) * F(2) ** i * F(3) ** j / den * (-1 if negative else 1)
+    assert counting_trunc(S23, level, x) == _factored_counting_trunc(S23, level, x)
 
 
 @settings(max_examples=300, derandomize=True)
