@@ -417,7 +417,7 @@ def cmd_trace(args) -> int:
     pairs = load_pairs_file(args.pairs)
     rows, values = build_trace_rows(S, fam, pairs)
     checks = {
-        "roth_chain": roth_chain_report(S, fam.polynomial(), rows, values),
+        "roth_chain": roth_chain_report(S, fam.polynomial(), rows, values, args.digits),
         "unit_height": unit_height_check(rows, values),
         "trunc_bounds": trunc_bound_check(rows),
         "main_inequality": main_inequality_report(S, fam, args.epsilon, rows, validation),
@@ -569,18 +569,11 @@ def _parse_invoked(argv: list[str]):
     return None if extra else args
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The full parser for argv (sys.argv[1:] when None).
-
-    All seven commands are registered, so help, --version and usage errors
-    list them all; only the first token that names a command gets its
-    arguments, since building a command's parser costs more than parsing.
-    main builds it only when argv[0] names no command or that command's own
-    parser leaves arguments over.
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, with all seven commands and their arguments, for
+    help, --version and usage errors: main builds it only when argv[0] names
+    no command or that command's own parser leaves arguments over.
     """
-    if argv is None:
-        argv = sys.argv[1:]
-    invoked = next((arg for arg in argv if arg in COMMANDS), None)
     formatter = _formatter()
     parser = argparse.ArgumentParser(
         prog="urskit",
@@ -593,9 +586,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"urskit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
-        if name == invoked:
-            _fill(p, name)
+        _fill(sub.add_parser(name, help=help_text, formatter_class=formatter), name)
     return parser
 
 
@@ -604,7 +595,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _parse_invoked(argv)
     if args is None:
-        args = build_parser(argv).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -82,8 +82,17 @@ class ScaledLog:
         return self.coefficient == 0 or self.base.is_zero_quantity
 
     def log_display(self, digits: int = DEFAULT_DISPLAY_DIGITS) -> str:
-        val = float(self.coefficient) * math.log(self.base.value)
-        return f"{val:.{digits}f}"
+        log_base = math.log(self.base.value)
+        try:
+            val = float(self.coefficient) * log_base
+        except OverflowError:  # the coefficient alone is past the float range
+            val = math.inf
+        if math.isfinite(val):
+            return f"{val:.{digits}f}"
+        # past the float range: round to `digits` places in integers
+        whole, places = divmod(round(self.coefficient * Fraction(log_base) * 10**digits),
+                               10**digits)
+        return f"{whole}.{places:0{digits}d}"
 
 
 def nonnegative_epsilon(eps) -> Fraction:

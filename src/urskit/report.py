@@ -8,10 +8,11 @@ type: None, booleans, integers and strings as they are, rationals as 'a/b',
 magnitudes as the exact integer plus a display-only log, tuples and lists
 as lists, dicts by their values, and dataclasses by their fields.  A
 dataclass adds the attributes named in its `derived_keys` class variable as
-further keys, and a field whose metadata sets "merge" has its dict merged
-into the object instead of nesting under its name.  Keys are sorted, items
-indented by two spaces, and strings escaped as JSON does with non-ASCII
-characters kept.
+further keys, and at most one field whose metadata sets "merge" has its dict
+merged into the object instead of nesting under its name.  Every key is a
+string, as in every urskit report; any other key raises TypeError.  Keys are
+sorted, items indented by two spaces, and strings escaped as JSON does with
+non-ASCII characters kept.
 
 `render_table` writes a console table from a column spec, one (header,
 getter) pair per column, and the items that make its rows.  Each cell goes
@@ -40,12 +41,12 @@ class SchemaError(UrskitError):
 
 # A plan writes one dataclass at one indent: ((separator + indent + '"key": ',
 # field name, dict key) in key order, closing text).  The dict key is _FIELD
-# where the value is the field itself, else its key in a merge field's dict.
+# where the value is the field itself, else its key in the merge field's dict.
 _FIELD = object()
 
 # (dataclass type, indent) -> plan, built on first use and kept across calls,
 # as it depends on neither the value nor `digits`; for a class with a merge
-# field, whose plan depends on the merged keys, (None, its layout).
+# field, whose plan depends on the merged keys, (that field's name, layout).
 _PLANS: dict[tuple, tuple] = {}
 
 
@@ -54,43 +55,37 @@ def _static_plan(cls: type, nl: str) -> tuple:
         raise TypeError(f"no JSON encoding for {cls.__name__}")
     layout = [(f.name, f.metadata.get("merge", False)) for f in fields(cls)]
     layout += [(name, False) for name in getattr(cls, "derived_keys", ())]
-    merges = any(merge for _, merge in layout)
-    plan = (None, tuple(layout)) if merges else _plan(layout, nl, None)
+    merges = [name for name, merge in layout if merge]
+    if len(merges) > 1:
+        raise TypeError(f"no JSON encoding for {cls.__name__}: more than one merge field")
+    plan = (merges[0], tuple(layout)) if merges else _plan(layout, nl)
     _PLANS[cls, nl] = plan
     return plan
 
 
-def _plan(layout, nl: str, value) -> tuple:
-    """The plan for a dataclass with this (field name, merge) layout; the
-    keys of merge fields are read from `value`, and where two fields give one
-    key the later wins, as in dict.update."""
+def _plan(layout, nl: str, merged=()) -> tuple:
+    """The plan for a dataclass with this (field name, merge) layout whose
+    merge field holds the keys `merged`; where a merged key is also a field
+    name the later in the layout wins, as in dict.update."""
     source = {}
     for name, merge in layout:
-        if merge:
-            for key in getattr(value, name):
-                source[key] = (name, key)
-        else:
-            source[name] = (name, _FIELD)
+        for key in merged if merge else (name,):
+            # _key rejects a non-string key here, before the sort can
+            source[key] = (_key(key), name, key if merge else _FIELD)
     inner = nl + "  "
-    keys = sorted(source)
     entries = tuple(
-        (("," if i else "{") + inner + _key(key), *source[key])
-        for i, key in enumerate(keys)
+        (("," if i else "{") + inner + prefix, name, key)
+        for i, (prefix, name, key) in enumerate(map(source.get, sorted(source)))
     )
-    return entries, nl + "}" if keys else "{}"
+    return entries, nl + "}" if entries else "{}"
 
 
 def _key(key) -> str:
-    """A dict key as JSON writes it, quoted, with the colon that follows."""
-    if type(key) is str:
-        return encode_basestring(key) + ": "
-    if key is None:
-        return '"null": '
-    if type(key) is bool:
-        return '"true": ' if key else '"false": '
-    if type(key) is int:
-        return '"' + int.__repr__(key) + '": '
-    raise TypeError(f"no JSON encoding for a {type(key).__name__} key")
+    """A dict key, quoted, with the colon that follows; a report's keys are
+    all strings, so any other type raises TypeError."""
+    if type(key) is not str:
+        raise TypeError(f"no JSON encoding for a {type(key).__name__} key")
+    return encode_basestring(key) + ": "
 
 
 # exact type -> text, for the values whose text needs neither indent nor
@@ -122,7 +117,8 @@ def _writer(digits: int, emit):
     writer."""
     scalars = _SCALARS
     magnitudes: dict[tuple[int, str], str] = {}
-    # (type, indent, merged keys) -> plan, for classes with a merge field
+    # (type, indent, merged keys) -> plan, for classes with a merge field; a
+    # plan is built only from string keys, so only string keys find one
     merged_plans: dict[tuple, tuple] = {}
 
     def magnitude(m: Magnitude, nl: str) -> str:
@@ -189,13 +185,11 @@ def _writer(digits: int, emit):
                  f'{inner}"log": "{value.log_display(digits)}"{nl}}}')
             return
         entries, tail = _PLANS.get((t, nl)) or _static_plan(t, nl)
-        if entries is None:
-            # key equality mixes types (1 == True), so the types join the key
-            dicts = [getattr(value, name) for name, merge in tail if merge]
-            sig = (t, nl, *[(tuple(d), tuple(map(type, d))) for d in dicts])
-            plan = merged_plans.get(sig)
+        if type(entries) is str:
+            merged = tuple(getattr(value, entries))
+            plan = merged_plans.get((t, nl, merged))
             if plan is None:
-                plan = merged_plans[sig] = _plan(tail, nl, value)
+                plan = merged_plans[t, nl, merged] = _plan(tail, nl, merged)
             entries, tail = plan
         inner = nl + "  "
         for prefix, name, key in entries:

@@ -18,6 +18,7 @@ from typing import ClassVar
 from .arith import SContext, is_s_unit, ord_at, rational_str
 from .exactlinalg import nullspace_basis
 from .heights import (
+    DEFAULT_DISPLAY_DIGITS,
     GREATER,
     Magnitude,
     ScaledLog,
@@ -306,10 +307,13 @@ class CheckReport:
         return all(r.ok is not False for r in self.rows)
 
 
-def roth_chain_report(S: SContext, P: RatPoly, rows, values) -> CheckReport:
+def roth_chain_report(
+    S: SContext, P: RatPoly, rows, values, digits: int = DEFAULT_DISPLAY_DIGITS
+) -> CheckReport:
     """Exact kernel of the height-comparability step: for sharing rows,
     counting(S, P(x)) == counting(S, P(y)) and both are bounded by
-    C_P * h(.)^deg(P).  Height ratios are reported for display only.
+    C_P * h(.)^deg(P).  Height ratios are reported for display only, to
+    `digits` decimal places.
 
     `values` holds (P(x), P(y)) for each row, as build_trace_rows returns
     them; P itself is not evaluated here, and each distinct value is counted
@@ -335,7 +339,7 @@ def roth_chain_report(S: SContext, P: RatPoly, rows, values) -> CheckReport:
         bound_x = cx.value <= c_p * row.h_x.value**n
         bound_y = cy.value <= c_p * row.h_y.value**n
         lx, ly = math.log(row.h_x.value), math.log(row.h_y.value)
-        ratio = None if ly == 0 or lx == 0 else f"{lx / ly:.6f}"
+        ratio = None if ly == 0 or lx == 0 else f"{lx / ly:.{digits}f}"
         out.append(
             RowCheck(
                 row.x,

@@ -1,6 +1,6 @@
 """The full parser is the oracle for the fast path: every command line that
 `cli.main` parses with the invoked command's parser alone, in any test, must
-give the namespace `build_parser(argv).parse_args(argv)` gives.  A test that
+give the namespace `build_parser().parse_args(argv)` gives.  A test that
 counts the parsers main builds opts out with the `no_parse_oracle` mark."""
 
 import pytest
@@ -26,7 +26,7 @@ def parse_oracle(request, monkeypatch):
         args = PARSE_INVOKED(argv)
         if args is not None:
             try:
-                expected = BUILD_PARSER(argv).parse_args(argv)
+                expected = BUILD_PARSER().parse_args(argv)
             except SystemExit:
                 pytest.fail(f"the full parser rejects {argv}")
             assert vars(args) == vars(expected), argv

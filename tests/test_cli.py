@@ -692,54 +692,13 @@ def test_main_reads_sys_argv(argv, capsys, monkeypatch):
     assert run(None, capsys) == expected
 
 
-@pytest.mark.parametrize(
-    "argv, filled",
-    [
-        # a later token that names a command is an option's value
-        (["trace", *BASE, "--pairs", "share"], ["trace"]),
-        (["--format", "json", "unit-eq"], ["unit-eq"]),
-        ([], []),
-        (["--help"], []),
-        (["bogus"], []),
-        (["-h", "trace"], ["trace"]),
-    ],
-)
-def test_parser_fills_in_only_the_invoked_command(argv, filled, monkeypatch):
-    seen = []
-
-    class Spy:
-        """An empty argument spec that records its command when iterated."""
-
-        def __init__(self, name):
-            self.name = name
-
-        def __iter__(self):
-            seen.append(self.name)
-            return iter(())
-
-    monkeypatch.setattr(
-        cli,
-        "COMMANDS",
-        {
-            name: (help_text, Spy(name), handler)
-            for name, (help_text, _, handler) in cli.COMMANDS.items()
-        },
-    )
-    cli.build_parser(argv)
-    assert seen == filled
-    seen.clear()
-    monkeypatch.setattr(sys, "argv", ["urskit", *argv])
-    cli.build_parser()
-    assert seen == filled
-
-
 ALL_COMMANDS = list(cli.COMMANDS)
 
 
 # only argv[0] can name the command whose parser is built alone: a command
-# line that parser takes whole never reaches build_parser; anywhere else a
-# command token leaves build_parser to register all seven, so top-level help
-# lists them all
+# line that parser takes whole never reaches build_parser; any other command
+# line goes to build_parser, which registers all seven with their arguments,
+# so top-level help lists them all
 @pytest.mark.no_parse_oracle
 @pytest.mark.parametrize(
     "argv, registered",
@@ -762,10 +721,11 @@ def test_parser_registers_argv0_command_alone(argv, registered, tmp_path, capsys
         init(self, *args, **kwargs)
         built.append(self.prog)
 
-    def spy_build_parser(argv=None):
-        parser = BUILD_PARSER(argv)
+    def spy_build_parser():
+        parser = BUILD_PARSER()
         (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        full.append(list(sub.choices))
+        # the commands registered with their arguments, beyond -h
+        full.append([name for name, p in sub.choices.items() if len(p._actions) > 1])
         return parser
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy_init)

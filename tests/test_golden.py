@@ -47,6 +47,14 @@ CASES = {
          "trace_vanishing_pairs.json"],
         0,
     ),
+    # epsilon just below n - 2m - 4 = 1: the ceiling's coefficient 10^309 is
+    # past the float range, so its log is rounded in integers; P(1) = 0, so
+    # no row reaches the comparison
+    "trace_ceiling_overflow": (
+        ["trace", "--n", "7", "--m", "1", "--a=-2", "--b", "1", "--s", "2,3", "--pairs",
+         "ceiling_overflow_pairs.json", "--epsilon", f"{10**309 - 1}/{10**309}"],
+        0,
+    ),
     "subspace": (
         ["subspace", "--forms", "forms.json", "--points", "points.json", "--s", "2,3",
          "--epsilon", "1/10"],

@@ -415,3 +415,19 @@ def test_display_log(value, digits, expected):
 
 def test_display_log_handles_wide_integers():
     assert display_log(Magnitude(2**5000), 2) == f"{5000 * 0.6931471805599453:.2f}"
+
+
+def test_scaled_log_display_past_the_float_range():
+    log2 = F(math.log(2))  # the float log that the display rounds from
+    # within the float range the float's own decimal expansion is kept
+    assert ScaledLog(F(10**300), Magnitude(2)).log_display() == f"{1e300 * math.log(2):.6f}"
+    # 10^400 * log2 is an integer: log2 is a float, so its denominator is a
+    # power of 2 that divides 10^400
+    assert ScaledLog(F(10**400), Magnitude(2)).log_display() == f"{log2 * 10**400}.000000"
+    # the coefficient's float overflows, or only its product with the log does
+    for coefficient in (F(10**400, 3), F(10**308)):
+        for digits in (1, 6, 17):
+            text = ScaledLog(coefficient, Magnitude(7)).log_display(digits)
+            assert len(text.split(".")[1]) == digits
+            exact = coefficient * F(math.log(7))
+            assert abs(F(text) - exact) <= F(1, 2 * 10**digits)

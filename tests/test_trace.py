@@ -629,6 +629,27 @@ def test_case_c2_zero():
     assert row.detail["in_enumeration"] is True
 
 
+@pytest.mark.parametrize(
+    "triple, branch, error",
+    [
+        ((F(1), F(0), F(0)), "C2_C3_nonzero", "u = 0; unit relation undefined"),
+        ((F(1), F(1), F(1, 2)), "C2_zero", "u = 0; displayed relation undefined"),
+    ],
+)
+def test_case_rows_with_u_zero(triple, branch, error):
+    # X^7 - 2X^6 + 1 vanishes at 1, so the pair (1, 2) has u = 0, eta = 1 and
+    # zeta = 0; both branches divide by u, so the row is an error
+    fam = TrinomialFamily(7, 1, F(-2), F(1))
+    rows, _ = build_trace_rows(S23, fam, [(F(1), F(2))])
+    assert (rows[0].u, rows[0].eta, rows[0].zeta) == (0, 1, 0)
+    rep = case_classify(S23, fam, triple, rows)
+    assert rep.branch == branch
+    (row,) = rep.rows
+    assert row.ok is None
+    assert row.error == error
+    assert row.detail == {"relation_ok": False}  # eta = 1, so c1*eta != 0
+
+
 def _s_units(S):
     """Signed products of powers (-2..2) of the primes of S."""
 
