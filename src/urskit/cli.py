@@ -10,11 +10,10 @@ the arguments are parsed; the searches are single-threaded, so it changes
 nothing and is not echoed.
 
 The seven commands live in one table, `COMMANDS`, each with its arguments as
-data.  When the first argument names a command, main parses the rest with
-that command's parser alone, since building parsers costs more than parsing
-one command line; only when that leaves arguments over, or the first argument
-names no command, does it build the full parser, which registers all seven
-and prints the top-level help, --version and usage errors.
+data.  A valid command line is read straight from the spec of the command its
+first argument names, with no argparse parser built, since building one costs
+more than the reading; any other line goes to the full parser, which
+registers all seven commands and prints the help, --version and usage errors.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import shutil
 import sys
 from fractions import Fraction
@@ -208,13 +208,11 @@ def _family_from_args(args) -> TrinomialFamily:
 
 
 def _poly_from_args(args) -> RatPoly:
-    if getattr(args, "poly", None):
+    family = [args.n, args.m, args.a, args.b]
+    if args.poly and family.count(None) == 4:
         return load_poly_file(args.poly)
-    for flag in ("n", "m", "a", "b"):
-        if getattr(args, flag, None) is None:
-            raise SchemaError(
-                "--poly/--n", "give either --poly FILE or all of --n --m --a --b"
-            )
+    if args.poly or None in family:
+        raise SchemaError("--poly/--n", "give either --poly FILE or all of --n --m --a --b")
     return _family_from_args(args).polynomial()
 
 
@@ -226,7 +224,7 @@ def _emit(args, config: dict, payload: dict, *tables) -> None:
     """Print the tables, each a (columns, items) pair for render_table and
     separated by a blank line, and write the JSON report, as --format and
     --out ask; neither is rendered unless it is written.  The report names
-    args.command, which _fill sets."""
+    args.command."""
     if args.format in ("table", "both"):
         print("\n\n".join(render_table(*table) for table in tables))
     if args.format == "table" and not args.out:
@@ -534,47 +532,76 @@ COMMANDS = {
 }
 
 
-def _formatter():
-    """HelpFormatter at the width it would read itself, read once: argparse
-    builds a formatter per add_argument, and each would read the terminal
-    size again."""
-    return functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
-    )
-
-
-def _fill(parser: argparse.ArgumentParser, name: str) -> None:
-    """Add command `name`'s arguments to parser, with its handler and name as
-    the defaults of func and command."""
-    _, arguments, handler = COMMANDS[name]
-    for flag, keywords in arguments:
-        parser.add_argument(flag, **keywords)
-    parser.set_defaults(func=handler, command=name)
+# argparse's _negative_number_matcher: the only '-'-led tokens it reads as values
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 def _parse_invoked(argv: list[str]):
-    """The namespace of a valid command line, parsed by the parser of the
-    command argv[0] names alone; None when argv[0] names no command or
-    arguments are left over.
+    """The namespace of a valid command line, read straight from the COMMANDS
+    spec of the command argv[0] names, with no parser built; None for any line
+    it cannot read exactly as argparse would, which main then hands to the full
+    parser for its help, --version and errors.
 
-    That parser is the one build_parser registers under the same prog, so
-    its help and errors read the same; only "unrecognized arguments", which
-    build_parser's top level adds, is left to the full parser.
+    It reads exact long flags only, as `--flag value` or `--flag=value`, a
+    separate value led by '-' only where argparse reads a negative number, and
+    a store_true flag only bare.  Each occurrence goes through `type`, the last
+    wins, and `choices` are checked after `type`; an absent flag gets its
+    default, a str default through `type`.  Help, --version, an abbreviated or
+    unknown flag, `--`, a leftover token, a bad value or a missing required
+    flag gives None.
     """
     if not argv or argv[0] not in COMMANDS:
         return None
-    parser = argparse.ArgumentParser(prog=f"urskit {argv[0]}", formatter_class=_formatter())
-    _fill(parser, argv[0])
-    args, extra = parser.parse_known_args(argv[1:])
-    return None if extra else args
+    _, arguments, handler = COMMANDS[argv[0]]
+    spec = dict(arguments)
+    given = {}
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            flag, eq, value = token.partition("=")
+            keywords = spec.get(flag)
+            if keywords is None:
+                return None
+            if keywords.get("action") == "store_true":
+                if eq:
+                    return None
+                given[flag] = True
+                continue
+            if not eq:
+                value = next(tokens, "-")
+                if value.startswith("-") and not _NEGATIVE_NUMBER.match(value):
+                    return None
+            given[flag] = value = keywords.get("type", str)(value)
+            if value not in keywords.get("choices", (value,)):
+                return None
+        args = argparse.Namespace(func=handler, command=argv[0])
+        for flag, keywords in arguments:
+            if flag in given:
+                value = given[flag]
+            elif keywords.get("required"):
+                return None
+            elif keywords.get("action") == "store_true":
+                value = False
+            else:
+                value = keywords.get("default")
+                if isinstance(value, str):
+                    value = keywords.get("type", str)(value)
+            setattr(args, flag[2:].replace("-", "_"), value)
+        return args
+    except (argparse.ArgumentTypeError, TypeError, ValueError):  # from a type, as argparse
+        return None
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The full parser, with all seven commands and their arguments, for
-    help, --version and usage errors: main builds it only when argv[0] names
-    no command or that command's own parser leaves arguments over.
+    help, --version and usage errors: main builds it only for a command line
+    that _parse_invoked cannot read.
     """
-    formatter = _formatter()
+    # HelpFormatter at the width it would read itself, read once: argparse
+    # builds a formatter per add_argument, and each would read it again
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = argparse.ArgumentParser(
         prog="urskit",
         description=(
@@ -585,8 +612,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"urskit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in COMMANDS.items():
-        _fill(sub.add_parser(name, help=help_text, formatter_class=formatter), name)
+    for name, (help_text, arguments, handler) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text, formatter_class=formatter)
+        for flag, keywords in arguments:
+            command.add_argument(flag, **keywords)
+        command.set_defaults(func=handler, command=name)
     return parser
 
 

@@ -1,7 +1,8 @@
 """The full parser is the oracle for the fast path: every command line that
-`cli.main` parses with the invoked command's parser alone, in any test, must
-give the namespace `build_parser().parse_args(argv)` gives.  A test that
-counts the parsers main builds opts out with the `no_parse_oracle` mark."""
+`cli.main` reads straight from the invoked command's `COMMANDS` spec, with no
+parser built, in any test, must give the namespace
+`build_parser().parse_args(argv)` gives.  A test that counts the parsers main
+builds opts out with the `no_parse_oracle` mark."""
 
 import pytest
 

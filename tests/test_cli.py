@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -9,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urskit import cli
 from urskit import trace as trace_module
@@ -18,6 +21,7 @@ from urskit.heights import MAX_DISPLAY_DIGITS
 from urskit.polys import RatPoly, validate_family
 
 BUILD_PARSER = cli.build_parser
+PARSE_INVOKED = cli._parse_invoked
 
 
 def write(tmp_path, name, payload):
@@ -385,6 +389,26 @@ def test_schema_error_names_location(text, argv, location, tmp_path, capsys, mon
     assert err.count("\n") == 1
 
 
+# --poly is an alternative to the family flags, not an override of them: a
+# line that gives both is a usage error, whichever family flags it gives
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["share", "--s", "2,3", "--pairs", "pairs.json"],
+        ["search-shared", "--s", "2,3", "--height-bound", "3"],
+        ["search-su", "--s", "2,3", "--height-bound", "3"],
+    ],
+    ids=["share", "search-shared", "search-su"],
+)
+@pytest.mark.parametrize("family", [BASE[:8], ["--n", "7"], ["--b", "1"]], ids=["all", "n", "b"])
+def test_poly_with_family_flags_is_usage_error(argv, family, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code, out, err = run([*argv, "--poly", "poly.json", *family], capsys)
+    assert (code, out) == (2, "")
+    assert err == "schema error: --poly/--n: give either --poly FILE or all of --n --m --a --b\n"
+    assert run([*argv, "--poly", "poly.json"], capsys)[0] != 2
+
+
 @pytest.mark.parametrize("fmt", ["json", "both"])
 def test_unwritable_out_is_usage_error(fmt, tmp_path, capsys):
     out_file = tmp_path / "missing" / "report.json"
@@ -695,25 +719,32 @@ def test_main_reads_sys_argv(argv, capsys, monkeypatch):
 ALL_COMMANDS = list(cli.COMMANDS)
 
 
-# only argv[0] can name the command whose parser is built alone: a command
-# line that parser takes whole never reaches build_parser; any other command
-# line goes to build_parser, which registers all seven with their arguments,
-# so top-level help lists them all
+# a valid command line is read from the COMMANDS spec and builds no parser;
+# any other command line goes to build_parser, once, which registers all seven
+# commands with their arguments, so top-level help lists them all
 @pytest.mark.no_parse_oracle
 @pytest.mark.parametrize(
-    "argv, registered",
+    "argv, fast",
     [
-        (["trace", *BASE, "--pairs", "share"], ["trace"]),
-        (["unit-eq", "--help"], ["unit-eq"]),
-        (["--format", "json", "unit-eq"], ALL_COMMANDS),
-        (["-h", "trace"], ALL_COMMANDS),
-        ([], ALL_COMMANDS),
-        (["--help"], ALL_COMMANDS),
-        (["--version"], ALL_COMMANDS),
-        (["bogus"], ALL_COMMANDS),
+        (["trace", *BASE, "--pairs", "share"], True),
+        (["subspace", "--s=", "--corollary", "--A", "-1", "--B", "1", "--C", "1"], True),
+        (["unit-eq", "--help"], False),
+        (["unit-eq", "--s", "2,3", "--bound", "4", "--bou", "3"], False),
+        (["unit-eq", "--s", "2,3"], False),
+        (["--format", "json", "unit-eq"], False),
+        (["-h", "trace"], False),
+        ([], False),
+        (["--help"], False),
+        (["--version"], False),
+        (["bogus"], False),
+    ],
+    ids=[
+        "trace", "equals_and_negative", "help", "abbreviated", "missing_required",
+        "flag_before_command", "help_before_command", "empty", "top_help", "version",
+        "bogus",
     ],
 )
-def test_parser_registers_argv0_command_alone(argv, registered, tmp_path, capsys, monkeypatch):
+def test_valid_line_builds_no_parser(argv, fast, tmp_path, capsys, monkeypatch):
     built, full = [], []
     init = argparse.ArgumentParser.__init__
 
@@ -738,10 +769,107 @@ def test_parser_registers_argv0_command_alone(argv, registered, tmp_path, capsys
         with contextlib.suppress(SystemExit):  # help, --version and usage errors
             main(main_argv)
         capsys.readouterr()
-        if registered == ALL_COMMANDS:
-            assert full == [ALL_COMMANDS]
+        if fast:
+            assert (built, full) == ([], [])
         else:
-            assert (built, full) == ([f"urskit {name}" for name in registered], [])
+            assert full == [ALL_COMMANDS]
+
+
+# a valid value for each flag that takes one, so that drawn lines often are valid
+GOOD = {"--s": "2,3", "--budget": "1000", "--format": "both", "--out": "r.json",
+        "--digits": "6", "--n": "7", "--m": "1", "--a": "1", "--b": "1/2", "--poly": "x.json",
+        "--height-bound": "10", "--denom-exponent": "2", "--pair-budget": "9",
+        "--workers": "2", "--pairs": "p.json", "--epsilon": "1/3", "--forms": "f.json",
+        "--points": "q.json", "--A": "2", "--B": "3", "--C": "5", "--bound": "4", "--c": "2"}
+VALUES = ("7", "0", "1/2", "2,3", "2,4", "", "json", "both", "6", "18", "x.json", "a b",
+          "1.5", "-", "-1", "-1/2", "-0.5", "--s", "-h")
+STRAYS = ("-h", "--help", "--version", "--", "extra", "--bogus", "--bogus=1", "-x", "-1")
+KINDS = ("separate", "equals") * 5 + ("alone", "abbreviated", "stray")
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, clean): argv drawn from a command's spec, clean when every flag
+    is exact, every value not '-'-led, every store_true flag bare, nothing is
+    left over and every required flag is given."""
+    name = draw(st.sampled_from(ALL_COMMANDS))
+    spec = dict(cli.COMMANDS[name][1])
+    required = [flag for flag, keywords in spec.items() if keywords.get("required")]
+    pieces = []  # (tokens, clean, flag given)
+    if draw(st.integers(0, 3)):
+        pieces += [([flag, GOOD[flag]], True, flag) for flag in required]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(KINDS))
+        flag = draw(st.sampled_from(list(spec)))
+        bare = spec[flag].get("action") == "store_true"
+        value = draw(st.sampled_from(VALUES + (GOOD.get(flag, "1"),) * 20))
+        if kind == "separate":
+            tokens = [flag] if bare else [flag, value]
+            pieces.append((tokens, bare or not value.startswith("-"), flag))
+        elif kind == "equals":
+            pieces.append(([f"{flag}={value}"], not bare and not value.startswith("-"), flag))
+        elif kind == "alone":
+            pieces.append(([flag], bare, flag))
+        elif kind == "abbreviated":
+            cut = draw(st.integers(2, len(flag) - 1))
+            pieces.append(([flag[:cut]] if bare else [flag[:cut], value], False, None))
+        else:
+            pieces.append(([draw(st.sampled_from(STRAYS))], False, None))
+    pieces = draw(st.permutations(pieces))
+    argv = [name, *(token for tokens, _, _ in pieces for token in tokens)]
+    given = {flag for _, _, flag in pieces}
+    clean = all(ok for _, ok, _ in pieces) and given.issuperset(required)
+    return argv, clean
+
+
+# the fast path gives the full parser's namespace or None, and None only
+# where a flag, a value or a required flag is amiss: it cannot silently fall
+# back to the full parser on a clean line argparse accepts
+@settings(max_examples=700, derandomize=True, deadline=None)
+@given(command_lines())
+def test_fast_path_matches_the_full_parser(line):
+    argv, clean = line
+    args = PARSE_INVOKED(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            expected = vars(BUILD_PARSER().parse_args(argv))
+    except SystemExit:
+        expected = None
+    if args is not None:
+        assert vars(args) == expected
+    if clean and expected is not None:
+        assert args is not None
+
+
+VALIDATE = ["validate-poly", "--n", "7", "--m", "1", "--b", "1", "--s", "2,3", "--format", "json"]
+
+
+# lines that differ only in how argparse reads them print the same bytes and
+# exit alike, whichever path reads them: an abbreviation goes to the full
+# parser, a separate negative number stays on the fast path
+@pytest.mark.parametrize(
+    "argv, same_as, fast",
+    [
+        ([*VALIDATE, "--a", "-1"], [*VALIDATE, "--a=-1"], True),
+        ([*VALIDATE, "--a", "1", "--dig", "3"], [*VALIDATE, "--a", "1", "--digits", "3"], False),
+    ],
+    ids=["negative", "abbreviation"],
+)
+def test_lines_read_alike_print_alike(argv, same_as, fast, capsys):
+    assert (PARSE_INVOKED(argv) is not None) == fast
+    assert PARSE_INVOKED(same_as) is not None
+    assert run(argv, capsys) == run(same_as, capsys)
+
+
+# argparse reads a separate '-'-led value only when it looks like a negative
+# number, so -1/2 after --a is a missing value, not a rational
+def test_dash_led_fraction_needs_the_equals_form(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*VALIDATE, "--a", "-1/2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --a: expected one argument\n"
+    )
 
 
 def _golden_text(name):
