@@ -48,7 +48,6 @@ from .subspace import (
     CorollaryRow,
     DefectReport,
     LinearFormSystem,
-    ProjPoint,
     corollary_eval,
     evaluate_conjecture,
     general_position_check,

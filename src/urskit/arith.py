@@ -129,11 +129,10 @@ def _factor_positive(n: int, horizon: int, budget: int) -> tuple[tuple[int, int]
             found[p] = e
     # Every prime factor of cof now lies above min(horizon, 997) and above 5,
     # or cof is 1 or a prime.  `beyond` collects the primes above the horizon
-    # and whatever stays unsplit: the U of `factor`.
-    if horizon < kernel.SMALL_PRIME_BOUND:
-        beyond, pieces = cof, []  # every findable prime is divided out
-    else:
-        beyond, pieces = 1, [cof] if cof > 1 else []
+    # and whatever stays unsplit: the U of `factor`.  At a horizon below 997
+    # no prime factor of cof lies within it, so the loop below only moves the
+    # pieces of cof into `beyond`.
+    beyond, pieces = 1, [cof] if cof > 1 else []
     # Rho finds a prime p in about sqrt(p) steps, so the first term reaches
     # the primes up to the horizon.  The second binds below a horizon of
     # ~2.6 * 10^5 and keeps a rho that gives up to about a tenth of the
@@ -141,7 +140,7 @@ def _factor_positive(n: int, horizon: int, budget: int) -> tuple[tuple[int, int]
     cap = min(4 * isqrt(horizon) + 64, horizon // 128)
     while pieces:
         m = pieces.pop()
-        if m < kernel.CERTIFIED_LIMIT and kernel.is_prime(m):
+        if is_certified_prime(m):
             if m <= horizon:
                 found[m] = found.get(m, 0) + 1
             else:
@@ -153,7 +152,7 @@ def _factor_positive(n: int, horizon: int, budget: int) -> tuple[tuple[int, int]
         else:
             beyond *= m  # no prime factor within the horizon
     if beyond > 1:
-        if not (beyond < kernel.CERTIFIED_LIMIT and kernel.is_prime(beyond)):
+        if not is_certified_prime(beyond):
             raise FactoringBudgetError(beyond, budget)
         found[beyond] = 1
     return tuple(sorted(found.items()))

@@ -19,10 +19,8 @@ registers all seven commands and prints the help, --version and usage errors.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import re
-import shutil
 import sys
 from fractions import Fraction
 from operator import attrgetter, itemgetter
@@ -595,25 +593,20 @@ def _parse_invoked(argv: list[str]):
 def build_parser() -> argparse.ArgumentParser:
     """The full parser, with all seven commands and their arguments, for
     help, --version and usage errors: main builds it only for a command line
-    that _parse_invoked cannot read.
+    that _parse_invoked cannot read.  Help wraps at the width argparse reads
+    itself, from COLUMNS or the terminal, less 2.
     """
-    # HelpFormatter at the width it would read itself, read once: argparse
-    # builds a formatter per add_argument, and each would read it again
-    formatter = functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
-    )
     parser = argparse.ArgumentParser(
         prog="urskit",
         description=(
             "Exact S-unit sharing, heights, truncated counting functions, and "
             "unique-range-set experiments over Q"
         ),
-        formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=f"urskit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, arguments, handler) in COMMANDS.items():
-        command = sub.add_parser(name, help=help_text, formatter_class=formatter)
+        command = sub.add_parser(name, help=help_text)
         for flag, keywords in arguments:
             command.add_argument(flag, **keywords)
         command.set_defaults(func=handler, command=name)

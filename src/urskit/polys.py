@@ -72,9 +72,6 @@ class RatPoly:
             x = Fraction(x)
         return Fraction(*self.evaluate_unreduced(x.numerator, x.denominator))
 
-    def __call__(self, x):
-        return self.evaluate(x)
-
     def __add__(self, other: "RatPoly") -> "RatPoly":
         n = max(len(self.coeffs), len(other.coeffs))
         cs = [Fraction(0)] * n
@@ -83,12 +80,6 @@ class RatPoly:
         for i, c in enumerate(other.coeffs):
             cs[i] += c
         return RatPoly.of(cs)
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + (-other)
 
     def __mul__(self, other: "RatPoly") -> "RatPoly":
         if self.is_zero or other.is_zero:

@@ -112,23 +112,21 @@ def _cell(value) -> str:
 
 def _writer(digits: int, emit):
     """write(value, nl) appends the text of `value` through `emit`; `nl` is
-    a newline plus the indent of the line `value` starts on.  Magnitude text
-    and the plans of classes with a merge field are kept for the life of the
-    writer."""
+    a newline plus the indent of the line `value` starts on.
+
+    `write` alone maps a value's type to its text: the list, dict and
+    dataclass loops emit an item's separator, key or plan prefix and hand the
+    item back to `write`.  What stays cached pays for itself on the `trace`
+    reports: dataclass plans (per class in `_PLANS`; here, for a class with a
+    merge field, per set of merged keys), without which those reports are
+    written about half again as slowly; and the text of each Magnitude per
+    value and indent, kept for the life of the writer, which serves most
+    Magnitude lookups there, as their values recur."""
     scalars = _SCALARS
     magnitudes: dict[tuple[int, str], str] = {}
     # (type, indent, merged keys) -> plan, for classes with a merge field; a
     # plan is built only from string keys, so only string keys find one
     merged_plans: dict[tuple, tuple] = {}
-
-    def magnitude(m: Magnitude, nl: str) -> str:
-        text = magnitudes.get((m.value, nl))
-        if text is None:
-            inner = nl + "  "
-            text = (f'{{{inner}"exact": "{m.value}",{inner}"log": '
-                    f'"{m.log_display(digits)}"{nl}}}')
-            magnitudes[m.value, nl] = text
-        return text
 
     def write(value, nl: str) -> None:
         t = type(value)
@@ -137,7 +135,13 @@ def _writer(digits: int, emit):
             emit(text(value))
             return
         if t is Magnitude:
-            emit(magnitude(value, nl))
+            text = magnitudes.get((value.value, nl))
+            if text is None:
+                inner = nl + "  "
+                text = (f'{{{inner}"exact": "{value.value}",{inner}"log": '
+                        f'"{value.log_display(digits)}"{nl}}}')
+                magnitudes[value.value, nl] = text
+            emit(text)
             return
         if t is tuple or t is list:
             if not value:
@@ -146,14 +150,8 @@ def _writer(digits: int, emit):
             inner = nl + "  "
             sep = "[" + inner
             for item in value:
-                text = scalars.get(type(item))
-                if text is not None:
-                    emit(sep + text(item))
-                elif type(item) is Magnitude:
-                    emit(sep + magnitude(item, inner))
-                else:
-                    emit(sep)
-                    write(item, inner)
+                emit(sep)
+                write(item, inner)
                 sep = "," + inner
             emit(nl + "]")
             return
@@ -164,16 +162,8 @@ def _writer(digits: int, emit):
             inner = nl + "  "
             sep = "{" + inner
             for key in sorted(value):
-                prefix = _key(key)
-                item = value[key]
-                text = scalars.get(type(item))
-                if text is not None:
-                    emit(sep + prefix + text(item))
-                elif type(item) is Magnitude:
-                    emit(sep + prefix + magnitude(item, inner))
-                else:
-                    emit(sep + prefix)
-                    write(item, inner)
+                emit(sep + _key(key))
+                write(value[key], inner)
                 sep = "," + inner
             emit(nl + "}")
             return
@@ -194,16 +184,8 @@ def _writer(digits: int, emit):
         inner = nl + "  "
         for prefix, name, key in entries:
             item = getattr(value, name)
-            if key is not _FIELD:
-                item = item[key]
-            text = scalars.get(type(item))
-            if text is not None:
-                emit(prefix + text(item))
-            elif type(item) is Magnitude:
-                emit(prefix + magnitude(item, inner))
-            else:
-                emit(prefix)
-                write(item, inner)
+            emit(prefix)
+            write(item if key is _FIELD else item[key], inner)
         emit(tail)
 
     return write

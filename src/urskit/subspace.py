@@ -66,9 +66,6 @@ class GeneralPositionResult:
     ok: bool
     witness: tuple[int, ...] | None  # offending index set when not ok
 
-    def __bool__(self):
-        return self.ok
-
 
 def general_position_check(sys: LinearFormSystem) -> GeneralPositionResult:
     """Every (r+1)-subset of forms must be linearly independent."""
@@ -79,15 +76,9 @@ def general_position_check(sys: LinearFormSystem) -> GeneralPositionResult:
     return GeneralPositionResult(True, None)
 
 
-@dataclass(frozen=True)
-class ProjPoint:
-    """Primitive S-integer coordinates: min non-S valuation 0 in every prime."""
-
-    coords: tuple[Fraction, ...]
-
-
-def normalize_point(S: SContext, coords) -> ProjPoint:
-    """Scale away the non-S content so the point becomes primitive.
+def normalize_point(S: SContext, coords) -> tuple[Fraction, ...]:
+    """The coordinates scaled so the point is primitive: the minimum of
+    ord_p over the nonzero coordinates is 0 at every prime p outside S.
 
     Clears denominators outside S and divides by the common non-S content;
     the S-supported scaling freedom is deliberately left untouched.  Needs
@@ -101,16 +92,16 @@ def normalize_point(S: SContext, coords) -> ProjPoint:
         raise ValueError("cannot normalize the zero tuple")
     parts = [non_s_part(S, c) for c in cs if c != 0]
     scale = Fraction(lcm(*(den for _, den in parts)), gcd(*(num for num, _ in parts)))
-    return ProjPoint(tuple(c * scale for c in cs))
+    return tuple(c * scale for c in cs)
 
 
 def check_primitive(S: SContext, coords) -> None:
     """Strict mode: raise unless the tuple is already normalized."""
     point = normalize_point(S, coords)
-    if tuple(Fraction(c) for c in coords) != point.coords:
+    if tuple(Fraction(c) for c in coords) != point:
         raise ValueError(
             "point is not primitive for S = "
-            f"{S}: expected {[rational_str(c) for c in point.coords]}"
+            f"{S}: expected {[rational_str(c) for c in point]}"
         )
 
 
@@ -159,10 +150,9 @@ def evaluate_conjecture(
     for raw in points:
         if strict:
             check_primitive(S, raw)
-            point = ProjPoint(tuple(Fraction(c) for c in raw))
+            coords = tuple(Fraction(c) for c in raw)
         else:
-            point = normalize_point(S, raw)
-        coords = point.coords
+            coords = normalize_point(S, raw)
         hs = tuple(height(c) for c in coords)
         hmax = max(hs)
         values = tuple(sys.apply(i, coords) for i in range(sys.q))

@@ -2,8 +2,8 @@
 run with --format json and compared byte for byte with tests/golden/expected.
 The cases in TABLE_CASES, at least one per command, are also run with
 --format table, pinning the console tables.  The parser's own text (help,
-usage errors) is pinned the same way, with COLUMNS=80 so that help wrapping
-does not depend on the terminal.
+usage errors) is pinned the same way, each case at a fixed COLUMNS (80, and
+40 for two help texts) so that help wrapping does not depend on the terminal.
 
 Each case runs with tests/golden as the working directory, so the file names
 echoed in "config" are relative and the reports are machine-independent.
@@ -155,19 +155,24 @@ TABLE_CASES = [
     "search_su",
 ]
 
-# name -> (argv, the stream the parser writes, exit code)
+# name -> (argv, the stream the parser writes, exit code, COLUMNS)
 TEXT_CASES = {
-    "help": (["--help"], "stdout", 0),
+    "help": (["--help"], "stdout", 0, "80"),
     **{
-        f"help_{name.replace('-', '_')}": ([name, "--help"], "stdout", 0)
+        f"help_{name.replace('-', '_')}": ([name, "--help"], "stdout", 0, "80")
         for name in COMMAND_NAMES
     },
+    # help wraps at the width argparse reads from COLUMNS: a second width
+    "help_narrow": (["--help"], "stdout", 0, "40"),
+    "help_trace_narrow": (["trace", "--help"], "stdout", 0, "40"),
     # a command after the first token: top-level help still lists all seven
-    "help_before_trace": (["-h", "trace"], "stdout", 0),
-    "usage_no_command": ([], "stderr", 2),
-    "usage_bogus": (["bogus"], "stderr", 2),
-    "usage_bogus_flag_trace": (["--bogus", "trace", "--n", "7"], "stderr", 2),
-    "usage_trace_extra": (["trace", *FAM, "--pairs", "pairs.json", "extra"], "stderr", 2),
+    "help_before_trace": (["-h", "trace"], "stdout", 0, "80"),
+    "usage_no_command": ([], "stderr", 2, "80"),
+    "usage_bogus": (["bogus"], "stderr", 2, "80"),
+    "usage_bogus_flag_trace": (["--bogus", "trace", "--n", "7"], "stderr", 2, "80"),
+    "usage_trace_extra": (
+        ["trace", *FAM, "--pairs", "pairs.json", "extra"], "stderr", 2, "80",
+    ),
 }
 
 
@@ -198,7 +203,7 @@ def test_golden_table(name, monkeypatch):
 
 
 def run_text_case(name):
-    argv, stream, _ = TEXT_CASES[name]
+    argv, stream, _, _ = TEXT_CASES[name]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -211,7 +216,7 @@ def run_text_case(name):
 @pytest.mark.parametrize("name", sorted(TEXT_CASES))
 def test_golden_parser_text(name, monkeypatch):
     monkeypatch.chdir(GOLDEN)
-    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("COLUMNS", TEXT_CASES[name][3])
     code, text = run_text_case(name)
     assert code == TEXT_CASES[name][2]
     expected = (GOLDEN / "expected" / f"{name}.txt").read_text(encoding="utf-8")
@@ -228,8 +233,8 @@ if __name__ == "__main__":
         code, text = run_case(case, "table")
         (GOLDEN / "expected" / f"table_{case}.txt").write_text(text, encoding="utf-8")
         print(f"table_{case}: exit {code}, {len(text)} bytes")
-    os.environ["COLUMNS"] = "80"
     for case in sorted(TEXT_CASES):
+        os.environ["COLUMNS"] = TEXT_CASES[case][3]
         code, text = run_text_case(case)
         (GOLDEN / "expected" / f"{case}.txt").write_text(text, encoding="utf-8")
         print(f"{case}: exit {code}, {len(text)} bytes")

@@ -53,7 +53,7 @@ def test_form_system_shape_validation():
     ],
 )
 def test_normalize_examples(coords, expected):
-    assert json.loads(stable_json(normalize_point(S23, coords).coords)) == expected
+    assert json.loads(stable_json(normalize_point(S23, coords))) == expected
 
 
 def _normalize_oracle(S, coords):
@@ -87,7 +87,7 @@ coords_strategy = st.lists(
 def test_normalize_matches_profile_oracle(primes, coords):
     assume(any(c != 0 for c in coords))
     S = SContext.of(primes)
-    assert normalize_point(S, coords).coords == _normalize_oracle(S, coords)
+    assert normalize_point(S, coords) == _normalize_oracle(S, coords)
 
 
 def test_normalize_zero_tuple_error():
@@ -98,7 +98,7 @@ def test_normalize_zero_tuple_error():
 def test_normalize_idempotent():
     for coords in [(F(7), F(35)), (F(1, 7), F(2)), (F(50), F(15), F(10))]:
         once = normalize_point(S23, coords)
-        twice = normalize_point(S23, once.coords)
+        twice = normalize_point(S23, once)
         assert once == twice
 
 
