@@ -9,16 +9,24 @@ Each case runs with tests/golden as the working directory, so the file names
 echoed in "config" are relative and the reports are machine-independent.
 After a deliberate format change, regenerate with `python tests/test_golden.py`
 and review the diff.
+
+`case_classify`, which no command calls yet, is pinned the same way: its
+reports over CASE_CORPUS, one stable_json text, in case_classify.json.
 """
 
 import io
 import os
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from urskit.arith import SContext
 from urskit.cli import main
+from urskit.polys import TrinomialFamily
+from urskit.report import stable_json
+from urskit.trace import build_trace_rows, case_classify, dependence_detect
 
 COMMAND_NAMES = [
     "validate-poly", "share", "trace", "subspace", "unit-eq", "search-shared", "search-su",
@@ -108,6 +116,14 @@ CASES = {
          "corollary_pairs.json", "--s", "2,3"],
         1,
     ),
+    # abc calibration: with S empty, (x0, x1, x0+x1) at (a, -c), a + b = c,
+    # tests (1 - eps)*log max(|a|, c) <= log rad(abc).  Reyssat's triple
+    # (quality 1.62991) is violated at 385/1000, de Weger's (1.62599) holds
+    "subspace_abc": (
+        ["subspace", "--forms", "forms.json", "--points", "abc_points.json", "--s", "",
+         "--epsilon", "385/1000"],
+        1,
+    ),
     "unit_eq": (["unit-eq", "--s", "2,3", "--bound", "4"], 0),
     "search_shared": (["search-shared", *FAM, "--height-bound", "30"], 0),
     "search_shared_denom": (
@@ -176,6 +192,51 @@ TEXT_CASES = {
 }
 
 
+# one triple per branch: c1_zero degenerate (two) and not (two; w(1) = 2 on
+# X^7+X^6+1), inconsistent_C2_C3_zero, C2_C3_nonzero (two), C2_zero with
+# b/C3 = 2b and 5b/4, C3_zero (two)
+BRANCH_TRIPLES = (
+    ("0", "1", "0"), ("0", "0", "1"), ("0", "1", "-1"), ("0", "2", "-1"),
+    ("1", "1", "1"), ("1", "0", "0"), ("2", "1", "-1"), ("1", "1", "1/2"),
+    ("1", "1", "1/5"), ("1", "1/2", "1"), ("1", "0", "1"),
+)
+
+# name -> (primes of S, family (n, m, a, b), pairs); each case runs
+# BRANCH_TRIPLES and the dependence basis of its rows.  On X^7-2X^6+1, (1, 2)
+# has u = 0 and (2, 1), (0, 1), (1, 1) no unit, as P(1) = 0; on X^5-3X^3+2
+# so do (2, 1) and (1, 1); (0, -1) and (1, 0) have a vanishing shift or w;
+# S = {} and {5} leave b/C3 = 2b no S-unit
+CASE_CORPUS = {
+    "trace_s23": (
+        (2, 3), (7, 1, "1", "1"),
+        "2 3  1/2 3  3 3  -1 2  5 7  0 -1  1 0  4/3 2/9  -2 6  1 1  1/2 1/2",
+    ),
+    "diagonal_s23": ((2, 3), (7, 1, "1", "1"), "2 2  -1 -1  1/2 1/2  3 3  0 -1"),
+    "diagonal_s_empty": ((), (7, 1, "1", "1"), "2 2  -1 -1  3 3  0 -1  1 1  2 3"),
+    "vanishing_s23": (
+        (2, 3), (7, 1, "-2", "1"), "0 1  1 1  1 2  2 1  0 0  2 -1/2  1 0  -1 -1",
+    ),
+    "vanishing_s5": ((5,), (5, 2, "-3", "2"), "1 2  2 1  1 1  1/5 1/5  3 3  -2 2  0 5"),
+    # a nullity-2 basis: relations that hold on every row
+    "one_row_s23": ((2, 3), (7, 1, "1", "1"), "3 3"),
+    # a = 5 is no S-unit, so no S-unit equation pair is in the enumeration
+    "shift_unit_s23": ((2, 3), (4, 1, "5", "1"), "1 1  -1 3"),
+}
+
+
+def case_classify_text():
+    reports = {}
+    for name, (primes, (n, m, a, b), pairs) in CASE_CORPUS.items():
+        S = SContext.of(primes)
+        fam = TrinomialFamily(n, m, Fraction(a), Fraction(b))
+        pairs = [tuple(map(Fraction, pair.split())) for pair in pairs.split("  ")]
+        rows, _ = build_trace_rows(S, fam, pairs)
+        triples = [tuple(map(Fraction, t)) for t in BRANCH_TRIPLES]
+        triples += dependence_detect(rows).basis
+        reports[name] = [case_classify(S, fam, t, rows) for t in triples]
+    return stable_json(reports)
+
+
 def run_case(name, fmt="json"):
     argv, _ = CASES[name]
     out = io.StringIO()
@@ -223,7 +284,14 @@ def test_golden_parser_text(name, monkeypatch):
     assert text == expected
 
 
+def test_golden_case_classify():
+    expected = (GOLDEN / "expected" / "case_classify.json").read_text(encoding="utf-8")
+    assert case_classify_text() == expected
+
+
 if __name__ == "__main__":
+    (GOLDEN / "expected" / "case_classify.json").write_text(case_classify_text(),
+                                                              encoding="utf-8")
     os.chdir(GOLDEN)
     for case in sorted(CASES):
         code, text = run_case(case)
