@@ -82,6 +82,7 @@ class ScaledLog:
         return self.coefficient == 0 or self.base.is_zero_quantity
 
     def log_display(self, digits: int = DEFAULT_DISPLAY_DIGITS) -> str:
+        _check_digits(digits)
         log_base = math.log(self.base.value)
         try:
             val = float(self.coefficient) * log_base
@@ -174,8 +175,13 @@ def cmp_scaled(lhs: ScaledLog, rhs: ScaledLog) -> int:
     return (left > right) - (left < right)
 
 
-def display_log(m: Magnitude, digits: int = DEFAULT_DISPLAY_DIGITS) -> str:
-    """Decimal approximation of log(value), display-only (natural log)."""
+def _check_digits(digits: int) -> None:
+    """The decimal places of every display-only log: at least 1."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
+
+
+def display_log(m: Magnitude, digits: int = DEFAULT_DISPLAY_DIGITS) -> str:
+    """Decimal approximation of log(value), display-only (natural log)."""
+    _check_digits(digits)
     return f"{math.log(m.value):.{digits}f}"

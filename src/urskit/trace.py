@@ -493,7 +493,7 @@ def main_inequality_report(
             out.append(RowCheck(row.x, row.y, None, error="unit undefined on this row"))
             continue
         detail: dict = {}
-        checks = []
+        ok = None  # the eta floor, where the conjectural step ran
         # conjectural step on this row
         if (
             not row.shares
@@ -516,30 +516,18 @@ def main_inequality_report(
                 cmp = cmp_scaled(ScaledLog(one_minus, hmax), ScaledLog(Fraction(1), rhs))
                 detail["conjectural_step"] = "holds" if cmp <= 0 else "violated"
             # eta height floor with the explicit constant
-            floor_ok = row.h_eta.value * c_eta >= row.h_x.value**n
-            detail["eta_floor_ok"] = floor_ok
-            checks.append(floor_ok)
+            ok = detail["eta_floor_ok"] = row.h_eta.value * c_eta >= row.h_x.value**n
         # derived comparison (n-eps) h(x) vs (2+m)(h(x)+h(y))
         h_xy = row.h_x * row.h_y
         if n_eps < 0:
             detail["derived_step"] = "holds"
         else:
-            cmp = cmp_scaled(
-                ScaledLog(n_eps, row.h_x),
-                ScaledLog(two_m, h_xy),
-            )
-            detail["derived_step"] = (
-                "holds" if cmp <= 0 else "exceeds"
-            )
+            cmp = cmp_scaled(ScaledLog(n_eps, row.h_x), ScaledLog(two_m, h_xy))
+            detail["derived_step"] = "holds" if cmp <= 0 else "exceeds"
         if ceiling is not None:
-            over = (
-                cmp_scaled(
-                    ScaledLog(Fraction(1), h_xy), ceiling
-                )
-                == GREATER
-            )
+            over = cmp_scaled(ScaledLog(Fraction(1), h_xy), ceiling) == GREATER
             detail["exceeds_ceiling"] = over
-        out.append(RowCheck(row.x, row.y, all(checks) if checks else None, detail))
+        out.append(RowCheck(row.x, row.y, ok, detail))
     notes = (
         "ceiling H* assumes the conjectural step at eps/n for both pair "
         "orientations; rows with h(x)+h(y) > H* would contradict n > 2m+4",
@@ -595,198 +583,160 @@ class CaseReport:
 
 
 def case_classify(S: SContext, fam: TrinomialFamily, triple, rows) -> CaseReport:
-    """Label the dependence-relation branch and verify its displayed relation
-    exactly on each row, with the branch's diagnostic quantities."""
+    """Label the branch of the relation c1*eta + c2*u + c3*zeta = 0 and
+    verify it exactly on each row, with the branch's diagnostic quantities.
+
+    The branches: c1_zero (degenerate when c2 or c3 is 0 too), and with
+    C2 = 1 - c2/c1 and C3 = 1 - c3/c1, inconsistent_C2_C3_zero,
+    C2_C3_nonzero, C2_zero and C3_zero.  Rows without a unit are left out,
+    where the four CLI checks list them as skipped.  C2_C3_nonzero and
+    C2_zero divide by u, so they report a row with u = 0 as an error holding
+    only relation_ok.  w(y) is _w(y), times b where a branch reports
+    y^(n-m)*(y^m+a); build_trace_rows gives no row a unit when b = 0."""
     c1, c2, c3 = (Fraction(c) for c in triple)
     if c1 == c2 == c3 == 0:
         raise ValueError("the all-zero triple carries no relation")
-    usable = [r for r in rows if r.u is not None]
-
-    def relation_ok(r):
-        return c1 * r.eta + c2 * Fraction(r.u) + c3 * r.zeta == 0
-
-    notes: list[str] = []
-    out: list[RowCheck] = []
     coeffs: dict = {"c1": rational_str(c1), "c2": rational_str(c2), "c3": rational_str(c3)}
     constants: dict = {}
+    u_zero_error = None  # the error text of a u = 0 row, where the branch divides by u
 
+    # each branch sets its notes and check(row, relation_ok) -> (ok, detail)
     if c1 == 0:
         branch = "c1_zero"
         if c2 == 0 or c3 == 0:
-            notes.append(
+            notes = (
                 "degenerate sub-case: a single nonzero coefficient forces the "
-                "corresponding auxiliary value to vanish identically"
+                "corresponding auxiliary value to vanish identically",
             )
-            for r in usable:
-                out.append(RowCheck(r.x, r.y, relation_ok(r), {"relation_ok": relation_ok(r)}))
+
+            def check(r, rel):
+                return rel, {}
         else:
             constant = -fam.b * c2 / c3
             coeffs["expected_w"] = rational_str(constant)
-            notes.append(
+            notes = (
                 "relation pins w = y^(n-m)*(y^m+a) to a constant, so only "
-                "finitely many y can occur; unbounded heights are impossible"
+                "finitely many y can occur; unbounded heights are impossible",
             )
-            for r in usable:
-                rel = relation_ok(r)
-                w = r.y ** (fam.n - fam.m) * (r.y**fam.m + fam.a)
+
+            def check(r, rel):
+                w = _w(fam, r.y) * fam.b
                 match = w == constant
-                out.append(
-                    RowCheck(
-                        r.x,
-                        r.y,
-                        (not rel) or match,
-                        {"relation_ok": rel, "w": rational_str(w), "w_matches_constant": match},
-                    )
-                )
-        return CaseReport(branch, (c1, c2, c3), coeffs, constants, tuple(out), tuple(notes))
-
-    C2 = 1 - c2 / c1
-    C3 = 1 - c3 / c1
-    coeffs["C2"] = rational_str(C2)
-    coeffs["C3"] = rational_str(C3)
-
-    if C2 == 0 and C3 == 0:
-        branch = "inconsistent_C2_C3_zero"
-        notes.append(
-            "C2 = C3 = 0 makes the relation contradict eta + u + zeta = 1; "
-            "no row can satisfy both unless degenerate"
-        )
-        for r in usable:
-            rel = relation_ok(r)
-            both = rel and bool(r.identity_ok)
-            out.append(
-                RowCheck(
-                    r.x, r.y, not both,
-                    {"relation_ok": rel, "identity_ok": r.identity_ok,
-                     "inconsistent_row": both},
-                )
+                return (not rel) or match, {"w": rational_str(w), "w_matches_constant": match}
+    else:
+        C2 = 1 - c2 / c1
+        C3 = 1 - c3 / c1
+        coeffs["C2"] = rational_str(C2)
+        coeffs["C3"] = rational_str(C3)
+        if C2 == 0 and C3 == 0:
+            branch = "inconsistent_C2_C3_zero"
+            notes = (
+                "C2 = C3 = 0 makes the relation contradict eta + u + zeta = 1; "
+                "no row can satisfy both unless degenerate",
             )
-    elif C2 != 0 and C3 != 0:
-        branch = "C2_C3_nonzero"
-        c_a = shift_height_constant(fam.a)
-        c_eta = eta_height_constant(fam)
-        constants = {"C_a": c_a, "C_eta": c_eta}
-        notes.append(
-            "two-term unit relation C3*(zeta/u) - 1/u = -C2 feeds the "
-            "two-variable inequality; h(zeta/u) grows like n*h(y) while its "
-            "truncated counting is bounded at (m+1)*h(y) scale"
-        )
-        for r in usable:
-            rel = relation_ok(r)
-            if r.u == 0:
-                out.append(RowCheck(r.x, r.y, None, {"relation_ok": rel},
-                                    error="u = 0; unit relation undefined"))
-                continue
-            u = Fraction(r.u)
-            unit_rel = C3 * r.zeta / u - 1 / u == -C2
-            w = r.zeta / u
-            w_formula = w == (r.y ** (fam.n - fam.m)) * (r.y**fam.m + fam.a) / fam.b
-            detail = {
-                "relation_ok": rel,
-                "unit_relation_ok": (not rel) or unit_rel,
-                "w": rational_str(w),
-                "w_formula_ok": w_formula,
-            }
-            checks = [w_formula, (not rel) or unit_rel]
-            if w != 0 and r.y != 0 and r.y**fam.m + fam.a != 0:
+
+            def check(r, rel):
+                both = rel and bool(r.identity_ok)
+                return not both, {"identity_ok": r.identity_ok, "inconsistent_row": both}
+        elif C2 != 0 and C3 != 0:
+            branch = "C2_C3_nonzero"
+            u_zero_error = "u = 0; unit relation undefined"
+            c_a = shift_height_constant(fam.a)
+            c_eta = eta_height_constant(fam)
+            constants = {"C_a": c_a, "C_eta": c_eta}
+            notes = (
+                "two-term unit relation C3*(zeta/u) - 1/u = -C2 feeds the "
+                "two-variable inequality; h(zeta/u) grows like n*h(y) while its "
+                "truncated counting is bounded at (m+1)*h(y) scale",
+            )
+
+            def check(r, rel):
+                w = r.zeta / r.u
+                unit_ok = (not rel) or C3 * w - 1 / r.u == -C2
+                w_formula = w == _w(fam, r.y)
+                detail = {"unit_relation_ok": unit_ok, "w": rational_str(w),
+                          "w_formula_ok": w_formula}
+                shift = r.y**fam.m + fam.a
+                if w == 0 or r.y == 0 or shift == 0:
+                    detail["diagnostics"] = "skipped (vanishing w or shifted term)"
+                    return w_formula and unit_ok, detail
                 n1_w = counting_trunc(S, 1, w)
                 n1_y = counting_trunc(S, 1, r.y)
-                n1_shift = counting_trunc(S, 1, r.y**fam.m + fam.a)
-                trunc_ok = n1_w.value <= n1_y.value * n1_shift.value
-                h_w = height(w)
-                floor_ok = h_w.value * c_eta >= r.h_y.value**fam.n
+                trunc_ok = n1_w.value <= n1_y.value * counting_trunc(S, 1, shift).value
+                floor_ok = height(w).value * c_eta >= r.h_y.value**fam.n
                 scale = cmp_scaled(
                     ScaledLog(Fraction(fam.n), r.h_y),
                     ScaledLog(Fraction(1), Magnitude(c_a) * r.h_y.pow(fam.m + 1)),
                 )
-                detail.update(
-                    {
-                        "n1_w": str(n1_w.value),
-                        "trunc_product_ok": trunc_ok,
-                        "w_height_floor_ok": floor_ok,
-                        "growth_scale_cmp": {-1: "below", 0: "equal", 1: "above"}[scale],
-                    }
-                )
-                checks.extend([trunc_ok, floor_ok])
-            else:
-                detail["diagnostics"] = "skipped (vanishing w or shifted term)"
-            out.append(RowCheck(r.x, r.y, all(checks), detail))
-    elif C2 == 0:
-        branch = "C2_zero"
-        expected = fam.b / C3
-        coeffs["b_over_C3"] = rational_str(expected)
-        b_unit = is_s_unit(S, expected)
-        constants["b_over_C3_is_s_unit"] = b_unit
-        if not b_unit:
-            notes.append(
+                detail["n1_w"] = str(n1_w.value)
+                detail["trunc_product_ok"] = trunc_ok
+                detail["w_height_floor_ok"] = floor_ok
+                detail["growth_scale_cmp"] = ("below", "equal", "above")[scale + 1]
+                return w_formula and unit_ok and trunc_ok and floor_ok, detail
+        elif C2 == 0:
+            branch = "C2_zero"
+            u_zero_error = "u = 0; displayed relation undefined"
+            expected = fam.b / C3
+            coeffs["b_over_C3"] = rational_str(expected)
+            b_unit = is_s_unit(S, expected)
+            constants["b_over_C3_is_s_unit"] = b_unit
+            notes = () if b_unit else (
                 "b/C3 is not an S-unit for this S; the argument would enlarge "
-                "S until it is"
+                "S until it is",
             )
-        notes.append(
-            "forces y and y^m+a to be S-units; cross-referenced against the "
-            "S-unit equation enumeration"
-        )
-        for r in usable:
-            rel = relation_ok(r)
-            if r.u == 0:
-                out.append(RowCheck(r.x, r.y, None, {"relation_ok": rel},
-                                    error="u = 0; displayed relation undefined"))
-                continue
-            u = Fraction(r.u)
-            lhs = r.y ** (fam.n - fam.m) * (r.y**fam.m + fam.a)
-            displayed = lhs == expected / u
-            y_unit = is_s_unit(S, r.y)
-            shift = r.y**fam.m + fam.a
-            shift_unit = is_s_unit(S, shift)
-            detail = {
-                "relation_ok": rel,
-                "displayed_relation_ok": (not rel) or displayed,
-                "y_is_s_unit": y_unit,
-                "y_shift_is_s_unit": shift_unit,
-            }
-            checks = [(not rel) or displayed]
-            if y_unit and shift_unit and fam.a != 0:
-                pair = (-(r.y**fam.m) / fam.a, shift / fam.a)
-                bound = max(
-                    (abs(ord_at(p, pair[0])) for p in S.primes), default=0
-                )
+            notes += (
+                "forces y and y^m+a to be S-units; cross-referenced against the "
+                "S-unit equation enumeration",
+            )
+
+            def check(r, rel):
+                displayed = (not rel) or _w(fam, r.y) * fam.b == expected / r.u
+                shift = r.y**fam.m + fam.a
+                y_unit, shift_unit = is_s_unit(S, r.y), is_s_unit(S, shift)
+                detail = {"displayed_relation_ok": displayed, "y_is_s_unit": y_unit,
+                          "y_shift_is_s_unit": shift_unit}
+                if not (y_unit and shift_unit and fam.a != 0):
+                    return displayed, detail
+                u0 = -(r.y**fam.m) / fam.a
                 # The enumeration up to this bound holds every S-unit u with
                 # |ord_p(u)| <= bound, u0 among them when it is an S-unit; so
                 # membership is the S-unit test on both sides.
-                member = is_s_unit(S, pair[0]) and is_s_unit(S, 1 - pair[0])
-                detail["unit_equation_pair"] = [rational_str(pair[0]), rational_str(pair[1])]
-                detail["unit_equation_bound"] = bound
-                detail["in_enumeration"] = member
-                checks.append(member)
-            out.append(RowCheck(r.x, r.y, all(checks), detail))
-    else:
-        branch = "C3_zero"
-        u_expected = 1 / C2
-        coeffs["u_expected"] = rational_str(u_expected)
-        notes.append(
-            "constant unit forces P(x) = c*P(y) with c = 1/C2; off-diagonal "
-            "rows below are candidate strong-uniqueness counterexamples "
-            "(feed them to the search)"
-        )
-        P = fam.polynomial()
-        for r in usable:
-            rel = relation_ok(r)
-            matches = Fraction(r.u) == u_expected
-            su_rel = P.evaluate(r.x) == u_expected * P.evaluate(r.y)
-            out.append(
-                RowCheck(
-                    r.x,
-                    r.y,
-                    (not rel) or (matches and su_rel),
-                    {
-                        "relation_ok": rel,
-                        "u_matches_constant": matches,
-                        "scaled_value_relation_ok": su_rel,
-                        "off_diagonal": r.x != r.y,
-                    },
+                member = is_s_unit(S, u0) and is_s_unit(S, 1 - u0)
+                detail["unit_equation_pair"] = [rational_str(u0), rational_str(shift / fam.a)]
+                detail["unit_equation_bound"] = max(
+                    (abs(ord_at(p, u0)) for p in S.primes), default=0
                 )
+                detail["in_enumeration"] = member
+                return displayed and member, detail
+        else:
+            branch = "C3_zero"
+            u_expected = 1 / C2
+            coeffs["u_expected"] = rational_str(u_expected)
+            notes = (
+                "constant unit forces P(x) = c*P(y) with c = 1/C2; off-diagonal "
+                "rows below are candidate strong-uniqueness counterexamples "
+                "(feed them to the search)",
             )
-    return CaseReport(branch, (c1, c2, c3), coeffs, constants, tuple(out), tuple(notes))
+            P = fam.polynomial()
+
+            def check(r, rel):
+                matches = r.u == u_expected
+                su_rel = P.evaluate(r.x) == u_expected * P.evaluate(r.y)
+                detail = {"u_matches_constant": matches, "scaled_value_relation_ok": su_rel,
+                          "off_diagonal": r.x != r.y}
+                return (not rel) or (matches and su_rel), detail
+
+    out = []
+    for r in rows:
+        if r.u is None:
+            continue
+        rel = c1 * r.eta + c2 * r.u + c3 * r.zeta == 0
+        if r.u == 0 and u_zero_error is not None:
+            out.append(RowCheck(r.x, r.y, None, {"relation_ok": rel}, error=u_zero_error))
+            continue
+        ok, detail = check(r, rel)
+        out.append(RowCheck(r.x, r.y, ok, {"relation_ok": rel, **detail}))
+    return CaseReport(branch, (c1, c2, c3), coeffs, constants, tuple(out), notes)
 
 
 def strong_uniqueness_search(

@@ -417,6 +417,22 @@ def test_display_log_handles_wide_integers():
     assert display_log(Magnitude(2**5000), 2) == f"{5000 * 0.6931471805599453:.2f}"
 
 
+@pytest.mark.parametrize("digits", [0, -1])
+@pytest.mark.parametrize(
+    "show",
+    [
+        lambda d: display_log(Magnitude(3), d),
+        lambda d: Magnitude(3).log_display(d),
+        lambda d: ScaledLog(F(1), Magnitude(3)).log_display(d),  # the float path
+        lambda d: ScaledLog(F(10**400), Magnitude(2)).log_display(d),  # past its range
+    ],
+    ids=["display_log", "magnitude", "scaled_log_float", "scaled_log_past_float"],
+)
+def test_log_display_rejects_digits_below_one(show, digits):
+    with pytest.raises(ValueError, match="digits must be >= 1"):
+        show(digits)
+
+
 def test_scaled_log_display_past_the_float_range():
     log2 = F(math.log(2))  # the float log that the display rounds from
     # within the float range the float's own decimal expansion is kept

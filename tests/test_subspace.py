@@ -3,6 +3,7 @@ verdicts, and the two-variable delegation."""
 
 import json
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -189,6 +190,77 @@ def test_s_unit_scaling_fixes_counting_side():
     scaled = evaluate_conjecture(S23, FORMS_3, F(1, 10), [(F(1024), F(5120))])[0]
     assert base.rhs == scaled.rhs
     assert base.form_counts == scaled.form_counts
+
+
+# --- abc calibration ----------------------------------------------------------
+# With r = 1 and the forms (x0, x1, x0+x1), the point (a, -c) with a + b = c
+# and gcd(a, b) = 1 is tested as (1 - eps)*log max(|a|, |c|) <= log rad(abc),
+# rad over the primes outside S: the abc conjecture with its constant dropped.
+
+REYSSAT = (F(2), F(-6436343))  # 2 + 3^10*109 = 23^5, quality 1.62991
+DE_WEGER = (F(121), F(-48234496))  # 11^2 + 3^2*5^6*7^3 = 2^21*23, quality 1.62599
+
+
+@pytest.mark.parametrize(
+    "eps, verdicts",
+    [
+        (F(38, 100), [VIOLATED, VIOLATED]),
+        (F(385, 1000), [VIOLATED, HOLDS]),  # between 1 - 1/quality of each
+        (F(39, 100), [HOLDS, HOLDS]),
+    ],
+)
+def test_abc_calibration_points(eps, verdicts):
+    reports = evaluate_conjecture(SContext.of([]), FORMS_3, eps, [REYSSAT, DE_WEGER])
+    assert [r.verdict for r in reports] == verdicts
+    assert [r.rhs.value for r in reports] == [15042, 53130]  # rad(abc)
+
+
+def _radical_outside(primes, n):
+    """The product of the primes outside `primes` dividing n != 0, by trial
+    division."""
+    n, rad, p = abs(n), 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            rad *= 1 if p in primes else p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return rad * (1 if n == 1 or n in primes else n)
+
+
+def _smooth(sign, exponents):
+    """sign * 2^e0 * 3^e1 * 5^e2 * 7^e3: a small radical."""
+    out = sign
+    for p, e in zip((2, 3, 5, 7), exponents):
+        out *= p**e
+    return out
+
+
+# smooth a and b give small radicals, so both verdicts occur
+_ABC_TERMS = st.one_of(
+    st.integers(-(10**5), 10**5),
+    st.builds(_smooth, st.sampled_from((1, -1)),
+              st.lists(st.integers(0, 4), min_size=4, max_size=4)),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.sets(st.sampled_from([2, 3, 5, 7]), max_size=3),
+    _ABC_TERMS,
+    _ABC_TERMS,
+    st.integers(1, 100),
+    st.integers(0, 100),
+)
+def test_abc_verdict_matches_integer_oracle(primes, a, b, D, N):
+    c = a + b
+    assume(a != 0 and b != 0 and c != 0 and gcd(a, b) == 1)
+    (report,) = evaluate_conjecture(SContext.of(primes), FORMS_3, F(N, D), [(F(a), F(-c))])
+    rad = _radical_outside(primes, a) * _radical_outside(primes, b) * _radical_outside(primes, c)
+    assert report.rhs.value == rad
+    # (1 - N/D)*log H > log rad, raised to the D-th power; F keeps D - N < 0 exact
+    violated = F(max(abs(a), abs(c))) ** (D - N) > rad**D
+    assert report.verdict == (VIOLATED if violated else HOLDS)
 
 
 # --- corollary mode -----------------------------------------------------------
