@@ -1,5 +1,5 @@
-"""Integer kernel: deterministic primality, wheel trial division, and
-Brent's variant of Pollard's rho for splitting composites.
+"""Integer kernel: deterministic primality, wheel trial division, integer
+roots, and Brent's variant of Pollard's rho for splitting composites.
 
 `BACKEND` names the implementation in every report's artifact envelope.
 """
@@ -9,10 +9,12 @@ from math import gcd, isqrt
 
 BACKEND = "pure"
 
-# Deterministic Miller-Rabin witness set, valid for n < 3_317_044_064_679_887_385_961_981.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set: the first 13 primes certify every
+# n < CERTIFIED_LIMIT = psi_13 (Sorenson & Webster 2017).  The first 12 stop
+# at psi_12 = 318665857834031151167461, a strong pseudoprime to all of them.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# Largest n for which the witness set above is a primality certificate.
+# The bound below which the witness set above is a primality certificate.
 CERTIFIED_LIMIT = 3_317_044_064_679_887_385_961_981
 
 # mod-30 wheel: gaps between candidate divisors starting at 7.
@@ -38,10 +40,14 @@ SMALL_PRIMES = _primes_below(SMALL_PRIME_BOUND)
 
 
 def is_prime(n):
-    """Deterministic primality for 0 <= n < CERTIFIED_LIMIT."""
+    """Deterministic primality for 0 <= n < CERTIFIED_LIMIT (~3.3 * 10^24).
+
+    Strong probable-prime tests to the 13 witnesses 2, ..., 41 decide every n
+    in that range; at or above it, a True is not a proof.
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -86,6 +92,20 @@ def smallest_factor_below(n, limit):
         d += _WHEEL[i]
         i = (i + 1) & 7
     return 0
+
+
+def iroot(n, k):
+    """floor(n ** (1/k)) for n >= 0 and k >= 1, by Newton's method in integers."""
+    if k == 1 or n < 2:
+        return n
+    if k == 2:
+        return isqrt(n)
+    r = 1 << -(-n.bit_length() // k)  # above the root: n < 2**bit_length
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def rho_split(n, cap):

@@ -13,11 +13,22 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, prod
 
 from . import _kernel as kernel
 
 DEFAULT_FACTORING_BUDGET = 10**12
+
+# `truncated_radical` divides out the primes below TRIAL_BOUND, the cube root
+# of the default budget, so a level-1 count of anything up to that budget
+# needs no rho.  It does so in two stages, (bound, product of the primes from
+# the previous bound up to this one): most values are decided after the
+# first, whose product has a tenth of the bits.
+TRIAL_BOUND = 10**4
+_TRIAL_STAGES = (
+    (kernel.SMALL_PRIME_BOUND, prod(kernel.SMALL_PRIMES)),
+    (TRIAL_BOUND, prod(kernel._primes_below(TRIAL_BOUND)[len(kernel.SMALL_PRIMES):])),
+)
 
 
 class UrskitError(Exception):
@@ -173,6 +184,37 @@ def factor(n: int, budget: int = DEFAULT_FACTORING_BUDGET) -> Factorization:
         raise ValueError("cannot factor zero")
     sign = 1 if n > 0 else -1
     return Factorization(sign, _factor_positive(abs(n), isqrt(budget), budget))
+
+
+def truncated_radical(n: int, level: int, budget: int = DEFAULT_FACTORING_BUDGET) -> int:
+    """The product of p**min(e, level) over the prime powers p**e of n >= 1.
+
+    Equal to that product over `factor(n, budget)`, with a
+    FactoringBudgetError on exactly the same n, but mostly without factoring.
+    Each stage finds the primes below its bound B that divide n by one gcd
+    with their product, and caps and strips their powers by more gcds.
+    Every prime factor of what is left, U, lies above B.  So if
+    U < B**(level + 2), U has at most level + 1 prime factors, and an
+    exponent can pass the level only when U = r**(level + 1), r prime.  If
+    moreover the primes below B are within the horizon (isqrt(budget) >= B)
+    and U <= budget, at most one prime factor of U lies beyond the horizon,
+    so `factor` would succeed.  What no stage decides is factored.
+    """
+    capped, rest = 1, n
+    for bound, product in _TRIAL_STAGES:
+        if budget < bound * bound:  # isqrt(budget) < bound
+            break
+        layer, depth = gcd(rest, product), 0
+        while layer > 1:  # the primes of this stage with exponent > depth
+            if depth < level:
+                capped *= layer
+            rest //= layer
+            layer = gcd(rest, layer)
+            depth += 1
+        if rest <= budget and rest < bound ** (level + 2) and rest < kernel.CERTIFIED_LIMIT:
+            root = kernel.iroot(rest, level + 1)
+            return capped * (root**level if root ** (level + 1) == rest else rest)
+    return prod(p ** min(e, level) for p, e in factor(n, budget).factors)
 
 
 def ord_at(p: int, x: Fraction) -> int:

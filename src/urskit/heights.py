@@ -1,9 +1,11 @@
 """Heights, counting functions, truncated counting functions, and the exact
 comparator for rational multiples of logarithms.
 
-Only the truncated count needs the prime factorization of a value, so it
-alone is held to the S-context's factoring budget; the untruncated count is
-the non-S part of the numerator and never factors.
+Only the truncated count depends on the primes of a value, so it alone is
+held to the S-context's factoring budget.  It caps multiplicities through
+`arith.truncated_radical`, which factors only what its gcd and integer-root
+stages leave, and fails on exactly the values `factor` fails on.  The
+untruncated count is the non-S part of the numerator and never factors.
 
 A `Magnitude` stores the positive integer M and *means* log M; multiplying
 Magnitudes adds the underlying log values with no rounding.  Every inequality
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import SContext, factor, _strip_supported
+from .arith import SContext, _strip_supported, truncated_radical
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -126,7 +128,10 @@ def counting(S: SContext, x: Fraction) -> Magnitude:
 def counting_trunc(S: SContext, level: int, x: Fraction) -> Magnitude:
     """Counting function with each multiplicity capped at `level`.
 
-    Factors the non-S part of the numerator, within the budget of S.
+    The non-S part of the numerator, each prime's exponent capped at `level`,
+    from `truncated_radical`.  That factors only what its gcd and
+    integer-root stages leave undecided, within the budget of S, and raises
+    FactoringBudgetError exactly where `factor` does.
     """
     if level < 1:
         raise ValueError("truncation level must be a positive integer")
@@ -137,10 +142,7 @@ def counting_trunc(S: SContext, level: int, x: Fraction) -> Magnitude:
     non_s = _strip_supported(abs(x.numerator), S.primes)
     if non_s == 1:  # an S-unit numerator: nothing to factor
         return Magnitude(1)
-    capped = 1
-    for p, e in factor(non_s, S.factoring_budget).factors:
-        capped *= p ** min(e, level)
-    return Magnitude(capped)
+    return Magnitude(truncated_radical(non_s, level, S.factoring_budget))
 
 
 def cmp_scaled(lhs: ScaledLog, rhs: ScaledLog) -> int:

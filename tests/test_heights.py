@@ -9,8 +9,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from urskit import heights, subspace
-from urskit.arith import FactoringBudgetError, SContext, factor, is_s_integer, non_s_part
+from urskit import _kernel, arith, heights, subspace
+from urskit.arith import (
+    TRIAL_BOUND,
+    FactoringBudgetError,
+    SContext,
+    factor,
+    is_s_integer,
+    non_s_part,
+    truncated_radical,
+)
 from urskit.heights import (
     EQUAL,
     GREATER,
@@ -107,12 +115,12 @@ def test_counting_trunc_examples(level, x, expected):
 
 def test_counting_trunc_factors_nothing_at_an_s_unit(monkeypatch):
     def no_factoring(*args):
-        raise AssertionError(f"factor called on {args}")
+        raise AssertionError(f"truncated_radical called on {args}")
 
-    monkeypatch.setattr(heights, "factor", no_factoring)
+    monkeypatch.setattr(heights, "truncated_radical", no_factoring)
     for x in (F(1), F(-1), F(6), F(-8, 27), F(1, 35), 12):
         assert counting_trunc(S23, 2, x) == Magnitude(1)
-    with pytest.raises(AssertionError, match="factor called"):
+    with pytest.raises(AssertionError, match="truncated_radical called"):
         counting_trunc(S23, 2, F(10))
 
 
@@ -137,6 +145,119 @@ def test_counting_trunc_matches_always_factoring(cofactor, i, j, den, negative, 
     # mostly S-units (cofactor 1), where the count skips factoring
     x = F(cofactor) * F(2) ** i * F(3) ** j / den * (-1 if negative else 1)
     assert counting_trunc(S23, level, x) == _factored_counting_trunc(S23, level, x)
+
+
+def _outcome(count, *args):
+    """A count's value, or the cofactor and budget of its FactoringBudgetError."""
+    try:
+        return count(*args)
+    except FactoringBudgetError as exc:
+        return exc.cofactor, exc.budget
+
+
+def _radical_outcomes(n, level, budget):
+    """truncated_radical and the factoring oracle, each on a cold factor cache."""
+    arith._factor_positive.cache_clear()
+    fast = _outcome(lambda: Magnitude(truncated_radical(n, level, budget)))
+    arith._factor_positive.cache_clear()
+    slow = _outcome(_factored_counting_trunc, SContext(factoring_budget=budget), level, n)
+    return fast, slow
+
+
+# primes below each stage bound of `truncated_radical` (10^3 and 10^4), the
+# largest included; the first primes above each bound; and primes on to 10^6,
+# past the horizons 10^3 and ~10^4 of budgets 10^6 and 10^8, and on to 10^12,
+# past every horizon here
+_TRIAL = (2, 3, 5, 7, 11, 97, 991, 997, 9967, 9973)
+_JUST_ABOVE = ((1009, 1013, 1019, 1021), (10007, 10009, 10037, 10039))
+_NEAR = _JUST_ABOVE[0] + _JUST_ABOVE[1] + (65537, 999983, 1_000_003)
+_FAR = (999_999_937, 10**12 + 39)
+# each stage's budget threshold and the budget below it, then larger budgets
+_BUDGETS = (10**6 - 1, 10**6, 10**8 - 1, 10**8, 10**12, 10**13)
+
+
+@st.composite
+def _trial_part_and_u(draw, primes=_NEAR + _FAR):
+    """(level, trial part, U): a part with primes below TRIAL_BOUND, and a U
+    made of primes above a stage bound, shaped after the edges of the root
+    test."""
+    level = draw(st.integers(1, 4))
+    trial = st.sets(st.sampled_from(_TRIAL), max_size=3)
+    small = math.prod(p ** draw(st.integers(0, 6)) for p in draw(trial))
+    p, q = draw(st.sampled_from(primes)), draw(st.sampled_from(primes))
+    above = draw(st.sampled_from(_JUST_ABOVE))
+    u = draw(st.sampled_from([
+        1, p, p * q, p ** (level + 1), p**level * q, p ** (level + 2),
+        # level + 1 and level + 2 primes just above a stage bound B: the most
+        # prime factors a U below B**(level + 2) can have, and the fewest a
+        # U above it can have
+        math.prod(above[i % 4] for i in range(level + 1)),
+        math.prod(above[i % 4] for i in range(level + 2)),
+    ]))
+    return level, small, u
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(_trial_part_and_u(), st.sampled_from(_BUDGETS))
+def test_truncated_radical_matches_factoring(case, budget):
+    level, small, u = case
+    fast, slow = _radical_outcomes(small * u, level, budget)
+    assert fast == slow
+
+
+@pytest.mark.parametrize("budget", _BUDGETS)
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_truncated_radical_at_the_root_test_bound(level, budget):
+    # B**(level + 2) and the number below it, each as n, for each stage bound B
+    for bound in (1000, TRIAL_BOUND):
+        for n in (bound ** (level + 2) - 1, bound ** (level + 2)):
+            fast, slow = _radical_outcomes(n, level, budget)
+            assert fast == slow
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_trial_part_and_u(primes=_NEAR), st.integers(0, 1))
+def test_truncated_radical_at_the_budget_edge(case, above):
+    # U at the budget, and at the budget + 1
+    level, small, u = case
+    assume(u > above)
+    fast, slow = _radical_outcomes(small * u, level, u - above)
+    assert fast == slow
+
+
+def test_truncated_radical_factors_past_the_certified_range(monkeypatch):
+    # at level 5, U = psi_13 = 1287836182261 * 2575672364521 passes every gate
+    # of the last stage but the certified range, where `factor` cannot prove
+    # a prime; it goes to `factor`, stood in for here, since factoring it
+    # would take seconds
+    u = _kernel.CERTIFIED_LIMIT
+    assert u == 1287836182261 * 2575672364521 < TRIAL_BOUND**7
+    factored = []
+    monkeypatch.setattr(arith, "factor", lambda n, budget: factored.append(n) or factor(1))
+    assert truncated_radical(7 * u, 5, u) == 1
+    assert factored == [7 * u]
+
+
+_MIDDLE_PRIMES = tuple(p for p in _kernel._primes_below(10**6) if p > 10**4)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.sampled_from(_MIDDLE_PRIMES), st.sampled_from(_MIDDLE_PRIMES), st.integers(1, 3))
+def test_truncated_radical_needs_no_rho_below_the_gates(p, q, level):
+    # p*q < 10^12 <= TRIAL_BOUND**(level + 2) and <= the budget 10^13, so the
+    # root test decides: no Miller-Rabin, no rho, no trial division
+    def kernel_called(*args):
+        raise AssertionError(f"kernel called on {args}")
+
+    arith._factor_positive.cache_clear()
+    S = SContext.of([2, 3], factoring_budget=10**13)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("rho_split", "is_prime", "smallest_factor_below"):
+            mp.setattr(_kernel, name, kernel_called)
+        count = counting_trunc(S, level, F(p * q, 7))
+        square = counting_trunc(S, level, F(-(p**2)))
+    assert count == Magnitude(p * q if p != q else p ** min(2, level))
+    assert square == Magnitude(p ** min(2, level))
 
 
 @settings(max_examples=300, derandomize=True)

@@ -1,4 +1,5 @@
-"""Integer kernel: primality and trial division against naive references."""
+"""Integer kernel: primality, trial division and integer roots against naive
+references."""
 
 from math import isqrt
 
@@ -6,6 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urskit import _kernel as kernel
+from urskit.arith import factor
+
+# psi_12: the least strong pseudoprime to each of the first 12 prime bases
+PSI_12 = 318665857834031151167461
 
 
 def _reference_is_prime(n):
@@ -41,6 +46,30 @@ def test_is_prime_known_values():
     assert not kernel.is_prime(561)  # Carmichael
     assert not kernel.is_prime(3215031751)  # strong pseudoprime to 2,3,5,7
     assert kernel.is_prime(1_000_000_007)
+
+
+def test_is_prime_rejects_psi_12():
+    # witnesses up to 37 all pass it; 41 does not
+    assert PSI_12 == 399165290221 * 798330580441
+    assert PSI_12 < kernel.CERTIFIED_LIMIT
+    assert not kernel.is_prime(PSI_12)
+    assert kernel.is_prime(399165290221) and kernel.is_prime(798330580441)
+    assert factor(PSI_12, budget=PSI_12).factors == ((399165290221, 1), (798330580441, 1))
+
+
+@settings(max_examples=400, derandomize=True)
+@given(st.integers(0, 10**4) | st.integers(0, 2**200), st.integers(1, 12))
+def test_iroot_is_the_floor_root(n, k):
+    r = kernel.iroot(n, k)
+    assert r**k <= n < (r + 1) ** k
+
+
+def test_iroot_of_exact_powers():
+    for k in range(1, 8):
+        for r in (0, 1, 2, 10007, 999983, 2**64 + 13):
+            assert kernel.iroot(r**k, k) == r
+            if r > 1:
+                assert kernel.iroot(r**k - 1, k) == r - 1
 
 
 def test_smallest_factor_below_examples():
