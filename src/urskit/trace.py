@@ -6,6 +6,14 @@ strong-uniqueness counterexample search.
 All O(1) terms are replaced by printed constants so each chain step becomes an
 exact integer comparison.  The constants are provable bounds (see the module
 functions); any sharper constant only strengthens the reported slack.
+
+Every check is a per-row function run by one loop, _check_rows.  A lemma
+holds on every row build_trace_rows makes, so a false one is a bug:
+identity_ok, counting_equal, bound_x_ok, bound_y_ok, unit_trunc_zero,
+eta_bound_ok, zeta_bound_ok, eta_floor_ok (so the four trace checks' ok),
+w_formula_ok, unit_relation_ok, displayed_relation_ok, trunc_product_ok and
+w_height_floor_ok.  A verdict depends on the data: shares, conjectural_step,
+derived_step and exceeds_ceiling.  sum_trunc_zero is recorded, never tested.
 """
 
 from __future__ import annotations
@@ -293,18 +301,38 @@ class RowCheck:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    rows: tuple[RowCheck, ...]
-    constants: dict
-    notes: tuple[str, ...] = ()
+def _check_rows(check, *columns, needs_unit=True) -> tuple[RowCheck, ...]:
+    """RowCheck(x, y, *check(row, ...)) for each row of columns[0], the other
+    columns (such as the (P(x), P(y)) values) passed alongside; columns of
+    different lengths raise ValueError.  check returns (ok, detail), or
+    (None, detail, error) for a row it skips.  With needs_unit, rows without
+    a unit are skipped before check sees them."""
+    out = []
+    for args in zip(*columns, strict=True):
+        row = args[0]
+        if needs_unit and row.u is None:
+            out.append(RowCheck(row.x, row.y, None, error="unit undefined on this row"))
+        else:
+            out.append(RowCheck(row.x, row.y, *check(*args)))
+    return tuple(out)
+
+
+class _RowsReport:
+    """A report that is ok unless a row failed; a skipped row's ok is None."""
 
     derived_keys: ClassVar[tuple[str, ...]] = ("ok",)
 
     @property
     def ok(self) -> bool:
         return all(r.ok is not False for r in self.rows)
+
+
+@dataclass(frozen=True)
+class CheckReport(_RowsReport):
+    name: str
+    rows: tuple[RowCheck, ...]
+    constants: dict
+    notes: tuple[str, ...] = ()
 
 
 def roth_chain_report(
@@ -313,7 +341,8 @@ def roth_chain_report(
     """Exact kernel of the height-comparability step: for sharing rows,
     counting(S, P(x)) == counting(S, P(y)) and both are bounded by
     C_P * h(.)^deg(P).  Height ratios are reported for display only, to
-    `digits` decimal places.
+    `digits` decimal places.  Lemmas: counting_equal (from the sharing
+    key), bound_x_ok and bound_y_ok, so the row's ok.
 
     `values` holds (P(x), P(y)) for each row, as build_trace_rows returns
     them; P itself is not evaluated here, and each distinct value is counted
@@ -321,18 +350,13 @@ def roth_chain_report(
     c_p = evaluation_height_constant(P)
     n = P.degree
     count = _per_value(lambda v: counting(S, v))
-    out = []
-    for row, (px, py) in zip(rows, values, strict=True):
+
+    def check(row, pv):
+        px, py = pv
         if px == 0 or py == 0:
-            out.append(
-                RowCheck(row.x, row.y, None, error="vanishing P value on this row")
-            )
-            continue
+            return None, {}, "vanishing P value on this row"
         if not row.shares:
-            out.append(
-                RowCheck(row.x, row.y, None, error="row does not share; chain not applicable")
-            )
-            continue
+            return None, {}, "row does not share; chain not applicable"
         cx = count(px)
         cy = count(py)
         counting_equal = cx == cy
@@ -340,113 +364,77 @@ def roth_chain_report(
         bound_y = cy.value <= c_p * row.h_y.value**n
         lx, ly = math.log(row.h_x.value), math.log(row.h_y.value)
         ratio = None if ly == 0 or lx == 0 else f"{lx / ly:.{digits}f}"
-        out.append(
-            RowCheck(
-                row.x,
-                row.y,
-                counting_equal and bound_x and bound_y,
-                {
-                    "count_px": str(cx.value),
-                    "count_py": str(cy.value),
-                    "counting_equal": counting_equal,
-                    "bound_x_ok": bound_x,
-                    "bound_y_ok": bound_y,
-                    "height_ratio": ratio,
-                },
-            )
-        )
-    return CheckReport("roth_chain", tuple(out), {"C_P": c_p, "degree": n})
+        return counting_equal and bound_x and bound_y, {
+            "count_px": str(cx.value),
+            "count_py": str(cy.value),
+            "counting_equal": counting_equal,
+            "bound_x_ok": bound_x,
+            "bound_y_ok": bound_y,
+            "height_ratio": ratio,
+        }
+
+    out = _check_rows(check, rows, values, needs_unit=False)
+    return CheckReport("roth_chain", out, {"C_P": c_p, "degree": n})
 
 
 def unit_height_check(rows, values) -> CheckReport:
-    """h(u) <= h(P(x)) * h(P(y)) as Magnitudes (quotient height law).
+    """h(u) <= h(P(x)) * h(P(y)) as Magnitudes (quotient height law), a
+    lemma: the row's ok.
 
     `values` holds (P(x), P(y)) for each row, as build_trace_rows returns
     them; each distinct value is measured once."""
     h = _per_value(height)
-    out = []
-    for row, (px, py) in zip(rows, values, strict=True):
-        if row.u is None:
-            out.append(RowCheck(row.x, row.y, None, error="unit undefined on this row"))
-            continue
-        hpx = h(px)
-        hpy = h(py)
+
+    def check(row, pv):
+        hpx, hpy = map(h, pv)
         ok = row.h_u.value <= hpx.value * hpy.value
-        out.append(
-            RowCheck(
-                row.x,
-                row.y,
-                ok,
-                {
-                    "h_u": str(row.h_u.value),
-                    "h_px": str(hpx.value),
-                    "h_py": str(hpy.value),
-                },
-            )
-        )
-    return CheckReport("unit_height", tuple(out), {})
+        return ok, {"h_u": str(row.h_u.value), "h_px": str(hpx.value), "h_py": str(hpy.value)}
+
+    return CheckReport("unit_height", _check_rows(check, rows, values), {})
 
 
 def trunc_bound_check(rows) -> CheckReport:
-    """The two displayed truncation bounds plus the vanishing of N^(2) at the
-    unit and at the identity sum, all as exact Magnitude comparisons."""
-    out = []
-    for row in rows:
-        if row.u is None:
-            out.append(RowCheck(row.x, row.y, None, error="unit undefined on this row"))
-            continue
+    """The two displayed truncation bounds and the vanishing of N^(2) at the
+    unit, as exact Magnitude comparisons: lemmas eta_bound_ok, zeta_bound_ok
+    and unit_trunc_zero, so the row's ok.  sum_trunc_zero records N^(2)(1) = 0
+    at eta + u + zeta where the identity holds; it is never tested."""
+
+    def check(row):
         if not row.shares:
-            out.append(
-                RowCheck(row.x, row.y, None, error="u is not an S-unit on this row")
-            )
-            continue
+            return None, {}, "u is not an S-unit on this row"
         detail: dict = {}
-        checks = []
+        eta_ok = zeta_ok = True
         if row.eta == 0:
             detail["eta_bound"] = "not checked (eta = 0)"
         else:
-            eta_ok = (
-                row.n2_eta.value
-                <= row.n1_x.value ** 2 * row.n_xm_a.value
-            )
-            detail["eta_bound_ok"] = eta_ok
+            rhs = row.n1_x.value**2 * row.n_xm_a.value
+            eta_ok = detail["eta_bound_ok"] = row.n2_eta.value <= rhs
             detail["n2_eta"] = str(row.n2_eta.value)
-            detail["eta_rhs"] = str(row.n1_x.value ** 2 * row.n_xm_a.value)
-            checks.append(eta_ok)
+            detail["eta_rhs"] = str(rhs)
         if row.zeta == 0:
             detail["zeta_bound"] = "not checked (zeta = 0)"
         else:
-            zeta_ok = (
-                row.n2_zeta.value
-                <= row.n1_y.value ** 2 * row.n_ym_a.value
-            )
-            detail["zeta_bound_ok"] = zeta_ok
+            rhs = row.n1_y.value**2 * row.n_ym_a.value
+            zeta_ok = detail["zeta_bound_ok"] = row.n2_zeta.value <= rhs
             detail["n2_zeta"] = str(row.n2_zeta.value)
-            detail["zeta_rhs"] = str(row.n1_y.value ** 2 * row.n_ym_a.value)
-            checks.append(zeta_ok)
-        unit_zero = row.n2_u is not None and row.n2_u.is_zero_quantity
-        detail["unit_trunc_zero"] = unit_zero
-        checks.append(unit_zero)
+            detail["zeta_rhs"] = str(rhs)
+        unit_zero = detail["unit_trunc_zero"] = (
+            row.n2_u is not None and row.n2_u.is_zero_quantity
+        )
         if row.identity_ok:
-            # eta + u + zeta == 1 exactly, and N^(2)(1) is zero
             detail["sum_trunc_zero"] = True
-        out.append(RowCheck(row.x, row.y, all(checks), detail))
-    return CheckReport("trunc_bounds", tuple(out), {})
+        return eta_ok and zeta_ok and unit_zero, detail
+
+    return CheckReport("trunc_bounds", _check_rows(check, rows), {})
 
 
 @dataclass(frozen=True)
-class MainInequalityReport:
+class MainInequalityReport(_RowsReport):
     epsilon: Fraction
     constants: dict
     ceiling: ScaledLog | None  # None when epsilon >= n - 2m - 4
     rows: tuple[RowCheck, ...]
     notes: tuple[str, ...]
-
-    derived_keys: ClassVar[tuple[str, ...]] = ("ok",)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok is not False for r in self.rows)
 
 
 def main_inequality_report(
@@ -464,7 +452,9 @@ def main_inequality_report(
     per-row validity of the eta height floor h(eta) >= h(x)^n / C_eta, and
     whether h(x)+h(y) exceeds the ceiling H* = log(C_total)/(n-2m-4-eps)
     beyond which rows would contradict the degree gap if the conjectural step
-    held (invoked at eps/n for both orientations).
+    held (invoked at eps/n for both orientations).  eta_floor_ok, the row's
+    ok, is a lemma; conjectural_step, derived_step and exceeds_ceiling are
+    verdicts on the data.
 
     `validation` is validate_family(S, fam) when the caller has it already;
     without it the family is validated here.
@@ -487,21 +477,12 @@ def main_inequality_report(
     one_minus = Fraction(1) - eps
     n_eps = Fraction(n) - eps
     two_m = Fraction(2 + m)
-    out = []
-    for row in rows:
-        if row.u is None:
-            out.append(RowCheck(row.x, row.y, None, error="unit undefined on this row"))
-            continue
+
+    def check(row):
         detail: dict = {}
         ok = None  # the eta floor, where the conjectural step ran
         # conjectural step on this row
-        if (
-            not row.shares
-            or row.eta == 0
-            or row.zeta == 0
-            or row.u == 0
-            or not row.identity_ok
-        ):
+        if not row.shares or not row.identity_ok or 0 in (row.eta, row.u, row.zeta):
             detail["conjectural_step"] = (
                 "skipped (non-sharing row, zero auxiliary value, or identity failure)"
             )
@@ -510,24 +491,21 @@ def main_inequality_report(
             rhs = row.n2_eta * row.n2_u * row.n2_zeta  # N^(2) of the sum is 0
             detail["conjectural_rhs"] = str(rhs.value)
             detail["conjectural_max_height"] = str(hmax.value)
-            if one_minus <= 0:
-                detail["conjectural_step"] = "holds"
-            else:
-                cmp = cmp_scaled(ScaledLog(one_minus, hmax), ScaledLog(Fraction(1), rhs))
-                detail["conjectural_step"] = "holds" if cmp <= 0 else "violated"
+            holds = one_minus <= 0 or (
+                cmp_scaled(ScaledLog(one_minus, hmax), ScaledLog(Fraction(1), rhs)) <= 0
+            )
+            detail["conjectural_step"] = "holds" if holds else "violated"
             # eta height floor with the explicit constant
             ok = detail["eta_floor_ok"] = row.h_eta.value * c_eta >= row.h_x.value**n
         # derived comparison (n-eps) h(x) vs (2+m)(h(x)+h(y))
         h_xy = row.h_x * row.h_y
-        if n_eps < 0:
-            detail["derived_step"] = "holds"
-        else:
-            cmp = cmp_scaled(ScaledLog(n_eps, row.h_x), ScaledLog(two_m, h_xy))
-            detail["derived_step"] = "holds" if cmp <= 0 else "exceeds"
+        holds = n_eps < 0 or cmp_scaled(ScaledLog(n_eps, row.h_x), ScaledLog(two_m, h_xy)) <= 0
+        detail["derived_step"] = "holds" if holds else "exceeds"
         if ceiling is not None:
             over = cmp_scaled(ScaledLog(Fraction(1), h_xy), ceiling) == GREATER
             detail["exceeds_ceiling"] = over
-        out.append(RowCheck(row.x, row.y, ok, detail))
+        return ok, detail
+
     notes = (
         "ceiling H* assumes the conjectural step at eps/n for both pair "
         "orientations; rows with h(x)+h(y) > H* would contradict n > 2m+4",
@@ -543,7 +521,7 @@ def main_inequality_report(
             "C_P": evaluation_height_constant(fam.polynomial()),
         },
         ceiling=ceiling,
-        rows=tuple(out),
+        rows=_check_rows(check, rows),
         notes=notes,
     )
 
@@ -589,18 +567,20 @@ def case_classify(S: SContext, fam: TrinomialFamily, triple, rows) -> CaseReport
     The branches: c1_zero (degenerate when c2 or c3 is 0 too), and with
     C2 = 1 - c2/c1 and C3 = 1 - c3/c1, inconsistent_C2_C3_zero,
     C2_C3_nonzero, C2_zero and C3_zero.  Rows without a unit are left out,
-    where the four CLI checks list them as skipped.  C2_C3_nonzero and
-    C2_zero divide by u, so they report a row with u = 0 as an error holding
-    only relation_ok.  w(y) is _w(y), times b where a branch reports
-    y^(n-m)*(y^m+a); build_trace_rows gives no row a unit when b = 0."""
+    where the four CLI checks list them as skipped.  Non-degenerate c1_zero,
+    C2_C3_nonzero and C2_zero divide by u, so they report a row with u = 0
+    as an error holding only relation_ok.  w(y) is _w(y), times b where a
+    branch reports y^(n-m)*(y^m+a); build_trace_rows gives no row a unit
+    when b = 0.  Lemmas on such rows: w_formula_ok, unit_relation_ok,
+    displayed_relation_ok, trunc_product_ok and w_height_floor_ok; the other
+    keys are verdicts on the data."""
     c1, c2, c3 = (Fraction(c) for c in triple)
     if c1 == c2 == c3 == 0:
         raise ValueError("the all-zero triple carries no relation")
     coeffs: dict = {"c1": rational_str(c1), "c2": rational_str(c2), "c3": rational_str(c3)}
     constants: dict = {}
-    u_zero_error = None  # the error text of a u = 0 row, where the branch divides by u
 
-    # each branch sets its notes and check(row, relation_ok) -> (ok, detail)
+    # each branch sets its notes and a check(row, relation_ok) for _check_rows
     if c1 == 0:
         branch = "c1_zero"
         if c2 == 0 or c3 == 0:
@@ -620,6 +600,8 @@ def case_classify(S: SContext, fam: TrinomialFamily, triple, rows) -> CaseReport
             )
 
             def check(r, rel):
+                if r.u == 0:
+                    return None, {}, "u = 0; w relation undefined"
                 w = _w(fam, r.y) * fam.b
                 match = w == constant
                 return (not rel) or match, {"w": rational_str(w), "w_matches_constant": match}
@@ -640,7 +622,6 @@ def case_classify(S: SContext, fam: TrinomialFamily, triple, rows) -> CaseReport
                 return not both, {"identity_ok": r.identity_ok, "inconsistent_row": both}
         elif C2 != 0 and C3 != 0:
             branch = "C2_C3_nonzero"
-            u_zero_error = "u = 0; unit relation undefined"
             c_a = shift_height_constant(fam.a)
             c_eta = eta_height_constant(fam)
             constants = {"C_a": c_a, "C_eta": c_eta}
@@ -651,6 +632,8 @@ def case_classify(S: SContext, fam: TrinomialFamily, triple, rows) -> CaseReport
             )
 
             def check(r, rel):
+                if r.u == 0:
+                    return None, {}, "u = 0; unit relation undefined"
                 w = r.zeta / r.u
                 unit_ok = (not rel) or C3 * w - 1 / r.u == -C2
                 w_formula = w == _w(fam, r.y)
@@ -675,7 +658,6 @@ def case_classify(S: SContext, fam: TrinomialFamily, triple, rows) -> CaseReport
                 return w_formula and unit_ok and trunc_ok and floor_ok, detail
         elif C2 == 0:
             branch = "C2_zero"
-            u_zero_error = "u = 0; displayed relation undefined"
             expected = fam.b / C3
             coeffs["b_over_C3"] = rational_str(expected)
             b_unit = is_s_unit(S, expected)
@@ -690,6 +672,8 @@ def case_classify(S: SContext, fam: TrinomialFamily, triple, rows) -> CaseReport
             )
 
             def check(r, rel):
+                if r.u == 0:
+                    return None, {}, "u = 0; displayed relation undefined"
                 displayed = (not rel) or _w(fam, r.y) * fam.b == expected / r.u
                 shift = r.y**fam.m + fam.a
                 y_unit, shift_unit = is_s_unit(S, r.y), is_s_unit(S, shift)
@@ -726,17 +710,13 @@ def case_classify(S: SContext, fam: TrinomialFamily, triple, rows) -> CaseReport
                           "off_diagonal": r.x != r.y}
                 return (not rel) or (matches and su_rel), detail
 
-    out = []
-    for r in rows:
-        if r.u is None:
-            continue
+    def with_relation(r):
         rel = c1 * r.eta + c2 * r.u + c3 * r.zeta == 0
-        if r.u == 0 and u_zero_error is not None:
-            out.append(RowCheck(r.x, r.y, None, {"relation_ok": rel}, error=u_zero_error))
-            continue
-        ok, detail = check(r, rel)
-        out.append(RowCheck(r.x, r.y, ok, {"relation_ok": rel, **detail}))
-    return CaseReport(branch, (c1, c2, c3), coeffs, constants, tuple(out), notes)
+        ok, detail, *error = check(r, rel)
+        return ok, {"relation_ok": rel, **detail}, *error
+
+    out = _check_rows(with_relation, [r for r in rows if r.u is not None])
+    return CaseReport(branch, (c1, c2, c3), coeffs, constants, out, notes)
 
 
 def strong_uniqueness_search(

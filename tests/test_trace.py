@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from urskit.arith import FactoringBudgetError, SContext, unit_equation_solutions
 from urskit.heights import Magnitude, ScaledLog, counting, counting_trunc, height
-from urskit.polys import RatPoly, TrinomialFamily
-from urskit.sharing import SearchBudgetError, s_integer_box, share_check
+from urskit.polys import RatPoly, TrinomialFamily, validate_family
+from urskit.sharing import SearchBudgetError, s_integer_box, search_shared_pairs, share_check
 from urskit.trace import (
     aux_build,
     build_trace_rows,
@@ -634,11 +634,12 @@ def test_case_c2_zero():
     [
         ((F(1), F(0), F(0)), "C2_C3_nonzero", "u = 0; unit relation undefined"),
         ((F(1), F(1), F(1, 2)), "C2_zero", "u = 0; displayed relation undefined"),
+        ((F(0), F(1), F(-1)), "c1_zero", "u = 0; w relation undefined"),
     ],
 )
 def test_case_rows_with_u_zero(triple, branch, error):
     # X^7 - 2X^6 + 1 vanishes at 1, so the pair (1, 2) has u = 0, eta = 1 and
-    # zeta = 0; both branches divide by u, so the row is an error
+    # zeta = 0; each branch divides by u, so the row is an error
     fam = TrinomialFamily(7, 1, F(-2), F(1))
     rows, _ = build_trace_rows(S23, fam, [(F(1), F(2))])
     assert (rows[0].u, rows[0].eta, rows[0].zeta) == (0, 1, 0)
@@ -647,7 +648,8 @@ def test_case_rows_with_u_zero(triple, branch, error):
     (row,) = rep.rows
     assert row.ok is None
     assert row.error == error
-    assert row.detail == {"relation_ok": False}  # eta = 1, so c1*eta != 0
+    # eta = 1, so the relation holds exactly when c1 = 0
+    assert row.detail == {"relation_ok": triple[0] == 0}
 
 
 def _s_units(S):
@@ -710,6 +712,76 @@ def test_case_c3_zero():
     assert by[(F(0), F(-1))].detail["u_matches_constant"]
     assert by[(F(0), F(-1))].detail["off_diagonal"]
     assert by[(F(2), F(2))].detail["off_diagonal"] is False
+
+
+# --- lemmas ----------------------------------------------------------------------
+
+# detail keys that hold on every row build_trace_rows makes: a false one is a bug
+LEMMA_KEYS = (
+    "counting_equal", "bound_x_ok", "bound_y_ok", "unit_trunc_zero", "eta_bound_ok",
+    "zeta_bound_ok", "eta_floor_ok", "w_formula_ok", "unit_relation_ok",
+    "displayed_relation_ok", "trunc_product_ok", "w_height_floor_ok",
+)
+
+
+def _s_products(S, bound):
+    """The products of powers of the primes of S up to bound, in order."""
+    out = [1]
+    for p in S.primes:
+        out = [d * p**e for d in out for e in range(bound.bit_length()) if d * p**e <= bound]
+    return sorted(out)
+
+
+@st.composite
+def _lemma_cases(draw):
+    """A family X^n + a*X^(n-m) + b valid over S, S within {2, 3, 5, 7}, and
+    pairs of S-integers up to height 10^4, some diagonal (these share)."""
+    primes = draw(st.lists(st.sampled_from((2, 3, 5, 7)), min_size=1, max_size=3, unique=True))
+    S = SContext.of(primes)
+    m = draw(st.integers(1, 2))
+    n = draw(st.sampled_from([k for k in range(2 * m + 5, 2 * m + 8) if math.gcd(k, m) == 1]))
+    fam = TrinomialFamily(n, m, draw(_s_units(S)), draw(_s_units(S)))
+    assume(validate_family(S, fam).passed)
+    v = st.builds(F, st.integers(-(10**4), 10**4), st.sampled_from(_s_products(S, 10**4)))
+    pairs = st.lists(st.tuples(v, v) | v.map(lambda x: (x, x)), min_size=1, max_size=8)
+    return S, fam, draw(pairs)
+
+
+def _relations_through(row):
+    """Triples whose relation holds on the row, by eta + u + zeta = 1: one in
+    C2_zero (c2 = c1), one in c1_zero and one in C3_zero (c3 = c1)."""
+    eta, u, zeta = row.eta, row.u, row.zeta
+    return [t for t in ((zeta, zeta, zeta - 1), (F(0), zeta, -u), (u, u - 1, u)) if any(t)]
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(_lemma_cases())
+def test_lemmas_hold_on_valid_families(case):
+    # drawn pairs and the sharing pairs of the height-12 box; case_classify on
+    # every dependence-basis vector, of all rows and of each row, and on a
+    # relation through each row in the branches that divide by u
+    S, fam, pairs = case
+    P = fam.polynomial()
+    pairs += [(sp.x, sp.y) for sp in search_shared_pairs(S, P, 12, 1)]
+    rows, values = build_trace_rows(S, fam, pairs)
+    unit_rows = [r for r in rows if r.u is not None]
+    assert all(r.identity_ok for r in unit_rows)
+    checks = [
+        roth_chain_report(S, P, rows, values),
+        unit_height_check(rows, values),
+        trunc_bound_check(rows),
+        main_inequality_report(S, fam, F(1, 10), rows),
+    ]
+    assert all(rep.ok for rep in checks)  # each row's ok is made of lemmas
+    triples = set(dependence_detect(unit_rows).basis)
+    for r in unit_rows:
+        triples.update(dependence_detect([r]).basis)
+        triples.update(_relations_through(r))
+    cases = [case_classify(S, fam, t, rows) for t in sorted(triples)]
+    for rep in checks + cases:
+        for row in rep.rows:
+            for key in LEMMA_KEYS:
+                assert row.detail.get(key) is not False, (key, row)
 
 
 # --- strong uniqueness search ----------------------------------------------------
