@@ -750,7 +750,7 @@ def _lemma_cases(draw):
 def _relations_through(row):
     """Triples whose relation holds on the row, by eta + u + zeta = 1: one in
     C2_zero (c2 = c1), one in c1_zero and one in C3_zero (c3 = c1)."""
-    eta, u, zeta = row.eta, row.u, row.zeta
+    u, zeta = row.u, row.zeta
     return [t for t in ((zeta, zeta, zeta - 1), (F(0), zeta, -u), (u, u - 1, u)) if any(t)]
 
 
@@ -758,8 +758,8 @@ def _relations_through(row):
 @given(_lemma_cases())
 def test_lemmas_hold_on_valid_families(case):
     # drawn pairs and the sharing pairs of the height-12 box; case_classify on
-    # every dependence-basis vector, of all rows and of each row, and on a
-    # relation through each row in the branches that divide by u
+    # every dependence-basis vector, of all rows and of each row, and on the
+    # relations through each row from _relations_through
     S, fam, pairs = case
     P = fam.polynomial()
     pairs += [(sp.x, sp.y) for sp in search_shared_pairs(S, P, 12, 1)]
