@@ -42,6 +42,7 @@ from .polys import RatPoly, TrinomialFamily, validate_family
 from .report import SchemaError, render_table, stable_json
 from .sharing import SearchBudgetError, search_shared_pairs, share_check
 from .subspace import (
+    ERROR,
     VIOLATED,
     LinearFormSystem,
     corollary_eval,
@@ -378,8 +379,7 @@ def cmd_subspace(args) -> int:
             pairs=args.pairs,
         )
         _emit(args, config, {"rows": rows}, (_COROLLARY_COLUMNS, rows))
-        bad = any(r.verdict == VIOLATED or r.verdict == "error" for r in rows)
-        return 1 if bad else 0
+        return 1 if any(r.verdict in (VIOLATED, ERROR) for r in rows) else 0
     if not args.forms or not args.points:
         raise SchemaError("--forms/--points", "conjecture mode needs both files")
     sys_ = load_forms_file(args.forms)

@@ -79,10 +79,6 @@ class ScaledLog:
             base = Magnitude(base)
         return cls(Fraction(coefficient), base)
 
-    @property
-    def is_zero_quantity(self) -> bool:
-        return self.coefficient == 0 or self.base.is_zero_quantity
-
     def log_display(self, digits: int = DEFAULT_DISPLAY_DIGITS) -> str:
         _check_digits(digits)
         log_base = math.log(self.base.value)

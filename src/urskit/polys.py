@@ -224,12 +224,6 @@ class TrinomialFamily:
         cs[self.n] += 1
         return RatPoly.of(cs)
 
-    def __str__(self):
-        return (
-            f"X^{self.n} + ({rational_str(self.a)})*X^{self.n - self.m}"
-            f" + ({rational_str(self.b)})"
-        )
-
 
 _ROOT_UNIT_JUSTIFICATION = (
     "monic, all coefficients S-integers, constant term an S-unit: at every "

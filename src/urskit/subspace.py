@@ -3,7 +3,8 @@ points, plus the two-variable linear-relation special case.
 
 Verdicts are per-point data: the inequality under test is asymptotic, so a
 single violated point never decides anything; the evaluator only ever reports
-exact comparisons.
+exact comparisons.  Every holds/violated verdict on the inequality, here and
+in trace's conjectural step, comes from one function, inequality_verdict.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import ClassVar
 
 from .arith import SContext, non_s_part, rational_str
@@ -29,6 +30,17 @@ HOLDS = "holds"
 VIOLATED = "violated"
 SKIPPED = "skipped"
 ERROR = "error"
+
+
+def inequality_verdict(coeff: Fraction, base: Magnitude, rhs: Magnitude) -> str:
+    """HOLDS when coeff * log(base) <= log(rhs), else VIOLATED.
+
+    A nonpositive coefficient holds against the nonnegative right side with
+    no comparison; otherwise cmp_scaled decides exactly.
+    """
+    if coeff <= 0 or cmp_scaled(ScaledLog(coeff, base), ScaledLog(Fraction(1), rhs)) <= 0:
+        return HOLDS
+    return VIOLATED
 
 
 @dataclass(frozen=True)
@@ -156,27 +168,14 @@ def evaluate_conjecture(
         hs = tuple(height(c) for c in coords)
         hmax = max(hs)
         values = tuple(sys.apply(i, coords) for i in range(sys.q))
-        counts: list[Magnitude | None] = []
-        for v in values:
-            counts.append(None if v == 0 else counting_trunc(S, sys.r, v))
-        if any(c is None for c in counts):
-            reports.append(
-                DefectReport(
-                    coords, hs, hmax, values, tuple(counts), None, coeff,
-                    SKIPPED, "form vanishes at the point",
-                )
-            )
-            continue
-        rhs = Magnitude(1)
-        for c in counts:
-            rhs = rhs * c
-        if coeff <= 0:
-            verdict = HOLDS  # nonpositive left side against a nonnegative sum
+        counts = tuple(None if v == 0 else counting_trunc(S, sys.r, v) for v in values)
+        if None in counts:
+            rhs, verdict, reason = None, SKIPPED, "form vanishes at the point"
         else:
-            cmp = cmp_scaled(ScaledLog(coeff, hmax), ScaledLog(Fraction(1), rhs))
-            verdict = HOLDS if cmp <= 0 else VIOLATED
+            rhs = prod(counts, start=Magnitude(1))
+            verdict, reason = inequality_verdict(coeff, hmax, rhs), None
         reports.append(
-            DefectReport(coords, hs, hmax, values, tuple(counts), rhs, coeff, verdict)
+            DefectReport(coords, hs, hmax, values, counts, rhs, coeff, verdict, reason)
         )
     return reports
 
@@ -263,19 +262,12 @@ def corollary_eval(
         delegated = evaluate_conjecture(S, sys, eps, [(Fraction(1), x)])[0]
         lhs_base = height(x)
         coeff = Fraction(1) - eps
-        if x == 0 or y == 0:
+        if x == 0 or y == 0:  # no right side: only a zero left side decides
             direct_rhs = None
+            direct_verdict = HOLDS if coeff <= 0 or lhs_base.is_zero_quantity else SKIPPED
         else:
             direct_rhs = counting_trunc(S, 1, x) * counting_trunc(S, 1, y)
-        if coeff <= 0 or lhs_base.is_zero_quantity:
-            direct_verdict = HOLDS
-        elif direct_rhs is None:
-            direct_verdict = SKIPPED
-        else:
-            cmp = cmp_scaled(
-                ScaledLog(coeff, lhs_base), ScaledLog(Fraction(1), direct_rhs)
-            )
-            direct_verdict = HOLDS if cmp <= 0 else VIOLATED
+            direct_verdict = inequality_verdict(coeff, lhs_base, direct_rhs)
         if delegated.verdict == SKIPPED:
             agree = None
             verdict = direct_verdict

@@ -38,6 +38,7 @@ from .heights import (
 )
 from .polys import RatPoly, TrinomialFamily, ValidationReport, validate_family
 from .sharing import _keyed_value, _pair_join, share_key
+from .subspace import inequality_verdict
 
 
 def _exact(v):
@@ -491,10 +492,7 @@ def main_inequality_report(
             rhs = row.n2_eta * row.n2_u * row.n2_zeta  # N^(2) of the sum is 0
             detail["conjectural_rhs"] = str(rhs.value)
             detail["conjectural_max_height"] = str(hmax.value)
-            holds = one_minus <= 0 or (
-                cmp_scaled(ScaledLog(one_minus, hmax), ScaledLog(Fraction(1), rhs)) <= 0
-            )
-            detail["conjectural_step"] = "holds" if holds else "violated"
+            detail["conjectural_step"] = inequality_verdict(one_minus, hmax, rhs)
             # eta height floor with the explicit constant
             ok = detail["eta_floor_ok"] = row.h_eta.value * c_eta >= row.h_x.value**n
         # derived comparison (n-eps) h(x) vs (2+m)(h(x)+h(y))

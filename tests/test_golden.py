@@ -116,6 +116,26 @@ CASES = {
          "corollary_pairs.json", "--s", "2,3"],
         1,
     ),
+    # x + y = 2 on (2, 0), (0, 2) and (3, -1): the direct side skips a pair
+    # with no right side unless h(x) = 1, where it holds; (3, -1) is violated
+    "subspace_corollary_edges": (
+        ["subspace", "--corollary", "--A", "1", "--B", "1", "--C", "2", "--pairs",
+         "corollary_edge_pairs.json", "--s", "2,3"],
+        1,
+    ),
+    # at eps = 2 the coefficient 1 - eps is negative: every row holds
+    "subspace_corollary_edges_eps2": (
+        ["subspace", "--corollary", "--A", "1", "--B", "1", "--C", "2", "--pairs",
+         "corollary_edge_pairs.json", "--s", "2,3", "--epsilon", "2"],
+        0,
+    ),
+    # at eps = 1 the coefficient q - r - 1 - eps is 0: (81, -80) holds, while
+    # (1, -1), where x0 + x1 vanishes, stays skipped
+    "subspace_vanishing_eps1": (
+        ["subspace", "--forms", "forms.json", "--points", "vanishing_points.json", "--s",
+         "2,3", "--epsilon", "1"],
+        0,
+    ),
     # abc calibration: with S empty, (x0, x1, x0+x1) at (a, -c), a + b = c,
     # tests (1 - eps)*log max(|a|, c) <= log rad(abc).  Reyssat's triple
     # (quality 1.62991) is violated at 385/1000, de Weger's (1.62599) holds
