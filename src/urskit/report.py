@@ -8,11 +8,9 @@ type: None, booleans, integers and strings as they are, rationals as 'a/b',
 magnitudes as the exact integer plus a display-only log, tuples and lists
 as lists, dicts by their values, and dataclasses by their fields.  A
 dataclass adds the attributes named in its `derived_keys` class variable as
-further keys, and at most one field whose metadata sets "merge" has its dict
-merged into the object instead of nesting under its name.  Every key is a
-string, as in every urskit report; any other key raises TypeError.  Keys are
-sorted, items indented by two spaces, and strings escaped as JSON does with
-non-ASCII characters kept.
+further keys.  Every key is a string, as in every urskit report; any other
+key raises TypeError.  Keys are sorted, items indented by two spaces, and
+strings escaped as JSON does with non-ASCII characters kept.
 
 `render_table` writes a console table from a column spec, one (header,
 getter) pair per column, and the items that make its rows.  Each cell goes
@@ -25,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring
 
 from .arith import UrskitError, rational_str
@@ -39,43 +38,27 @@ class SchemaError(UrskitError):
         super().__init__(f"{location}: {message}")
 
 
-# A plan writes one dataclass at one indent: ((separator + indent + '"key": ',
-# field name, dict key) in key order, closing text).  The dict key is _FIELD
-# where the value is the field itself, else its key in the merge field's dict.
-_FIELD = object()
-
-# (dataclass type, indent) -> plan, built on first use and kept across calls,
-# as it depends on neither the value nor `digits`; for a class with a merge
-# field, whose plan depends on the merged keys, (that field's name, layout).
-_PLANS: dict[tuple, tuple] = {}
+# The most plans kept at once: a report holds a few dozen key sets, and the
+# bound keeps memory finite for a caller that writes dicts with many.
+_PLAN_CACHE_SIZE = 4096
 
 
-def _static_plan(cls: type, nl: str) -> tuple:
-    if not is_dataclass(cls):
-        raise TypeError(f"no JSON encoding for {cls.__name__}")
-    layout = [(f.name, f.metadata.get("merge", False)) for f in fields(cls)]
-    layout += [(name, False) for name in getattr(cls, "derived_keys", ())]
-    merges = [name for name, merge in layout if merge]
-    if len(merges) > 1:
-        raise TypeError(f"no JSON encoding for {cls.__name__}: more than one merge field")
-    plan = (merges[0], tuple(layout)) if merges else _plan(layout, nl)
-    _PLANS[cls, nl] = plan
-    return plan
-
-
-def _plan(layout, nl: str, merged=()) -> tuple:
-    """The plan for a dataclass with this (field name, merge) layout whose
-    merge field holds the keys `merged`; where a merged key is also a field
-    name the later in the layout wins, as in dict.update."""
-    source = {}
-    for name, merge in layout:
-        for key in merged if merge else (name,):
-            # _key rejects a non-string key here, before the sort can
-            source[key] = (_key(key), name, key if merge else _FIELD)
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(keys, nl: str) -> tuple:
+    """The plan that writes a mapping at indent `nl`: ((separator + indent +
+    '"key": ', key) in key order, closing text).  `keys` is the tuple of a
+    dict's keys, or a dataclass type, whose keys are its fields and then its
+    `derived_keys`.  Plans are kept across calls, as they depend on neither
+    the values nor `digits`."""
+    if type(keys) is not tuple:
+        if not is_dataclass(keys):
+            raise TypeError(f"no JSON encoding for {keys.__name__}")
+        keys = tuple(f.name for f in fields(keys)) + getattr(keys, "derived_keys", ())
+    # _key rejects a non-string key here, before the sort can
+    quoted = {key: _key(key) for key in keys}
     inner = nl + "  "
     entries = tuple(
-        (("," if i else "{") + inner + prefix, name, key)
-        for i, (prefix, name, key) in enumerate(map(source.get, sorted(source)))
+        (("," if i else "{") + inner + quoted[key], key) for i, key in enumerate(sorted(quoted))
     )
     return entries, nl + "}" if entries else "{}"
 
@@ -114,19 +97,16 @@ def _writer(digits: int, emit):
     """write(value, nl) appends the text of `value` through `emit`; `nl` is
     a newline plus the indent of the line `value` starts on.
 
-    `write` alone maps a value's type to its text: the list, dict and
-    dataclass loops emit an item's separator, key or plan prefix and hand the
-    item back to `write`.  What stays cached pays for itself on the `trace`
-    reports: dataclass plans (per class in `_PLANS`; here, for a class with a
-    merge field, per set of merged keys), without which those reports are
-    written about half again as slowly; and the text of each Magnitude per
-    value and indent, kept for the life of the writer, which serves most
-    Magnitude lookups there, as their values recur."""
+    `write` alone maps a value's type to its text: the list loop emits an
+    item's separator, and the dict and dataclass loops a plan prefix, and
+    hand the item back to `write`.  What stays cached pays for itself on the
+    `trace` reports: the plans of `_plan`, per dataclass type or dict key
+    tuple, without which those reports are written about half again as
+    slowly; and the text of each Magnitude per value and indent, kept for
+    the life of the writer, which serves most Magnitude lookups there, as
+    their values recur."""
     scalars = _SCALARS
     magnitudes: dict[tuple[int, str], str] = {}
-    # (type, indent, merged keys) -> plan, for classes with a merge field; a
-    # plan is built only from string keys, so only string keys find one
-    merged_plans: dict[tuple, tuple] = {}
 
     def write(value, nl: str) -> None:
         t = type(value)
@@ -156,16 +136,12 @@ def _writer(digits: int, emit):
             emit(nl + "]")
             return
         if t is dict:
-            if not value:
-                emit("{}")
-                return
+            entries, tail = _plan(tuple(value), nl)
             inner = nl + "  "
-            sep = "{" + inner
-            for key in sorted(value):
-                emit(sep + _key(key))
+            for prefix, key in entries:
+                emit(prefix)
                 write(value[key], inner)
-                sep = "," + inner
-            emit(nl + "}")
+            emit(tail)
             return
         if t is ScaledLog:
             inner = nl + "  "
@@ -174,18 +150,11 @@ def _writer(digits: int, emit):
             emit(f',{inner}"coefficient": "{rational_str(value.coefficient)}",'
                  f'{inner}"log": "{value.log_display(digits)}"{nl}}}')
             return
-        entries, tail = _PLANS.get((t, nl)) or _static_plan(t, nl)
-        if type(entries) is str:
-            merged = tuple(getattr(value, entries))
-            plan = merged_plans.get((t, nl, merged))
-            if plan is None:
-                plan = merged_plans[t, nl, merged] = _plan(tail, nl, merged)
-            entries, tail = plan
+        entries, tail = _plan(t, nl)
         inner = nl + "  "
-        for prefix, name, key in entries:
-            item = getattr(value, name)
+        for prefix, name in entries:
             emit(prefix)
-            write(item if key is _FIELD else item[key], inner)
+            write(getattr(value, name), inner)
         emit(tail)
 
     return write
@@ -195,10 +164,9 @@ def stable_json(value, digits: int = DEFAULT_DISPLAY_DIGITS) -> str:
     """The report text of `value`: sorted keys, two-space indent, trailing
     newline; `digits` sets the decimal places of every display-only log.
 
-    A dataclass is written from a plan of its keys at its indent, built on
-    first use and kept across calls; a class with a merge field gets one per
-    call for each set of merged keys.  The text of each Magnitude is made
-    once per call for each value and indent it appears at."""
+    A dataclass or dict is written from a plan of its keys at its indent,
+    built on first use and kept across calls.  The text of each Magnitude is
+    made once per call for each value and indent it appears at."""
     parts: list[str] = []
     _writer(digits, parts.append)(value, "\n")
     parts.append("\n")

@@ -19,7 +19,7 @@ derived_step and exceeds_ceiling.  sum_trunc_zero is recorded, never tested.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
@@ -290,31 +290,23 @@ def build_trace_rows(S: SContext, fam: TrinomialFamily, pairs):
     return rows, values
 
 
-@dataclass(frozen=True)
-class RowCheck:
-    """Outcome of one exact check on one row; `detail` is reported as keys
-    of the row itself."""
-
-    x: Fraction
-    y: Fraction
-    ok: bool | None  # None when the row was skipped
-    detail: dict = field(default_factory=dict, metadata={"merge": True})
-    error: str | None = None
-
-
-def _check_rows(check, *columns, needs_unit=True) -> tuple[RowCheck, ...]:
-    """RowCheck(x, y, *check(row, ...)) for each row of columns[0], the other
-    columns (such as the (P(x), P(y)) values) passed alongside; columns of
-    different lengths raise ValueError.  check returns (ok, detail), or
-    (None, detail, error) for a row it skips.  With needs_unit, rows without
-    a unit are skipped before check sees them."""
+def _check_rows(check, *columns, needs_unit=True) -> tuple[dict, ...]:
+    """{"x", "y", "ok", **detail, "error"} for each row of columns[0], the
+    other columns (such as the (P(x), P(y)) values) passed alongside to
+    check(row, ...); columns of different lengths raise ValueError.  check
+    returns (ok, detail), or (None, detail, error) for a row it skips; the
+    detail keys are reported as keys of the row itself, and error is None
+    where check gives none.  With needs_unit, rows without a unit are
+    skipped before check sees them."""
     out = []
     for args in zip(*columns, strict=True):
         row = args[0]
         if needs_unit and row.u is None:
-            out.append(RowCheck(row.x, row.y, None, error="unit undefined on this row"))
+            out.append({"x": row.x, "y": row.y, "ok": None, "error": "unit undefined on this row"})
         else:
-            out.append(RowCheck(row.x, row.y, *check(*args)))
+            ok, detail, *error = check(*args)
+            out.append({"x": row.x, "y": row.y, "ok": ok, **detail,
+                        "error": error[0] if error else None})
     return tuple(out)
 
 
@@ -325,13 +317,13 @@ class _RowsReport:
 
     @property
     def ok(self) -> bool:
-        return all(r.ok is not False for r in self.rows)
+        return all(r["ok"] is not False for r in self.rows)
 
 
 @dataclass(frozen=True)
 class CheckReport(_RowsReport):
     name: str
-    rows: tuple[RowCheck, ...]
+    rows: tuple[dict, ...]
     constants: dict
     notes: tuple[str, ...] = ()
 
@@ -434,7 +426,7 @@ class MainInequalityReport(_RowsReport):
     epsilon: Fraction
     constants: dict
     ceiling: ScaledLog | None  # None when epsilon >= n - 2m - 4
-    rows: tuple[RowCheck, ...]
+    rows: tuple[dict, ...]
     notes: tuple[str, ...]
 
 
@@ -554,7 +546,7 @@ class CaseReport:
     triple: tuple[Fraction, Fraction, Fraction]
     coefficients: dict
     constants: dict
-    rows: tuple[RowCheck, ...]
+    rows: tuple[dict, ...]
     notes: tuple[str, ...]
 
 
@@ -699,14 +691,13 @@ def case_classify(S: SContext, fam: TrinomialFamily, triple, rows) -> CaseReport
                 "rows below are candidate strong-uniqueness counterexamples "
                 "(feed them to the search)",
             )
-            P = fam.polynomial()
 
+            # u = P(x)/P(y) with P(y) != 0, so P(x) = c*P(y) exactly when u = c
             def check(r, rel):
                 matches = r.u == u_expected
-                su_rel = P.evaluate(r.x) == u_expected * P.evaluate(r.y)
-                detail = {"u_matches_constant": matches, "scaled_value_relation_ok": su_rel,
+                detail = {"u_matches_constant": matches, "scaled_value_relation_ok": matches,
                           "off_diagonal": r.x != r.y}
-                return (not rel) or (matches and su_rel), detail
+                return (not rel) or matches, detail
 
     def with_relation(r):
         rel = c1 * r.eta + c2 * r.u + c3 * r.zeta == 0

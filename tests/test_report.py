@@ -4,7 +4,7 @@ the string-keyed trees reports are.
 `render_table` writes each console cell by its exact type too."""
 
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction as F
 from operator import itemgetter
 from typing import ClassVar
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from urskit.arith import rational_str
 from urskit.heights import Magnitude, ScaledLog
-from urskit.report import render_table, stable_json
+from urskit.report import _PLAN_CACHE_SIZE, render_table, stable_json
 
 
 def to_json(value, digits=6):
@@ -39,16 +39,8 @@ def to_json(value, digits=6):
         }
     if not is_dataclass(t):
         raise TypeError(f"no JSON encoding for {t.__name__}")
-    out = {}
-    for f in fields(t):
-        encoded = to_json(getattr(value, f.name), digits)
-        if f.metadata.get("merge", False):
-            out.update(encoded)
-        else:
-            out[f.name] = encoded
-    for name in getattr(t, "derived_keys", ()):
-        out[name] = to_json(getattr(value, name), digits)
-    return out
+    names = [f.name for f in fields(t)] + list(getattr(t, "derived_keys", ()))
+    return {name: to_json(getattr(value, name), digits) for name in names}
 
 
 def reference_json(value, digits=6):
@@ -75,28 +67,23 @@ def test_log_quantities_exact_plus_display():
     }
 
 
-@dataclass(frozen=True)
-class _Row:
-    x: F
-    detail: dict = field(default_factory=dict, metadata={"merge": True})
-
-    derived_keys: ClassVar[tuple[str, ...]] = ("double",)
-
-    @property
-    def double(self) -> F:
-        return 2 * self.x
+def _row(x, detail):
+    """A flat row, as trace writes its check rows: own keys, then the
+    detail's, then one more."""
+    return {"x": x, **detail, "double": 2 * x}
 
 
 def test_dataclass_fields_merge_and_derived_keys():
-    row = _Row(F(1, 4), {"count": 2, "h": Magnitude(1)})
-    assert json.loads(stable_json([row], 1)) == [
-        {"x": "1/4", "count": 2, "h": {"exact": "1", "log": "0.0"}, "double": "1/2"}
+    row = _row(F(1, 4), {"count": 2, "h": Magnitude(1)})
+    flat = {"x": "1/4", "count": 2, "h": {"exact": "1", "log": "0.0"}, "double": "1/2"}
+    assert json.loads(stable_json([row, _Plain(row, 0)], 1)) == [
+        flat, {"b": flat, "a": 0, "ab": [0, flat]}
     ]
 
 
 @pytest.mark.parametrize("value", [0.5, {1, 2}, object(), [1, {"k": 0.5}],
                                    {"k": {1, 2}}, {(1, 2): 0}, [Magnitude(2), 0.5],
-                                   _Row(F(1), {"k": object()})])
+                                   _row(F(1), {"k": object()})])
 def test_unknown_types_are_rejected(value):
     with pytest.raises(TypeError, match="no JSON encoding"):
         stable_json(value)
@@ -104,18 +91,31 @@ def test_unknown_types_are_rejected(value):
 
 def test_long_ints_raise_as_str_does():
     for value in [{"n": 10**5000}, Magnitude(10**5000), [10**5000], [Magnitude(10**5000)],
-                  {"m": Magnitude(10**5000)}, _Row(F(1), {"n": 10**5000})]:
+                  {"m": Magnitude(10**5000)}, _row(F(1), {"n": 10**5000})]:
         with pytest.raises(ValueError, match="4300"):
             stable_json(value)
 
 
 def test_one_value_at_two_depths():
-    # a Magnitude's text depends on its indent, and so does a dataclass's
+    # a Magnitude's text depends on its indent, and so does a dataclass's or
+    # a dict's, empty or not; one key set in two insertion orders is two key
+    # tuples, so two plans, that write one text
     m = Magnitude(12)
-    row = _Row(F(1, 3), {"h": m})
+    row = _row(F(1, 3), {"h": m})
     plain = _Plain(m, row)
-    value = {"a": m, "b": [row, plain, [m, row, {"c": [plain]}]], "c": row, "d": plain}
+    ab, ba = {"a": m, "b": {}}, {"b": {}, "a": m}
+    value = {"a": m, "b": [row, plain, [m, row, {"c": [plain]}]], "c": row, "d": plain,
+             "e": [ab, [ba, {}]], "f": {}}
     assert stable_json(value, 4) == reference_json(value, 4)
+    assert stable_json(ba) == stable_json(ab)
+
+
+def test_more_key_sets_than_the_plan_cache_holds():
+    # plans evicted and built again write the same text
+    value = [{f"k{i}": i} for i in range(_PLAN_CACHE_SIZE + 10)]
+    expected = reference_json(value)
+    assert stable_json(value) == expected
+    assert stable_json(value) == expected
 
 
 def test_back_to_back_calls_with_other_digits():
@@ -136,19 +136,10 @@ class _Plain:
         return [self.a, self.b]
 
 
-@dataclass(frozen=True)
-class _Merged:
-    """Plain keys on both sides of the merged ones, in sort order."""
-
-    m: object
-    extra: dict = field(default_factory=dict, metadata={"merge": True})
-    z: object = None
-
-    derived_keys: ClassVar[tuple[str, ...]] = ("d",)
-
-    @property
-    def d(self):
-        return self.m
+def _merged(m, extra, z=None):
+    """Plain keys on both sides of the merged ones, in sort order; a merged
+    key overrides "m" and is overridden by "z" and "d"."""
+    return {"m": m, **extra, "z": z, "d": m}
 
 
 @dataclass(frozen=True)
@@ -156,22 +147,9 @@ class _Empty:
     pass
 
 
-@dataclass(frozen=True)
-class _Bag:
-    """Only merged keys."""
-
-    items: dict = field(metadata={"merge": True})
-
-
-@dataclass(frozen=True)
-class _TwoMerges:
-    a: dict = field(metadata={"merge": True})
-    b: dict = field(metadata={"merge": True})
-
-
 # one instance each, so a drawn tree holds them at several depths
 SHARED_MAGNITUDE = Magnitude(2**61 - 1)
-SHARED_ROW = _Row(F(-7, 2), {"h": SHARED_MAGNITUDE, "n": None})
+SHARED_ROW = _row(F(-7, 2), {"h": SHARED_MAGNITUDE, "n": None})
 
 scalars = (
     st.none()
@@ -186,7 +164,9 @@ scalars = (
     | st.just(_Empty())
     | st.sampled_from([SHARED_MAGNITUDE, SHARED_ROW])
 )
-keys = st.text(max_size=6) | st.sampled_from(["a", "b", "m", "z", "extra", "é"])
+# the small alphabet makes key tuples, and so plans, recur within a tree
+small_keys = st.sampled_from(["a", "b", "d", "m", "z", "é"])
+keys = st.text(max_size=6) | small_keys
 
 
 def _values(children):
@@ -194,10 +174,10 @@ def _values(children):
         st.lists(children, max_size=4)
         | st.lists(children, max_size=4).map(tuple)
         | st.dictionaries(keys, children, max_size=4)
+        | st.dictionaries(small_keys, children, max_size=3)
         | st.builds(_Plain, children, children)
-        | st.builds(_Merged, children, st.dictionaries(keys, children, max_size=4),
+        | st.builds(_merged, children, st.dictionaries(keys, children, max_size=4),
                     children)
-        | st.builds(_Bag, st.dictionaries(keys, children, max_size=3))
     )
 
 
@@ -210,12 +190,14 @@ def test_stable_json_matches_json_dumps_of_the_dict_tree(value, digits):
     assert stable_json(value, digits) == reference_json(value, digits)
 
 
-# every key a report holds is a string, and a dataclass merges one dict at
-# most; json.dumps would write the first four as "true", "null", "2" and so on
+# every key a report holds is a string; json.dumps would write the first
+# four as "true", "null", "2" and so on.  A plan is kept per key tuple, so a
+# non-string key must raise even where a string key of equal text, or a
+# string key set of equal size, was written just before it
 @pytest.mark.parametrize("value", [{True: [], False: {}}, {None: 1}, {2: 0, 10: 1, -3: 2},
-                                   [_Bag({True: 1}), _Bag({1: 2}), _Bag({False: 0, 2: 3})],
-                                   _Merged(0, {1: 2}), [_Bag({"1": 0}), _Bag({1: 0})],
-                                   _TwoMerges({}, {})])
+                                   [{True: 1}, {1: 2}, {False: 0, 2: 3}],
+                                   _merged(0, {1: 2}), [{"1": 0}, {1: 0}],
+                                   [{"a": 0}, {True: 0}]])
 def test_non_string_keys_are_rejected(value):
     with pytest.raises(TypeError, match="no JSON encoding"):
         stable_json(value)

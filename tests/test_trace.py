@@ -13,6 +13,7 @@ from urskit.arith import FactoringBudgetError, SContext, unit_equation_solutions
 from urskit.heights import Magnitude, ScaledLog, counting, counting_trunc, height
 from urskit.polys import RatPoly, TrinomialFamily, validate_family
 from urskit.sharing import SearchBudgetError, s_integer_box, search_shared_pairs, share_check
+from urskit import trace
 from urskit.trace import (
     aux_build,
     build_trace_rows,
@@ -26,7 +27,6 @@ from urskit.trace import (
     shift_height_constant,
     strong_uniqueness_search,
     CheckReport,
-    RowCheck,
     TraceRow,
     trunc_bound_check,
     unit_height_check,
@@ -169,10 +169,10 @@ def test_roth_chain_examples():
     rep = roth_chain_report(S23, P7, rows, values)
     assert rep.constants["C_P"] == 4
     assert rep.ok
-    by_pair = {(r.x, r.y): r for r in rep.rows}
-    assert by_pair[(F(0), F(-1))].detail["count_px"] == "1"
-    assert by_pair[(F(2), F(2))].detail["counting_equal"]
-    assert by_pair[(F(1), F(0))].detail["count_px"] == "1"  # P(1)=3 is S-supported
+    by_pair = {(r["x"], r["y"]): r for r in rep.rows}
+    assert by_pair[(F(0), F(-1))]["count_px"] == "1"
+    assert by_pair[(F(2), F(2))]["counting_equal"]
+    assert by_pair[(F(1), F(0))]["count_px"] == "1"  # P(1)=3 is S-supported
 
 
 def test_roth_chain_row_errors():
@@ -180,8 +180,8 @@ def test_roth_chain_row_errors():
     # P = X vanishes at 0; the values passed are X's, not those of P7
     rep = roth_chain_report(S23, RatPoly.of([0, 1]), rows, [(r.x, r.y) for r in rows])
     vanish, nonshare = rep.rows
-    assert vanish.ok is None and "vanishing" in vanish.error
-    assert nonshare.ok is None and "share" in nonshare.error
+    assert vanish["ok"] is None and "vanishing" in vanish["error"]
+    assert nonshare["ok"] is None and "share" in nonshare["error"]
 
 
 def test_unit_height_examples():
@@ -189,8 +189,8 @@ def test_unit_height_examples():
     rep = unit_height_check(rows, values)
     assert rep.ok
     row = rep.rows[0]
-    assert row.detail["h_u"] == "3"
-    assert row.detail["h_px"] == "3" and row.detail["h_py"] == "1"
+    assert row["h_u"] == "3"
+    assert row["h_px"] == "3" and row["h_py"] == "1"
 
 
 def _roth_chain_oracle(S, P, rows):
@@ -204,13 +204,12 @@ def _roth_chain_oracle(S, P, rows):
         py = P.evaluate(row.y)
         if px == 0 or py == 0:
             out.append(
-                RowCheck(row.x, row.y, None, error="vanishing P value on this row")
+                {"x": row.x, "y": row.y, "ok": None, "error": "vanishing P value on this row"}
             )
             continue
         if not row.shares:
-            out.append(
-                RowCheck(row.x, row.y, None, error="row does not share; chain not applicable")
-            )
+            out.append({"x": row.x, "y": row.y, "ok": None,
+                        "error": "row does not share; chain not applicable"})
             continue
         cx = counting(S, px)
         cy = counting(S, py)
@@ -220,19 +219,18 @@ def _roth_chain_oracle(S, P, rows):
         lx, ly = math.log(row.h_x.value), math.log(row.h_y.value)
         ratio = None if ly == 0 or lx == 0 else f"{lx / ly:.6f}"
         out.append(
-            RowCheck(
-                row.x,
-                row.y,
-                counting_equal and bound_x and bound_y,
-                {
-                    "count_px": str(cx.value),
-                    "count_py": str(cy.value),
-                    "counting_equal": counting_equal,
-                    "bound_x_ok": bound_x,
-                    "bound_y_ok": bound_y,
-                    "height_ratio": ratio,
-                },
-            )
+            {
+                "x": row.x,
+                "y": row.y,
+                "ok": counting_equal and bound_x and bound_y,
+                "count_px": str(cx.value),
+                "count_py": str(cy.value),
+                "counting_equal": counting_equal,
+                "bound_x_ok": bound_x,
+                "bound_y_ok": bound_y,
+                "height_ratio": ratio,
+                "error": None,
+            }
         )
     return CheckReport("roth_chain", tuple(out), {"C_P": c_p, "degree": n})
 
@@ -242,22 +240,21 @@ def _unit_height_oracle(S, P, rows):
     out = []
     for row in rows:
         if row.u is None:
-            out.append(RowCheck(row.x, row.y, None, error="unit undefined on this row"))
+            out.append({"x": row.x, "y": row.y, "ok": None, "error": "unit undefined on this row"})
             continue
         hpx = height(P.evaluate(row.x))
         hpy = height(P.evaluate(row.y))
         ok = row.h_u.value <= hpx.value * hpy.value
         out.append(
-            RowCheck(
-                row.x,
-                row.y,
-                ok,
-                {
-                    "h_u": str(row.h_u.value),
-                    "h_px": str(hpx.value),
-                    "h_py": str(hpy.value),
-                },
-            )
+            {
+                "x": row.x,
+                "y": row.y,
+                "ok": ok,
+                "h_u": str(row.h_u.value),
+                "h_px": str(hpx.value),
+                "h_py": str(hpy.value),
+                "error": None,
+            }
         )
     return CheckReport("unit_height", tuple(out), {})
 
@@ -447,26 +444,26 @@ def test_trunc_bound_fixture_x5():
     rows = rows_for([(F(5), F(5))])
     rep = trunc_bound_check(rows)
     row = rep.rows[0]
-    assert row.ok
-    assert row.detail["n2_eta"] == "25"
-    assert row.detail["eta_rhs"] == "25"
+    assert row["ok"]
+    assert row["n2_eta"] == "25"
+    assert row["eta_rhs"] == "25"
 
 
 def test_trunc_bound_s_unit_x():
     rows = rows_for([(F(2), F(2))])
     rep = trunc_bound_check(rows)
     row = rep.rows[0]
-    assert row.ok
-    assert row.detail["n2_eta"] == "1"  # eta = -2^6*3 is S-supported
-    assert row.detail["unit_trunc_zero"] and row.detail["sum_trunc_zero"]
+    assert row["ok"]
+    assert row["n2_eta"] == "1"  # eta = -2^6*3 is S-supported
+    assert row["unit_trunc_zero"] and row["sum_trunc_zero"]
 
 
 def test_trunc_bound_skips_non_unit_rows():
     rows = rows_for([(F(2), F(3))])  # u = 193/(2916+729+1)... not an S-unit
     assert not rows[0].shares
     rep = trunc_bound_check(rows)
-    assert rep.rows[0].ok is None
-    assert "not an S-unit" in rep.rows[0].error
+    assert rep.rows[0]["ok"] is None
+    assert "not an S-unit" in rep.rows[0]["error"]
 
 
 def test_trunc_bounds_hold_on_all_searched_pairs():
@@ -476,7 +473,7 @@ def test_trunc_bounds_hold_on_all_searched_pairs():
     rows = rows_for(pairs)
     rep = trunc_bound_check(rows)
     assert rep.ok
-    assert any(r.ok for r in rep.rows)
+    assert any(r["ok"] for r in rep.rows)
 
 
 def test_bulk_chain_on_second_validated_family():
@@ -509,10 +506,10 @@ def test_main_inequality_constants_and_ceiling():
     assert rep.ceiling == ScaledLog(F(10, 9), Magnitude(2**20))
     assert rep.ok
     trivial = rep.rows[0]
-    assert trivial.detail.get("conjectural_step", "").startswith("skipped")
+    assert trivial.get("conjectural_step", "").startswith("skipped")
     nontrivial = rep.rows[1]
-    assert nontrivial.detail["eta_floor_ok"]
-    assert nontrivial.detail["exceeds_ceiling"] is False
+    assert nontrivial["eta_floor_ok"]
+    assert nontrivial["exceeds_ceiling"] is False
 
 
 def test_main_inequality_ceiling_formula():
@@ -583,7 +580,7 @@ def test_case_c1_zero():
     assert rep.branch == "c1_zero"
     row = rep.rows[0]
     # relation c2*u + c3*zeta = u - zeta = 1 != 0: relation fails on this row
-    assert row.detail["relation_ok"] is False
+    assert row["relation_ok"] is False
 
 
 def test_case_c2_c3_nonzero_fixture():
@@ -592,9 +589,9 @@ def test_case_c2_c3_nonzero_fixture():
     assert rep.branch == "C2_C3_nonzero"
     assert rep.coefficients["C2"] == "1" and rep.coefficients["C3"] == "1"
     row = rep.rows[0]
-    assert row.detail["relation_ok"]  # 1*0 + 0*1 + 0*0 = 0
-    assert row.detail["unit_relation_ok"]
-    assert row.ok
+    assert row["relation_ok"]  # 1*0 + 0*1 + 0*0 = 0
+    assert row["unit_relation_ok"]
+    assert row["ok"]
 
 
 def test_case_c2_c3_nonzero_growth_diagnostics():
@@ -602,17 +599,17 @@ def test_case_c2_c3_nonzero_growth_diagnostics():
     triple = (F(1), F(0), F(0))
     rep = case_classify(S23, FAM, triple, rows)
     row = rep.rows[0]
-    assert row.detail["w_formula_ok"]
-    assert row.detail["trunc_product_ok"]
-    assert row.detail["w_height_floor_ok"]
-    assert row.detail["growth_scale_cmp"] == "above"  # n > m+1 scale on data
+    assert row["w_formula_ok"]
+    assert row["trunc_product_ok"]
+    assert row["w_height_floor_ok"]
+    assert row["growth_scale_cmp"] == "above"  # n > m+1 scale on data
 
 
 def test_case_inconsistent():
     rows = rows_for([(F(0), F(-1))])
     rep = case_classify(S23, FAM, (F(1), F(1), F(1)), rows)
     assert rep.branch == "inconsistent_C2_C3_zero"
-    assert all(r.ok for r in rep.rows)  # no row satisfies both constraints
+    assert all(r["ok"] for r in rep.rows)  # no row satisfies both constraints
 
 
 def test_case_c2_zero():
@@ -623,10 +620,10 @@ def test_case_c2_zero():
     assert rep.branch == "C2_zero"
     row = rep.rows[0]
     # zeta = 1/C3 = 2 would be needed; actual zeta = 192, relation fails
-    assert row.detail["relation_ok"] is False
-    assert row.detail["y_is_s_unit"] is True
-    assert row.detail["y_shift_is_s_unit"] is True
-    assert row.detail["in_enumeration"] is True
+    assert row["relation_ok"] is False
+    assert row["y_is_s_unit"] is True
+    assert row["y_shift_is_s_unit"] is True
+    assert row["in_enumeration"] is True
 
 
 @pytest.mark.parametrize(
@@ -646,10 +643,11 @@ def test_case_rows_with_u_zero(triple, branch, error):
     rep = case_classify(S23, fam, triple, rows)
     assert rep.branch == branch
     (row,) = rep.rows
-    assert row.ok is None
-    assert row.error == error
+    assert row["ok"] is None
+    assert row["error"] == error
     # eta = 1, so the relation holds exactly when c1 = 0
-    assert row.detail == {"relation_ok": triple[0] == 0}
+    assert row == {"x": F(1), "y": F(2), "ok": None, "relation_ok": triple[0] == 0,
+                   "error": error}
 
 
 def _s_units(S):
@@ -690,11 +688,11 @@ def test_case_c2_zero_membership_matches_enumeration(case):
     rep = case_classify(S, fam, (F(1), F(1), F(1, 2)), rows)
     assert rep.branch == "C2_zero"
     for row in rep.rows:
-        if "in_enumeration" not in row.detail:
+        if "in_enumeration" not in row:
             continue
-        u0, v0 = (F(t) for t in row.detail["unit_equation_pair"])
-        members = unit_equation_solutions(S, row.detail["unit_equation_bound"])
-        assert row.detail["in_enumeration"] == ((u0, v0) in members)
+        u0, v0 = (F(t) for t in row["unit_equation_pair"])
+        members = unit_equation_solutions(S, row["unit_equation_bound"])
+        assert row["in_enumeration"] == ((u0, v0) in members)
 
 
 def test_case_c3_zero():
@@ -704,14 +702,14 @@ def test_case_c3_zero():
     assert rep.branch == "C3_zero"
     assert rep.coefficients["u_expected"] == "2"
     for row in rep.rows:
-        assert row.detail["u_matches_constant"] is False
+        assert row["u_matches_constant"] is False
     # and with the matching constant:
     triple2 = (F(1), F(0), F(1))  # C2 = 1, C3 = 0, u expected = 1
     rep2 = case_classify(S23, FAM, triple2, rows)
-    by = {(r.x, r.y): r for r in rep2.rows}
-    assert by[(F(0), F(-1))].detail["u_matches_constant"]
-    assert by[(F(0), F(-1))].detail["off_diagonal"]
-    assert by[(F(2), F(2))].detail["off_diagonal"] is False
+    by = {(r["x"], r["y"]): r for r in rep2.rows}
+    assert by[(F(0), F(-1))]["u_matches_constant"]
+    assert by[(F(0), F(-1))]["off_diagonal"]
+    assert by[(F(2), F(2))]["off_diagonal"] is False
 
 
 # --- lemmas ----------------------------------------------------------------------
@@ -766,22 +764,49 @@ def test_lemmas_hold_on_valid_families(case):
     rows, values = build_trace_rows(S, fam, pairs)
     unit_rows = [r for r in rows if r.u is not None]
     assert all(r.identity_ok for r in unit_rows)
-    checks = [
-        roth_chain_report(S, P, rows, values),
-        unit_height_check(rows, values),
-        trunc_bound_check(rows),
-        main_inequality_report(S, fam, F(1, 10), rows),
-    ]
-    assert all(rep.ok for rep in checks)  # each row's ok is made of lemmas
-    triples = set(dependence_detect(unit_rows).basis)
-    for r in unit_rows:
-        triples.update(dependence_detect([r]).basis)
-        triples.update(_relations_through(r))
-    cases = [case_classify(S, fam, t, rows) for t in sorted(triples)]
+    # each check's detail for each row, before it is merged into the row
+    details = []
+    check_rows = trace._check_rows
+
+    def recording(check, *columns, **options):
+        def recorded(*args):
+            out = check(*args)
+            details.append(out[1])
+            return out
+
+        return check_rows(recorded, *columns, **options)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace, "_check_rows", recording)
+        checks = [
+            roth_chain_report(S, P, rows, values),
+            unit_height_check(rows, values),
+            trunc_bound_check(rows),
+            main_inequality_report(S, fam, F(1, 10), rows),
+        ]
+        assert all(rep.ok for rep in checks)  # each row's ok is made of lemmas
+        triples = set(dependence_detect(unit_rows).basis)
+        for r in unit_rows:
+            triples.update(dependence_detect([r]).basis)
+            triples.update(_relations_through(r))
+        cases = [case_classify(S, fam, t, rows) for t in sorted(triples)]
     for rep in checks + cases:
         for row in rep.rows:
             for key in LEMMA_KEYS:
-                assert row.detail.get(key) is not False, (key, row)
+                assert row.get(key) is not False, (key, row)
+    # a detail key named like a row's own key would overwrite it silently
+    for detail in details:
+        assert not detail.keys() & {"x", "y", "ok", "error"}, detail
+    # C3_zero reads the scaled value relation P(x) = c*P(y) off u = c
+    for rep in cases:
+        if rep.branch != "C3_zero":
+            continue
+        c = F(rep.coefficients["u_expected"])
+        for row in rep.rows:
+            assert row["scaled_value_relation_ok"] == row["u_matches_constant"]
+            assert row["scaled_value_relation_ok"] == (
+                P.evaluate(row["x"]) == c * P.evaluate(row["y"])
+            )
 
 
 # --- strong uniqueness search ----------------------------------------------------
