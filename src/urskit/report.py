@@ -8,8 +8,8 @@ type: None, booleans, integers and strings as they are, rationals as 'a/b',
 magnitudes as the exact integer plus a display-only log, tuples and lists
 as lists, dicts by their values, and dataclasses by their fields.  A
 dataclass adds the attributes named in its `derived_keys` class variable as
-further keys.  Every key is a string, as in every urskit report; any other
-key raises TypeError.  Keys are sorted, items indented by two spaces, and
+further keys.  Every key is a str, as in every urskit report (an instance of
+a subclass is written as its text); any other key raises TypeError.  Keys are sorted, items indented by two spaces, and
 strings escaped as JSON does with non-ASCII characters kept.
 
 `render_table` writes a console table from a column spec, one (header,
@@ -21,13 +21,14 @@ anything else through str.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring
 
 from .arith import UrskitError, rational_str
-from .heights import DEFAULT_DISPLAY_DIGITS, Magnitude, ScaledLog
+from .heights import DEFAULT_DISPLAY_DIGITS, Magnitude, ScaledLog, _check_digits
 
 
 class SchemaError(UrskitError):
@@ -65,18 +66,18 @@ def _plan(keys, nl: str) -> tuple:
 
 def _key(key) -> str:
     """A dict key, quoted, with the colon that follows; a report's keys are
-    all strings, so any other type raises TypeError."""
-    if type(key) is not str:
+    all strings, so a key that is no str instance raises TypeError."""
+    if not isinstance(key, str):
         raise TypeError(f"no JSON encoding for a {type(key).__name__} key")
     return encode_basestring(key) + ": "
 
 
 # exact type -> text, for the values whose text needs neither indent nor
-# `digits` (`Fraction` is an ABC subclass, so isinstance tests on it are slow)
+# `digits`, except Fraction, whose text the writer keeps per object
+# (`Fraction` is an ABC subclass, so isinstance tests on it are slow)
 _SCALARS = {
     str: encode_basestring,
     int: int.__repr__,
-    Fraction: lambda v: '"' + rational_str(v) + '"',
     type(None): lambda v: "null",
     bool: lambda v: "true" if v else "false",
 }
@@ -99,17 +100,26 @@ def _writer(digits: int, emit):
 
     `write` alone maps a value's type to its text: the list loop emits an
     item's separator, and the dict and dataclass loops a plan prefix, and
-    hand the item back to `write`.  What stays cached pays for itself on the
-    `trace` reports: the plans of `_plan`, per dataclass type or dict key
-    tuple, without which those reports are written about half again as
-    slowly; and the text of each Magnitude per value and indent, kept for
-    the life of the writer, which serves most Magnitude lookups there, as
-    their values recur."""
+    hand the item back to `write`.  `digits` is checked once, here.  What
+    stays cached pays for itself on the `trace` reports: the plans of
+    `_plan`, per dataclass type or dict key tuple, without which those
+    reports are written about half again as slowly; and, for the life of
+    the writer, the text of each Magnitude per value and indent, and of
+    each Fraction per object, keyed by id and held so that no other object
+    takes its id; a row's values recur in every check."""
+    _check_digits(digits)
     scalars = _SCALARS
     magnitudes: dict[tuple[int, str], str] = {}
+    fractions: dict[int, tuple[Fraction, str]] = {}
 
     def write(value, nl: str) -> None:
         t = type(value)
+        if t is Fraction:
+            hit = fractions.get(id(value))
+            if hit is None:
+                hit = fractions[id(value)] = value, '"' + rational_str(value) + '"'
+            emit(hit[1])
+            return
         text = scalars.get(t)
         if text is not None:
             emit(text(value))
@@ -119,7 +129,7 @@ def _writer(digits: int, emit):
             if text is None:
                 inner = nl + "  "
                 text = (f'{{{inner}"exact": "{value.value}",{inner}"log": '
-                        f'"{value.log_display(digits)}"{nl}}}')
+                        f'"{math.log(value.value):.{digits}f}"{nl}}}')
                 magnitudes[value.value, nl] = text
             emit(text)
             return
@@ -165,8 +175,9 @@ def stable_json(value, digits: int = DEFAULT_DISPLAY_DIGITS) -> str:
     newline; `digits` sets the decimal places of every display-only log.
 
     A dataclass or dict is written from a plan of its keys at its indent,
-    built on first use and kept across calls.  The text of each Magnitude is
-    made once per call for each value and indent it appears at."""
+    built on first use and kept across calls.  Within one call, the text of
+    a Magnitude is made once per value and indent, and that of a Fraction
+    once per object; `digits` below 1 raises ValueError, whatever `value`."""
     parts: list[str] = []
     _writer(digits, parts.append)(value, "\n")
     parts.append("\n")

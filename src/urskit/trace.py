@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import ClassVar
 
 from .arith import SContext, is_s_unit, ord_at, rational_str
@@ -189,12 +190,15 @@ def build_trace_rows(S: SContext, fam: TrinomialFamily, pairs):
     Each distinct value is checked, evaluated and measured once per call,
     whichever sides it takes (_TracedValue), and its counts are computed
     the first time a sharing row asks for them; a pair adds only
-    u = P(x)/P(y), zeta = w(y)*u, their heights and counts, and the
-    identity, one integer cross-multiplication.  The pair shares when P(x)
-    and P(y) have the same sharing.share_key, the key share_check and
-    search_shared_pairs decide by.  Rows ask for their counts in the order
-    n1_x, n1_y, n2_eta, n2_zeta, n2_u, so the first FactoringBudgetError
-    names the same cofactor as a row-by-row computation would.
+    u = P(x)/P(y), zeta = w(y)*u, their heights, read off their integers,
+    and the identity, one integer cross-multiplication.  The pair shares
+    when P(x) and P(y) have the same sharing.share_key, the key share_check
+    and search_shared_pairs decide by.  Equal keys make u a nonzero S-unit,
+    so a sharing row counts nothing of its own: N^(2)(u) = 1, and
+    N^(2)(zeta) is N^(2)(eta(y)), one non-S numerator.  Rows ask for their
+    counts in the order n1_x, n1_y, N^(2)(eta(x)), N^(2)(eta(y)), so the
+    first FactoringBudgetError names the same cofactor as a row-by-row
+    computation of n1_x, n1_y, n2_eta, n2_zeta, n2_u would.
 
     Zero values (eta, zeta, x, y, or the shifted terms) leave the affected
     counting entries unset and add a flag; downstream checks skip those rows
@@ -217,6 +221,7 @@ def build_trace_rows(S: SContext, fam: TrinomialFamily, pairs):
     n1 = _per_value(lambda t: _maybe_counting(S, t.v, 1))
     n2_eta = _per_value(lambda t: _maybe_counting(S, t.eta, 2))
     n_shift = _per_value(lambda t: _maybe_counting(S, t.v**fam.m + fam.a))
+    unit = Magnitude(1)  # N^(2) of an S-unit
 
     rows = []
     values = []
@@ -242,7 +247,8 @@ def build_trace_rows(S: SContext, fam: TrinomialFamily, pairs):
             un, ud = u.numerator, u.denominator
             zn, zd = zeta.numerator, zeta.denominator
             identity_ok = (en * ud + un * ed) * zd + zn * ed * ud == ed * ud * zd
-            h_u, h_eta, h_zeta = height(u), tx.h_eta, height(zeta)
+            h_u, h_eta = Magnitude(max(abs(un), ud)), tx.h_eta
+            h_zeta = Magnitude(max(abs(zn), zd))
             if en == 0:
                 flags.append("eta_zero")
             if zn == 0:
@@ -257,9 +263,9 @@ def build_trace_rows(S: SContext, fam: TrinomialFamily, pairs):
         # rows failing it keep heights only and are excluded by every check
         if shares:
             n1_x, n1_y = n1(tx), n1(ty)
-            n2_eta_x = None if u is None else n2_eta(tx)
-            n2_zeta = _maybe_counting(S, zeta, 2)
-            n2_u = _maybe_counting(S, u, 2)
+            n2_eta_x = n2_zeta = n2_u = None
+            if u is not None:  # so u is a nonzero S-unit: see above
+                n2_eta_x, n2_zeta, n2_u = n2_eta(tx), n2_eta(ty), unit
             n_xm_a, n_ym_a = n_shift(tx), n_shift(ty)
         else:
             n1_x = n1_y = n2_eta_x = n2_zeta = n2_u = n_xm_a = n_ym_a = None
@@ -311,11 +317,12 @@ def _check_rows(check, *columns, needs_unit=True) -> tuple[dict, ...]:
 
 
 class _RowsReport:
-    """A report that is ok unless a row failed; a skipped row's ok is None."""
+    """A report that is ok unless a row failed; a skipped row's ok is None.
+    The report is frozen, so ok is computed on its first read and kept."""
 
     derived_keys: ClassVar[tuple[str, ...]] = ("ok",)
 
-    @property
+    @cached_property
     def ok(self) -> bool:
         return all(r["ok"] is not False for r in self.rows)
 
@@ -375,13 +382,18 @@ def unit_height_check(rows, values) -> CheckReport:
     lemma: the row's ok.
 
     `values` holds (P(x), P(y)) for each row, as build_trace_rows returns
-    them; each distinct value is measured once."""
-    h = _per_value(height)
+    them; each distinct value is measured, and its height written, once."""
+
+    def measure(v):
+        h = height(v).value
+        return h, str(h)
+
+    measured = _per_value(measure)
 
     def check(row, pv):
-        hpx, hpy = map(h, pv)
-        ok = row.h_u.value <= hpx.value * hpy.value
-        return ok, {"h_u": str(row.h_u.value), "h_px": str(hpx.value), "h_py": str(hpy.value)}
+        (hpx, text_x), (hpy, text_y) = map(measured, pv)
+        ok = row.h_u.value <= hpx * hpy
+        return ok, {"h_u": str(row.h_u.value), "h_px": text_x, "h_py": text_y}
 
     return CheckReport("unit_height", _check_rows(check, rows, values), {})
 
@@ -467,9 +479,11 @@ def main_inequality_report(
     c_total = Magnitude(c_a**4 * c_eta**2)
     gap = Fraction(n - 2 * m - 4) - eps
     ceiling = ScaledLog(1 / gap, c_total) if gap > 0 else None
-    one_minus = Fraction(1) - eps
+    one = Fraction(1)
+    one_minus = one - eps
     n_eps = Fraction(n) - eps
     two_m = Fraction(2 + m)
+    floor = _per_value(lambda h: h.value**n)  # h(x)^n, once per x
 
     def check(row):
         detail: dict = {}
@@ -486,13 +500,13 @@ def main_inequality_report(
             detail["conjectural_max_height"] = str(hmax.value)
             detail["conjectural_step"] = inequality_verdict(one_minus, hmax, rhs)
             # eta height floor with the explicit constant
-            ok = detail["eta_floor_ok"] = row.h_eta.value * c_eta >= row.h_x.value**n
+            ok = detail["eta_floor_ok"] = row.h_eta.value * c_eta >= floor(row.h_x)
         # derived comparison (n-eps) h(x) vs (2+m)(h(x)+h(y))
         h_xy = row.h_x * row.h_y
         holds = n_eps < 0 or cmp_scaled(ScaledLog(n_eps, row.h_x), ScaledLog(two_m, h_xy)) <= 0
         detail["derived_step"] = "holds" if holds else "exceeds"
         if ceiling is not None:
-            over = cmp_scaled(ScaledLog(Fraction(1), h_xy), ceiling) == GREATER
+            over = cmp_scaled(ScaledLog(one, h_xy), ceiling) == GREATER
             detail["exceeds_ceiling"] = over
         return ok, detail
 

@@ -110,6 +110,32 @@ def test_one_value_at_two_depths():
     assert stable_json(ba) == stable_json(ab)
 
 
+@dataclass(frozen=True)
+class _Fresh:
+    """A derived key that makes a new Fraction on each access: written and
+    then dropped, its id can come back for the next object's Fraction."""
+
+    a: int
+
+    derived_keys: ClassVar[tuple[str, ...]] = ("f",)
+
+    @property
+    def f(self):
+        return F(self.a, 7)
+
+
+_THIRD = F(1, 3)
+
+
+@pytest.mark.parametrize("value", [
+    [_Fresh(a) for a in range(-40, 40)],
+    [F(1, 3), F(1, 3), {"a": F(-2, 5), "b": F(-2, 5)}, F(6, 3), F(2)],
+    [_THIRD, {"a": _THIRD, "b": [_THIRD, [_THIRD]]}, _THIRD],
+], ids=["fresh_objects", "equal_values", "two_indents"])
+def test_fraction_text_per_object(value):
+    assert stable_json(value) == reference_json(value)
+
+
 def test_more_key_sets_than_the_plan_cache_holds():
     # plans evicted and built again write the same text
     value = [{f"k{i}": i} for i in range(_PLAN_CACHE_SIZE + 10)]
@@ -201,6 +227,28 @@ def test_stable_json_matches_json_dumps_of_the_dict_tree(value, digits):
 def test_non_string_keys_are_rejected(value):
     with pytest.raises(TypeError, match="no JSON encoding"):
         stable_json(value)
+
+
+class _Sub(str):
+    pass
+
+
+@pytest.mark.parametrize("first", ["subclass", "plain"])
+def test_str_subclass_keys_are_written_in_either_order(first):
+    # a plan is kept per key tuple, and (_Sub(k),) == (k,): whichever comes
+    # first, both dicts are written, as json.dumps writes them
+    k = f"sub-{first}"
+    values = [{_Sub(k): 1}, {k: 1}]
+    if first == "plain":
+        values.reverse()
+    for value in values:
+        assert stable_json(value) == reference_json(value) == f'{{\n  "{k}": 1\n}}\n'
+
+
+def test_digits_below_one_are_rejected_for_every_value():
+    for value in ([], {"a": 1}, Magnitude(3)):
+        with pytest.raises(ValueError, match="digits must be >= 1"):
+            stable_json(value, 0)
 
 
 def test_render_table_cells_by_type():

@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from urskit.arith import FactoringBudgetError, SContext, unit_equation_solutions
-from urskit.heights import Magnitude, ScaledLog, counting, counting_trunc, height
-from urskit.polys import RatPoly, TrinomialFamily, validate_family
+from urskit.heights import Magnitude, ScaledLog, cmp_scaled, counting, counting_trunc, height
+from urskit.polys import RatPoly, TrinomialFamily, ValidationReport, validate_family
 from urskit.sharing import SearchBudgetError, s_integer_box, search_shared_pairs, share_check
 from urskit import trace
 from urskit.trace import (
@@ -259,6 +259,84 @@ def _unit_height_oracle(S, P, rows):
     return CheckReport("unit_height", tuple(out), {})
 
 
+def _unit_skipped(row):
+    return {"x": row.x, "y": row.y, "ok": None, "error": "unit undefined on this row"}
+
+
+def _trunc_bound_oracle(S, fam, rows):
+    """trunc_bound_check row by row, every count taken afresh from the
+    row's x, y and u, not read off the row."""
+    out = []
+    for row in rows:
+        if row.u is None:
+            out.append(_unit_skipped(row))
+            continue
+        if not row.shares:
+            out.append({"x": row.x, "y": row.y, "ok": None,
+                        "error": "u is not an S-unit on this row"})
+            continue
+        eta, zeta = aux_build(fam, row.x, row.y, row.u)
+        out_row = {"x": row.x, "y": row.y}
+        ok = True
+        for name, v, aux in (("eta", row.x, eta), ("zeta", row.y, zeta)):
+            if aux == 0:
+                out_row[f"{name}_bound"] = f"not checked ({name} = 0)"
+                continue
+            n2 = counting_trunc(S, 2, aux).value
+            rhs = counting_trunc(S, 1, v).value ** 2 * counting(S, v**fam.m + fam.a).value
+            out_row[f"{name}_bound_ok"] = n2 <= rhs
+            out_row[f"n2_{name}"] = str(n2)
+            out_row[f"{name}_rhs"] = str(rhs)
+            ok = ok and n2 <= rhs
+        unit_zero = row.u != 0 and counting_trunc(S, 2, row.u).value == 1
+        out_row["unit_trunc_zero"] = unit_zero
+        if eta + row.u + zeta == 1:
+            out_row["sum_trunc_zero"] = True
+        out.append({**out_row, "ok": ok and unit_zero, "error": None})
+    return tuple(out)
+
+
+def _main_inequality_oracle(S, fam, eps, rows):
+    """main_inequality_report's rows, row by row, every height and count
+    taken afresh and every comparison made through cmp_scaled."""
+    n, m = fam.n, fam.m
+    c_eta = eta_height_constant(fam)
+    c_total = Magnitude(shift_height_constant(fam.a) ** 4 * c_eta**2)
+    gap = n - 2 * m - 4 - eps
+    out = []
+    for row in rows:
+        if row.u is None:
+            out.append(_unit_skipped(row))
+            continue
+        eta, zeta = aux_build(fam, row.x, row.y, row.u)
+        h_x, h_y = height(row.x), height(row.y)
+        out_row = {"x": row.x, "y": row.y, "ok": None, "error": None}
+        if not row.shares or eta + row.u + zeta != 1 or 0 in (eta, row.u, zeta):
+            out_row["conjectural_step"] = (
+                "skipped (non-sharing row, zero auxiliary value, or identity failure)"
+            )
+        else:
+            hmax = max(height(eta).value, height(row.u).value, height(zeta).value)
+            rhs = math.prod(counting_trunc(S, 2, v).value for v in (eta, row.u, zeta))
+            holds = 1 - eps <= 0 or cmp_scaled(
+                ScaledLog(1 - eps, Magnitude(hmax)), ScaledLog(F(1), Magnitude(rhs))) <= 0
+            out_row["conjectural_rhs"] = str(rhs)
+            out_row["conjectural_max_height"] = str(hmax)
+            out_row["conjectural_step"] = "holds" if holds else "violated"
+            out_row["ok"] = out_row["eta_floor_ok"] = (
+                height(eta).value * c_eta >= h_x.value**n
+            )
+        h_xy = Magnitude(h_x.value * h_y.value)
+        derived = n - eps < 0 or cmp_scaled(
+            ScaledLog(n - eps, h_x), ScaledLog(F(2 + m), h_xy)) <= 0
+        out_row["derived_step"] = "holds" if derived else "exceeds"
+        if gap > 0:
+            out_row["exceeds_ceiling"] = cmp_scaled(
+                ScaledLog(F(1), h_xy), ScaledLog(1 / gap, c_total)) > 0
+        out.append(out_row)
+    return tuple(out)
+
+
 BOX23 = s_integer_box(S23, 12, 1)
 
 
@@ -289,14 +367,23 @@ def _trace_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_trace_cases())
-def test_checks_on_row_values_match_reevaluating_oracles(case):
+@given(_trace_cases(), st.sampled_from([F(0), F(1, 10), F(3, 2), F(9)]))
+def test_checks_on_row_values_match_reevaluating_oracles(case, eps):
     fam, pairs = case
     P = fam.polynomial()
+    # drawn pairs seldom share off the diagonal; these do
+    pairs += [(sp.x, sp.y) for sp in search_shared_pairs(S23, P, 8, 1)]
     rows, values = build_trace_rows(S23, fam, pairs)
     assert values == [(P.evaluate(r.x), P.evaluate(r.y)) for r in rows]
     assert roth_chain_report(S23, P, rows, values) == _roth_chain_oracle(S23, P, rows)
     assert unit_height_check(rows, values) == _unit_height_oracle(S23, P, rows)
+    assert trunc_bound_check(rows).rows == _trunc_bound_oracle(S23, fam, rows)
+    # a report with no hypothesis checks passes, so the rows of any drawn
+    # family are compared, not only of those validate_family accepts
+    unchecked = ValidationReport(fam, ())
+    assert main_inequality_report(S23, fam, eps, rows, unchecked).rows == (
+        _main_inequality_oracle(S23, fam, eps, rows)
+    )
 
 
 def test_checks_reject_values_of_another_length():
