@@ -9,10 +9,11 @@ untruncated count is the non-S part of the numerator and never factors.
 
 A `Magnitude` stores the positive integer M and *means* log M; multiplying
 Magnitudes adds the underlying log values with no rounding.  Every inequality
-verdict in the package goes through `cmp_scaled`, which decides
-a*log(A) vs b*log(B) exactly, by integer bounds on bit lengths where those
-suffice and by the integer powers otherwise.  Decimal output exists only for
-display.
+verdict in the package ends in `cmp_powers`, which orders A**ea and B**eb
+exactly, by integer bounds on bit lengths where those suffice and by the
+integer powers otherwise.  `cmp_scaled` reaches it for a*log(A) vs b*log(B);
+a caller with fixed coefficients finds the exponents once and calls
+`cmp_powers` itself.  Decimal output exists only for display.
 """
 
 from __future__ import annotations
@@ -144,18 +145,24 @@ def counting_trunc(S: SContext, level: int, x: Fraction) -> Magnitude:
 def cmp_scaled(lhs: ScaledLog, rhs: ScaledLog) -> int:
     """Exact ordering of a*log(A) vs b*log(B): -1, 0 or +1.
 
-    The verdict is the order of A**(a*d) and B**(b*d), where d is the common
-    denominator of the two coefficients.  Zero quantities, equal bases and
-    then the bounds 2**(len-1) <= A < 2**len on bit lengths decide when they
-    can; what they leave, the two powers decide.  No floating point decides
-    a verdict.
+    The verdict is cmp_powers(A, a*d, B, b*d), where d is the common
+    denominator of the two coefficients.  No floating point decides a
+    verdict.
     """
     a, b = lhs.coefficient, rhs.coefficient
     d = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-    ea = a.numerator * (d // a.denominator)
-    eb = b.numerator * (d // b.denominator)
-    A = lhs.base.value
-    B = rhs.base.value
+    return cmp_powers(lhs.base.value, a.numerator * (d // a.denominator),
+                      rhs.base.value, b.numerator * (d // b.denominator))
+
+
+def cmp_powers(A: int, ea: int, B: int, eb: int) -> int:
+    """Exact ordering of A**ea vs B**eb for integers A, B >= 1 and
+    ea, eb >= 0: -1, 0 or +1.
+
+    Zero quantities (a zero exponent or a base of 1), equal bases and then
+    the bounds 2**(len-1) <= A < 2**len on bit lengths decide when they
+    can; what they leave, the two powers decide.
+    """
     left_zero = ea == 0 or A == 1
     right_zero = eb == 0 or B == 1
     if left_zero or right_zero:

@@ -31,6 +31,7 @@ from .heights import (
     GREATER,
     Magnitude,
     ScaledLog,
+    cmp_powers,
     cmp_scaled,
     counting,
     counting_trunc,
@@ -111,9 +112,10 @@ def eta_height_constant(fam: TrinomialFamily) -> int:
     return 2 ** (fam.n + 1) * ha**fam.n * hb
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRow:
-    """All exact quantities attached to one candidate pair."""
+    """All exact quantities attached to one candidate pair.  Slotted, not
+    frozen, which made each row several times dearer to build."""
 
     x: Fraction
     y: Fraction
@@ -459,7 +461,8 @@ def main_inequality_report(
     beyond which rows would contradict the degree gap if the conjectural step
     held (invoked at eps/n for both orientations).  eta_floor_ok, the row's
     ok, is a lemma; conjectural_step, derived_step and exceeds_ceiling are
-    verdicts on the data.
+    verdicts on the data.  The derived step and the ceiling are one
+    heights.cmp_powers call each per row, with exponents found once per call.
 
     `validation` is validate_family(S, fam) when the caller has it already;
     without it the family is validated here.
@@ -479,10 +482,12 @@ def main_inequality_report(
     c_total = Magnitude(c_a**4 * c_eta**2)
     gap = Fraction(n - 2 * m - 4) - eps
     ceiling = ScaledLog(1 / gap, c_total) if gap > 0 else None
-    one = Fraction(1)
-    one_minus = one - eps
-    n_eps = Fraction(n) - eps
-    two_m = Fraction(2 + m)
+    one_minus = 1 - eps
+    n_eps = n - eps
+    # h(x)**e_x vs (h(x)*h(y))**e_xy, and (h(x)*h(y))**e_over vs
+    # C_total**e_ceil, e_ceil/e_over = 1/gap: cmp_scaled's exponents
+    e_x, e_xy = n_eps.numerator, (2 + m) * n_eps.denominator
+    e_over, e_ceil = gap.numerator, gap.denominator
     floor = _per_value(lambda h: h.value**n)  # h(x)^n, once per x
 
     def check(row):
@@ -502,11 +507,12 @@ def main_inequality_report(
             # eta height floor with the explicit constant
             ok = detail["eta_floor_ok"] = row.h_eta.value * c_eta >= floor(row.h_x)
         # derived comparison (n-eps) h(x) vs (2+m)(h(x)+h(y))
-        h_xy = row.h_x * row.h_y
-        holds = n_eps < 0 or cmp_scaled(ScaledLog(n_eps, row.h_x), ScaledLog(two_m, h_xy)) <= 0
+        hx = row.h_x.value
+        h_xy = hx * row.h_y.value
+        holds = n_eps < 0 or cmp_powers(hx, e_x, h_xy, e_xy) <= 0
         detail["derived_step"] = "holds" if holds else "exceeds"
         if ceiling is not None:
-            over = cmp_scaled(ScaledLog(one, h_xy), ceiling) == GREATER
+            over = cmp_powers(h_xy, e_over, c_total.value, e_ceil) == GREATER
             detail["exceeds_ceiling"] = over
         return ok, detail
 

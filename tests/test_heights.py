@@ -25,6 +25,7 @@ from urskit.heights import (
     LESS,
     Magnitude,
     ScaledLog,
+    cmp_powers,
     cmp_scaled,
     counting,
     counting_trunc,
@@ -360,14 +361,15 @@ def _cmp_exact(lhs, rhs):
     d = math.lcm(a.denominator, b.denominator)
     ea = int(a * d)
     eb = int(b * d)
-    A = lhs.base.value
-    B = rhs.base.value
+    return _pow_order(lhs.base.value, ea, rhs.base.value, eb)
+
+
+def _pow_order(A, ea, B, eb):
+    """The order of A**ea and B**eb, built as integers except on equal
+    bases, where the larger exponent wins unless the base is 1."""
     if A == B:
-        if A == 1:
-            return EQUAL
-        return (ea > eb) - (ea < eb)
-    left = A**ea
-    right = B**eb
+        return EQUAL if A == 1 else (ea > eb) - (ea < eb)
+    left, right = A**ea, B**eb
     return (left > right) - (left < right)
 
 
@@ -467,8 +469,56 @@ def test_cmp_scaled_matches_exact_powers(case):
     assert cmp_scaled(rhs, lhs) == _cmp_exact(rhs, lhs)
 
 
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(
+    st.one_of(
+        near_ties(), exact_ties(), bracket_edges(), small_operands(), same_bases(),
+        zero_quantities(),
+    )
+)
+def test_cmp_powers_matches_exact_powers(case):
+    # the same cases as cmp_scaled's, on the exponents over their common
+    # denominator
+    (a, A), (b, B) = ((F(c), n) for c, n in case)
+    d = math.lcm(a.denominator, b.denominator)
+    ea, eb = int(a * d), int(b * d)
+    assert cmp_powers(A, ea, B, eb) == _pow_order(A, ea, B, eb)
+    assert cmp_powers(B, eb, A, ea) == _pow_order(B, eb, A, ea)
+
+
+@pytest.mark.parametrize(
+    "A,ea,B,eb,expected",
+    [
+        # zero exponents
+        (5, 0, 7, 0, EQUAL),
+        (5, 0, 7, 3, LESS),
+        (5, 3, 7, 0, GREATER),
+        # a base of 1
+        (1, 9, 7, 3, LESS),
+        (7, 3, 1, 9, GREATER),
+        (1, 5, 1, 9, EQUAL),
+        (1, 5, 7, 0, EQUAL),
+        # equal bases
+        (9, 4, 9, 5, LESS),
+        (9, 5, 9, 5, EQUAL),
+        (9, 6, 9, 5, GREATER),
+        # the bit-length bracket, both directions: 133 bits against 130
+        (10**40, 10**3 - 1, 10**39, 10**3, GREATER),
+        (10**39, 10**3, 10**40, 10**3 - 1, LESS),
+        # left to the powers: 9 > 8, 64 = 64, 2^5 < 3^4
+        (3, 2, 2, 3, GREATER),
+        (8, 2, 4, 3, EQUAL),
+        (2, 5, 3, 4, LESS),
+    ],
+)
+def test_cmp_powers_examples(A, ea, B, eb, expected):
+    assert cmp_powers(A, ea, B, eb) == expected == _pow_order(A, ea, B, eb)
+    assert cmp_powers(B, eb, A, ea) == -expected
+
+
 class NoPowers(int):
-    """A base that fails the test if cmp_scaled raises it to a power."""
+    """A base that fails the test if cmp_scaled or cmp_powers raises it to a
+    power."""
 
     def __pow__(self, exponent, modulo=None):
         raise AssertionError(f"cmp_scaled built {int(self)}**{exponent}")
@@ -499,6 +549,22 @@ def test_cmp_scaled_builds_no_big_power(lhs, rhs, expected):
     (a, A), (b, B) = lhs, rhs
     verdict = cmp_scaled(ScaledLog.of(a, NoPowers(A)), ScaledLog.of(b, NoPowers(B)))
     assert verdict == expected
+
+
+@pytest.mark.parametrize(
+    "A,ea,B,eb,expected",
+    [
+        # the bracket: 10^6 * 133 bits would be built otherwise
+        (10**40, 10**6 - 1, 10**39, 10**6, GREATER),
+        (10**39, 10**6, 10**40, 10**6 - 1, LESS),
+        # zero quantities and equal bases, whatever the exponents
+        (10**40, 0, 3, 10**6, LESS),
+        (1, 10**6, 10**40, 10**6, LESS),
+        (10**40, 10**6, 10**40, 10**6 + 1, LESS),
+    ],
+)
+def test_cmp_powers_builds_no_big_power(A, ea, B, eb, expected):
+    assert cmp_powers(NoPowers(A), ea, NoPowers(B), eb) == expected
 
 
 def test_fine_epsilon_point_builds_no_big_power(monkeypatch):

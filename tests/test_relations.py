@@ -2,18 +2,29 @@
 agree exactly, so a failure is a bug in one of them and no oracle is needed.
 
 (a) every search-shared pair shares under share_check and in trace's rows;
+(b) the search-su pairs at c = 1 are search-shared pairs;
+(c) unit-eq solutions (u, v), on the line x + y = 1 of subspace --corollary,
+agree between its delegated and direct sides;
 (d) on all-diagonal pairs (x, x), u = 1 and eta + zeta = 0, so trace's
 dependence basis is (1, 0, 1) and case_classify puts it in C3_zero."""
 
 from fractions import Fraction as F
+from itertools import combinations
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from urskit.arith import SContext
+from urskit.arith import SContext, unit_equation_solutions
 from urskit.polys import TrinomialFamily
 from urskit.sharing import s_integer_box, search_shared_pairs, share_check
-from urskit.trace import build_trace_rows, case_classify, dependence_detect
+from urskit.subspace import corollary_eval
+from urskit.trace import (
+    build_trace_rows,
+    case_classify,
+    dependence_detect,
+    strong_uniqueness_search,
+)
 
 _CONTEXTS = [SContext.of(primes) for primes in ((2, 3), (2,), (3, 5), (2, 3, 5))]
 
@@ -38,6 +49,29 @@ def test_search_shared_pairs_share_in_share_check_and_trace(case, height, expone
     rows, _ = build_trace_rows(S, fam, pairs)
     assert [(r.x, r.y) for r in rows] == pairs
     assert all(r.shares for r in rows)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_families(), st.integers(1, 10), st.integers(0, 1))
+def test_search_su_pairs_at_c_one_are_shared_pairs(case, height, exponent):
+    # P(x) = P(y) gives equal share_keys, vanishing values included
+    S, fam = case
+    P = fam.polynomial()
+    shared = {(sp.x, sp.y) for sp in search_shared_pairs(S, P, height, exponent)}
+    assert set(strong_uniqueness_search(S, P, F(1), height, exponent)) <= shared
+
+
+@pytest.mark.parametrize("eps", [F(0), F(1, 10)])
+def test_unit_equation_solutions_agree_on_the_corollary_line(eps):
+    # every nonempty S within {2, 3, 5} and every exponent bound up to 4
+    for r in range(1, 4):
+        for primes in combinations((2, 3, 5), r):
+            for bound in range(5):
+                S = SContext.of(primes)
+                solutions = unit_equation_solutions(S, bound)
+                rows = corollary_eval(S, 1, 1, 1, eps, solutions)
+                assert [(row.x, row.y) for row in rows] == solutions
+                assert all(row.agree is True for row in rows), (primes, bound)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from urskit.arith import FactoringBudgetError, SContext, unit_equation_solutions
@@ -366,10 +366,30 @@ def _trace_cases(draw):
     return TrinomialFamily(n, m, a, b), draw(st.lists(pair, max_size=8))
 
 
+def _epsilon(fam, choice):
+    """choice as epsilon for fam: "n" gives eps = n, a zero exponent on the
+    left of the derived step; "gap" gives eps = n - 2m - 4, where the
+    ceiling is gone, or None when that is negative."""
+    if choice == "n":
+        return F(fam.n)
+    if choice == "gap":
+        gap = fam.n - 2 * fam.m - 4
+        return F(gap) if gap >= 0 else None
+    return choice
+
+
 @settings(max_examples=150, deadline=None)
-@given(_trace_cases(), st.sampled_from([F(0), F(1, 10), F(3, 2), F(9)]))
+@given(
+    _trace_cases(),
+    st.sampled_from([F(0), F(1, 10), F(3, 2), F(9), F(7, 1000), "n", "gap"]),
+)
+@example((TrinomialFamily(7, 1, F(1), F(1)), [(F(2), F(2))]), "gap")
+@example((TrinomialFamily(8, 1, F(-3), F(6)), [(F(3), F(3)), (F(2), F(-2))]), "gap")
+@example((TrinomialFamily(7, 1, F(1), F(1)), [(F(2), F(2))]), "n")
 def test_checks_on_row_values_match_reevaluating_oracles(case, eps):
     fam, pairs = case
+    eps = _epsilon(fam, eps)
+    assume(eps is not None)
     P = fam.polynomial()
     # drawn pairs seldom share off the diagonal; these do
     pairs += [(sp.x, sp.y) for sp in search_shared_pairs(S23, P, 8, 1)]
@@ -487,8 +507,9 @@ def _oracle_cases(draw):
     """S of (2,3), (2,) or (3,5) with a budget of 10^2 to 10^6; a family
     that may vanish at a box value, or have b = 0; up to 12 pairs over a few values (of a
     box of height 30, integers up to 3000, 0 and that root), so values
-    repeat, some given as ints; maybe a non-S-integer 1/7 at a random
-    position."""
+    repeat, some given as ints; then the sharing pairs of the box of
+    height 8 and denominator exponent 1; maybe a non-S-integer 1/7 at a
+    random position."""
     primes = draw(st.sampled_from([(2, 3), (2,), (3, 5)]))
     budget = draw(st.sampled_from([10**e for e in range(2, 7)]) | st.integers(10**2, 10**6))
     S = SContext.of(primes, budget)
@@ -510,12 +531,15 @@ def _oracle_cases(draw):
     value = value | value.filter(lambda v: v.denominator == 1).map(int)
     pair = st.tuples(value, value) | value.map(lambda v: (v, v))
     pairs = draw(st.lists(pair, max_size=12))
+    # drawn pairs seldom share off the diagonal; these do
+    fam = TrinomialFamily(n, m, a, b)
+    pairs += [(sp.x, sp.y) for sp in search_shared_pairs(S, fam.polynomial(), 8, 1)]
     if draw(st.integers(0, 3)) == 0:
         i = draw(st.integers(0, len(pairs)))
         other = draw(value)
         bad = (F(1, 7), other) if draw(st.booleans()) else (other, F(1, 7))
         pairs.insert(i, bad)
-    return S, TrinomialFamily(n, m, a, b), pairs
+    return S, fam, pairs
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
