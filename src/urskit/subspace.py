@@ -73,19 +73,13 @@ class LinearFormSystem:
         )
 
 
-@dataclass(frozen=True)
-class GeneralPositionResult:
-    ok: bool
-    witness: tuple[int, ...] | None  # offending index set when not ok
-
-
-def general_position_check(sys: LinearFormSystem) -> GeneralPositionResult:
-    """Every (r+1)-subset of forms must be linearly independent."""
+def general_position_check(sys: LinearFormSystem) -> tuple[int, ...] | None:
+    """The first dependent (r+1)-subset of forms in itertools.combinations
+    order, or None when every r+1 forms are linearly independent."""
     for subset in itertools.combinations(range(sys.q), sys.r + 1):
-        rows = [list(sys.forms[i]) for i in subset]
-        if det(rows) == 0:
-            return GeneralPositionResult(False, subset)
-    return GeneralPositionResult(True, None)
+        if det([list(sys.forms[i]) for i in subset]) == 0:
+            return subset
+    return None
 
 
 def normalize_point(S: SContext, coords) -> tuple[Fraction, ...]:
@@ -107,14 +101,16 @@ def normalize_point(S: SContext, coords) -> tuple[Fraction, ...]:
     return tuple(c * scale for c in cs)
 
 
-def check_primitive(S: SContext, coords) -> None:
-    """Strict mode: raise unless the tuple is already normalized."""
+def check_primitive(S: SContext, coords) -> tuple[Fraction, ...]:
+    """Strict mode: raise unless the tuple is already normalized; return the
+    normalized point, equal to the tuple."""
     point = normalize_point(S, coords)
     if tuple(Fraction(c) for c in coords) != point:
         raise ValueError(
             "point is not primitive for S = "
             f"{S}: expected {[rational_str(c) for c in point]}"
         )
+    return point
 
 
 @dataclass(frozen=True)
@@ -125,7 +121,7 @@ class DefectReport:
     coord_heights: tuple[Magnitude, ...]
     max_height: Magnitude
     form_values: tuple[Fraction, ...]
-    form_counts: tuple[Magnitude | None, ...]  # None where the form vanishes
+    form_counts: tuple[Magnitude | None, ...]  # all None when a form vanishes
     rhs: Magnitude | None
     lhs_coefficient: Fraction  # q - r - 1 - eps; may be negative
     verdict: str
@@ -150,28 +146,27 @@ def evaluate_conjecture(
     """Exact per-point comparison of (q-r-1-eps)*max h(coord) against the sum
     of r-truncated counting functions of the form values.
 
-    Points with a vanishing form are reported as skipped, matching the
-    requirement that no form vanishes along the sequence under test.
+    eps and general position are checked once per call.  A point where a
+    form value vanishes is skipped, with every count None and none computed,
+    matching the requirement that no form vanishes along the sequence under
+    test.
     """
     eps = nonnegative_epsilon(eps)
-    gp = general_position_check(sys)
-    if not gp.ok:
-        raise ValueError(f"degenerate system: forms {gp.witness} are dependent")
+    witness = general_position_check(sys)
+    if witness is not None:
+        raise ValueError(f"degenerate system: forms {witness} are dependent")
     reports = []
     coeff = Fraction(sys.q - sys.r - 1) - eps
     for raw in points:
-        if strict:
-            check_primitive(S, raw)
-            coords = tuple(Fraction(c) for c in raw)
-        else:
-            coords = normalize_point(S, raw)
+        coords = check_primitive(S, raw) if strict else normalize_point(S, raw)
         hs = tuple(height(c) for c in coords)
         hmax = max(hs)
         values = tuple(sys.apply(i, coords) for i in range(sys.q))
-        counts = tuple(None if v == 0 else counting_trunc(S, sys.r, v) for v in values)
-        if None in counts:
-            rhs, verdict, reason = None, SKIPPED, "form vanishes at the point"
+        if 0 in values:
+            counts, rhs = (None,) * sys.q, None
+            verdict, reason = SKIPPED, "form vanishes at the point"
         else:
+            counts = tuple(counting_trunc(S, sys.r, v) for v in values)
             rhs = prod(counts, start=Magnitude(1))
             verdict, reason = inequality_verdict(coeff, hmax, rhs), None
         reports.append(
@@ -242,26 +237,31 @@ def corollary_eval(
 ) -> list[CorollaryRow]:
     """Evaluate the two-variable consequence on pairs satisfying A*x+B*y=C.
 
-    A negative eps is rejected before any pair is looked at."""
+    A negative eps is rejected before any pair is looked at.  The points
+    (1, x) of the pairs on the line go to one evaluate_conjecture call, so
+    every delegated count runs before any direct one."""
     eps = nonnegative_epsilon(eps)
     A, B, C = Fraction(A), Fraction(B), Fraction(C)
     if A == 0 or B == 0 or C == 0:
         raise ValueError("A, B, C must all be nonzero")
     sys = LinearFormSystem.of(1, [[1, 0], [0, 1], [C, -A]])
+    xys = [(Fraction(x), Fraction(y)) for x, y in pairs]
+    on_line = [A * x + B * y == C for x, y in xys]
+    points = [(Fraction(1), x) for (x, _), ok in zip(xys, on_line) if ok]
+    reports = iter(evaluate_conjecture(S, sys, eps, points))
+    coeff = Fraction(1) - eps
     rows = []
-    for raw_x, raw_y in pairs:
-        x, y = Fraction(raw_x), Fraction(raw_y)
-        if A * x + B * y != C:
+    for (x, y), ok in zip(xys, on_line):
+        if not ok:
             rows.append(
                 CorollaryRow(
-                    x, y, False, None, Fraction(1) - eps, None, None, ERROR,
+                    x, y, False, None, coeff, None, None, ERROR,
                     ERROR, None, "pair does not satisfy A*x + B*y = C",
                 )
             )
             continue
-        delegated = evaluate_conjecture(S, sys, eps, [(Fraction(1), x)])[0]
+        delegated = next(reports)
         lhs_base = height(x)
-        coeff = Fraction(1) - eps
         if x == 0 or y == 0:  # no right side: only a zero left side decides
             direct_rhs = None
             direct_verdict = HOLDS if coeff <= 0 or lhs_base.is_zero_quantity else SKIPPED

@@ -242,7 +242,8 @@ def test_negative_epsilon_rejected_before_any_row(tmp_path, capsys, monkeypatch)
 
 
 def test_corollary_negative_epsilon_exits_2_off_the_line(tmp_path, capsys):
-    # (1, 1) misses x + y = 5, so no pair reaches evaluate_conjecture's check
+    # (1, 1) misses x + y = 5, so no point is delegated: epsilon is rejected
+    # before any pair is looked at
     pairs = write(tmp_path, "pairs.json", [{"x": "1", "y": "1"}])
     code, out, err = run(
         ["subspace", "--corollary", "--A", "1", "--B", "1", "--C", "5", "--pairs", pairs,

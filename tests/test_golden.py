@@ -86,6 +86,14 @@ CASES = {
          "2,3"],
         1,
     ),
+    # x0 + x1 + x2 vanishes, so the point is skipped before any count: the
+    # cofactor 1000036000099 = 1000003 * 1000033 of x0 is never factored, and
+    # every count is null at a budget that cannot factor it
+    "subspace_vanishing_budget": (
+        ["subspace", "--forms", "forms_r2.json", "--points", "vanishing_hard_points.json",
+         "--s", "2,3", "--budget", "1000000"],
+        0,
+    ),
     "subspace_strict": (
         ["subspace", "--forms", "forms.json", "--points", "points.json", "--s", "2,3",
          "--strict"],

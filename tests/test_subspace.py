@@ -4,12 +4,15 @@ verdicts, and the two-variable delegation."""
 import json
 from fractions import Fraction as F
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from urskit import subspace
 from urskit.arith import SContext, non_s_ord_profile, unit_equation_solutions
+from urskit.cli import load_pairs_file
 from urskit.heights import Magnitude, counting, counting_trunc
 from urskit.subspace import (
     HOLDS,
@@ -24,18 +27,19 @@ from urskit.subspace import (
 )
 from urskit.report import stable_json
 
+GOLDEN = Path(__file__).parent / "golden"
+
 S23 = SContext.of([2, 3])
 
 FORMS_3 = LinearFormSystem.of(1, [[1, 0], [0, 1], [1, 1]])
 
 
 def test_general_position_examples():
-    assert general_position_check(FORMS_3).ok
+    assert general_position_check(FORMS_3) is None
     bad = LinearFormSystem.of(1, [[1, 0], [2, 0], [0, 1]])
-    res = general_position_check(bad)
-    assert not res.ok and res.witness == (0, 1)
+    assert general_position_check(bad) == (0, 1)
     r2 = LinearFormSystem.of(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
-    assert general_position_check(r2).ok
+    assert general_position_check(r2) is None
 
 
 def test_form_system_shape_validation():
@@ -104,9 +108,15 @@ def test_normalize_idempotent():
 
 
 def test_strict_mode():
-    check_primitive(S23, (F(81), F(-80)))
+    assert check_primitive(S23, ("81", -80)) == (F(81), F(-80))
     with pytest.raises(ValueError, match="not primitive"):
         check_primitive(S23, (F(10), F(15)))
+
+
+def test_strict_reports_equal_non_strict_on_primitive_points():
+    points = [(F(81), F(-80)), (F(5), F(-4)), (F(1), F(-1))]
+    strict = evaluate_conjecture(S23, FORMS_3, F(1, 10), points, strict=True)
+    assert strict == evaluate_conjecture(S23, FORMS_3, F(1, 10), points)
 
 
 def test_worked_defect_fixture():
@@ -132,6 +142,42 @@ def test_vanishing_form_skipped():
     reports = evaluate_conjecture(S23, FORMS_3, F(1, 10), [(F(1), F(-1))])
     assert reports[0].verdict == SKIPPED
     assert reports[0].reason == "form vanishes at the point"
+    assert reports[0].form_counts == (None,) * FORMS_3.q
+    assert reports[0].rhs is None
+
+
+def test_skipped_point_counts_nothing(monkeypatch):
+    # (x0, x1, x2, x0+x1+x2) at a point where the last form vanishes: the
+    # first coordinate, 1000003 * 1000033, is never factored
+    def no_count(*args):
+        raise AssertionError("counting_trunc called on a skipped point")
+
+    monkeypatch.setattr(subspace, "counting_trunc", no_count)
+    forms = LinearFormSystem.of(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+    point = (F(1000036000099), F(-1000036000098), F(-1))
+    (report,) = evaluate_conjecture(S23, forms, F(1, 10), [point])
+    assert report.verdict == SKIPPED and report.form_counts == (None,) * 4
+    # so is a corollary pair on an axis: C*x0 - A*x1 or x1 vanishes at (1, x)
+    C = point[0]
+    rows = corollary_eval(S23, F(1), F(1), C, F(1, 10), [(F(0), C), (C, F(0))])
+    assert [row.delegated.verdict for row in rows] == [SKIPPED, SKIPPED]
+
+
+def test_one_general_position_check_per_call(monkeypatch):
+    calls = []
+
+    def spy(sys):
+        calls.append(sys)
+        return general_position_check(sys)
+
+    monkeypatch.setattr(subspace, "general_position_check", spy)
+    points = [(F(81), F(-80)), (F(5), F(-4)), (F(1), F(-1)), (F(17), F(13))]
+    evaluate_conjecture(S23, FORMS_3, F(1, 10), points)
+    assert calls == [FORMS_3]
+    pairs = load_pairs_file(str(GOLDEN / "corollary_pairs.json"))
+    rows = corollary_eval(S23, F(1), F(1), F(1), F(1, 10), pairs)
+    assert sum(row.constraint_ok for row in rows) == 5
+    assert len(calls) == 2
 
 
 def test_degenerate_system_error():
