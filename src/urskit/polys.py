@@ -56,7 +56,8 @@ class RatPoly:
     def evaluate_unreduced(self, p: int, q: int) -> tuple[int, int]:
         """(num, den) with P(p/q) = num/den and den = L q^d > 0 for q > 0,
         not reduced: homogeneous Horner on integers,
-        num = sum L*c_i p^i q^(d-i)."""
+        num = sum L*c_i p^i q^(d-i).  The zero polynomial gives (0, 1) at
+        every point."""
         lcm, cs = self._cleared
         if not cs:
             return 0, 1

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import gcd, prod
 
 from .arith import (
@@ -52,6 +52,12 @@ def share_key(S: SContext, P: RatPoly):
     Two values share exactly when their keys are equal (both vanishing too)."""
     primes = S.primes
     s_den = _strip_supported(P.coefficient_denominator_lcm(), primes)
+    if s_den == 1:  # no gcd to take: every trinomial with S-unit a, b
+
+        def key(num, den):
+            return None if num == 0 else (_strip_supported(abs(num), primes), 1)
+
+        return key
 
     def key(num, den):
         if num == 0:
@@ -147,6 +153,28 @@ def _box_size(S: SContext, height_bound: int, denom_exponent_bound: int) -> int:
     return size
 
 
+def _column(P: RatPoly, H: int, d: int) -> tuple[list[int], int]:
+    """(nums, den) with P(a/d) = nums[a + H]/den for a = -H, ..., H, as
+    P.evaluate_unreduced(a, d) gives them.  With d fixed, num is an integer
+    polynomial of degree n in a, so n + 1 Horner seeds fix its difference
+    table, and each further value is n additions down that table (Knuth,
+    TAOCP Vol. 2, 4.6.4), done by one accumulate pass per difference.  The
+    zero polynomial, (0, 1) everywhere, and a constant are tabulated as
+    degree 0, with no pass."""
+    n = max(P.degree, 0)
+    seeds = [P.evaluate_unreduced(a, d) for a in range(-H, min(-H + n, H) + 1)]
+    den, row = seeds[0][1], [num for num, _ in seeds]
+    if 2 * H <= n:
+        return row, den
+    for k in range(n):  # row[i] becomes the i-th difference at a = -H
+        for i in range(n, k, -1):
+            row[i] -= row[i - 1]
+    nums = [row[n]] * (2 * H + 1 - n)
+    for k in range(n - 1, -1, -1):
+        nums = accumulate(nums, initial=row[k])
+    return list(nums), den
+
+
 def _pair_join(
     S, P, height_bound, denom_exponent_bound, pair_budget, key, partner_key, pair, what
 ):
@@ -158,23 +186,33 @@ def _pair_join(
     rejected first, and a SearchBudgetError is raised when the n*(n-1)
     candidate pairs exceed pair_budget, with n counted in closed form before
     the box is enumerated or P evaluated.  Otherwise the box is enumerated
-    as integer points (a, d) and P evaluated on integers once per point;
-    the Fractions x = a/d and P(x) are built from those integers only for
-    values in a pair: the work is O(n + pairs emitted).
+    as integer points (a, d), and P is evaluated on integers per column, by
+    differences: _column tabulates num(a, d) for a = -H, ..., H once for each
+    denominator d, from deg P + 1 Horner seeds and deg P additions per
+    further value, and each point reads its value there.  The Fractions x = a/d and
+    P(x) are built from those integers only for values in a pair: the work
+    is O(n + pairs emitted).
     """
     if pair_budget is not None and pair_budget < 0:
         raise ValueError("pair_budget must be >= 0")
     n = _box_size(S, height_bound, denom_exponent_bound)
     if pair_budget is not None and n * (n - 1) > pair_budget:
         raise SearchBudgetError(f"{what} budget exceeded", n * (n - 1), pair_budget)
-    evaluate = P.evaluate_unreduced
-    points = _box_points(S, height_bound, denom_exponent_bound)
-    box = [(a, d, *evaluate(a, d)) for a, d in points]
-    keys = [key(num, den) for _, _, num, den in box]
+    H = height_bound
+    points = list(_box_points(S, H, denom_exponent_bound))
+    nums, dens = {}, {}
+    for d in _box_denominators(S, H, denom_exponent_bound):
+        nums[d], dens[d] = _column(P, H, d)
+    keys = [key(nums[d][a + H], dens[d]) for a, d in points]
     groups: dict = {}
     for j, k in enumerate(keys):
         groups.setdefault(k, []).append(j)
-    value = cache(lambda i: (Fraction(*box[i][:2]), Fraction(*box[i][2:])))
+
+    @cache
+    def value(i):
+        a, d = points[i]
+        return Fraction(a, d), Fraction(nums[d][a + H], dens[d])
+
     return [
         pair(*value(i), *value(j))
         for i, k in enumerate(keys)
@@ -196,8 +234,9 @@ def search_shared_pairs(
     probed, and every probed pair shares, so each comes out as its
     SharePoint with shares=True and u = P(x)/P(y) (None when P(y) = 0),
     x-major in box order, with no S-unit test per pair.  The keys are
-    computed on integers; x, y, P(x) and P(y) are built as Fractions for the
-    pairs found only.  When the box's n*(n-1) candidate pairs exceed
+    computed on integers, from P evaluated per column of the box by
+    differences; x, y, P(x) and P(y) are built as Fractions for the pairs
+    found only.  When the box's n*(n-1) candidate pairs exceed
     pair_budget, a SearchBudgetError is raised before the box is enumerated
     or P evaluated; there is no partial result.
     """

@@ -739,10 +739,11 @@ def strong_uniqueness_search(
     """All pairs x != y in the S-integer box with P(x) = c * P(y), exactly.
 
     Evidence probe: for a genuine strong uniqueness polynomial the list stays
-    finite and height-bounded as the box grows.  sharing._pair_join groups
-    the box by P(y), kept as a reduced integer pair (num, den), and looks up
-    P(x)/c, reduced from x's own key, so every probed pair is a hit; pairs
-    come out x-major in box order.  The budget is that of
+    finite and height-bounded as the box grows.  sharing._pair_join
+    evaluates P per column of the box, by differences, groups the box by
+    P(y), kept as a reduced integer pair (num, den), and looks up P(x)/c,
+    reduced from x's own key, so every probed pair is a hit; pairs come out
+    x-major in box order.  The budget is that of
     search_shared_pairs: over budget, SearchBudgetError is raised before the
     box is built or P evaluated, with no partial result.
     """
@@ -750,6 +751,7 @@ def strong_uniqueness_search(
     if c == 0:
         raise ValueError("the unit constant c must be nonzero")
     inv = 1 / c  # its denominator is positive, as every key's is
+    p, q = inv.numerator, inv.denominator
 
     def key(num, den):
         g = math.gcd(num, den)
@@ -757,7 +759,7 @@ def strong_uniqueness_search(
 
     return _pair_join(
         S, P, height_bound, denom_exponent_bound, pair_budget, key,
-        lambda k: key(k[0] * inv.numerator, k[1] * inv.denominator),
+        lambda k: key(k[0] * p, k[1] * q),
         lambda x, px, y, py: (x, y),
         "strong-uniqueness search",
     )

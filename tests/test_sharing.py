@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urskit import sharing, trace
@@ -374,6 +374,8 @@ def test_integer_join_matches_fraction_join(case, c, data):
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(search_cases())
+@example((S23, P7, 6, 1))  # s_den = 1: the key takes no gcd
+@example((S23, RatPoly.of([F(1, 5), 1, 1]), 6, 1))  # s_den = 5
 def test_shared_key_is_the_non_s_part(case):
     S, P, bound, exp = case
     key = sharing.share_key(S, P)
@@ -455,3 +457,58 @@ def test_over_budget_search_never_evaluates(monkeypatch):
     monkeypatch.setattr(RatPoly, "evaluate_unreduced", unreduced)
     assert len(search_shared_pairs(S23, one, 1, 0, pair_budget=6)) == 6
     assert calls == ["_box_points", "evaluate_unreduced"]
+
+
+# --- P tabulated per denominator column, by differences --------------------------
+
+
+@st.composite
+def column_cases(draw):
+    """(S, P, height bound, denominator exponent bound): P of degree -1 to
+    12 with coefficient denominators up to 10, so some lie outside S."""
+    S = SContext.of(draw(st.sampled_from([(), (2,), (2, 3), (3, 5), (2, 3, 5)])))
+    degree = draw(st.integers(-1, 12))
+    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=10)
+    coeffs = draw(st.lists(coeff, min_size=degree + 1, max_size=degree + 1))
+    if coeffs and coeffs[-1] == 0:
+        coeffs[-1] = F(1)
+    return S, RatPoly.of(coeffs), draw(st.integers(0, 40)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(column_cases())
+@example((S23, RatPoly.of([]), 7, 2))  # the zero polynomial: (0, 1) everywhere
+@example((S23, RatPoly.of([F(-7, 5)]), 7, 2))  # a constant: no accumulate pass
+@example((S23, RatPoly.of([3, 0, F(1, 2), -4]), 9, 1))  # negative leading coefficient
+@example((S23, P7, 3, 1))  # 2H + 1 = n: the column is its seeds
+@example((S23, P7 * RatPoly.of([1, 1]), 4, 1))  # 2H + 1 = n + 1: the same
+@example((S23, P7, 4, 1))  # 2H + 1 = n + 2: one accumulated value per column
+def test_columns_match_horner_at_every_point(case):
+    S, P, H, e = case
+    columns = {d: sharing._column(P, H, d) for d in sharing._box_denominators(S, H, e)}
+    assert [
+        (a, d, columns[d][0][a + H], columns[d][1]) for a, d in sharing._box_points(S, H, e)
+    ] == [
+        (a, d, *P.evaluate_unreduced(a, d)) for a, d in sharing._box_points(S, H, e)
+    ]
+
+
+@pytest.mark.parametrize("exp, most", [(0, 9), (1, 36)])
+def test_search_evaluates_per_column_not_per_point(monkeypatch, exp, most):
+    """At height 40 and degree 7 a search makes at most n + 2 Horner calls
+    per denominator column (1 column at exponent 0, 4 at exponent 1), not
+    one per box point (81 and 201)."""
+    calls = []
+    horner = RatPoly.evaluate_unreduced
+
+    def counted(self, p, q):
+        calls.append((p, q))
+        return horner(self, p, q)
+
+    assert len(sharing._box_denominators(S23, 40, exp)) * (P7.degree + 2) == most
+    monkeypatch.setattr(RatPoly, "evaluate_unreduced", counted)
+    assert len(search_shared_pairs(S23, P7, 40, exp)) > 0
+    assert 0 < len(calls) <= most
+    calls.clear()
+    trace.strong_uniqueness_search(S23, P7, F(1), 40, exp)
+    assert 0 < len(calls) <= most
