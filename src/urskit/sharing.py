@@ -52,13 +52,6 @@ def share_key(S: SContext, P: RatPoly):
     Two values share exactly when their keys are equal (both vanishing too)."""
     primes = S.primes
     s_den = _strip_supported(P.coefficient_denominator_lcm(), primes)
-    if s_den == 1:  # no gcd to take: every trinomial with S-unit a, b
-
-        def key(num, den):
-            return None if num == 0 else (_strip_supported(abs(num), primes), 1)
-
-        return key
-
     def key(num, den):
         if num == 0:
             return None
@@ -189,9 +182,10 @@ def _pair_join(
     as integer points (a, d), and P is evaluated on integers per column, by
     differences: _column tabulates num(a, d) for a = -H, ..., H once for each
     denominator d, from deg P + 1 Horner seeds and deg P additions per
-    further value, and each point reads its value there.  The Fractions x = a/d and
-    P(x) are built from those integers only for values in a pair: the work
-    is O(n + pairs emitted).
+    further value.  Each point (a, d, num, den) reads its value there, and
+    the columns are dropped once read, so no value at a numerator not prime
+    to d outlives them.  The Fractions x = a/d and P(x) are built from those
+    integers only for values in a pair: the work is O(n + pairs emitted).
     """
     if pair_budget is not None and pair_budget < 0:
         raise ValueError("pair_budget must be >= 0")
@@ -199,19 +193,19 @@ def _pair_join(
     if pair_budget is not None and n * (n - 1) > pair_budget:
         raise SearchBudgetError(f"{what} budget exceeded", n * (n - 1), pair_budget)
     H = height_bound
-    points = list(_box_points(S, H, denom_exponent_bound))
-    nums, dens = {}, {}
-    for d in _box_denominators(S, H, denom_exponent_bound):
-        nums[d], dens[d] = _column(P, H, d)
-    keys = [key(nums[d][a + H], dens[d]) for a, d in points]
+    points = _box_points(S, H, denom_exponent_bound)
+    columns = {d: _column(P, H, d) for d in _box_denominators(S, H, denom_exponent_bound)}
+    box = [(a, d, nums[a + H], den) for a, d in points for nums, den in (columns[d],)]
+    del columns  # the values at numerators not prime to d are not in the box
+    keys = [key(num, den) for _, _, num, den in box]
     groups: dict = {}
     for j, k in enumerate(keys):
         groups.setdefault(k, []).append(j)
 
     @cache
     def value(i):
-        a, d = points[i]
-        return Fraction(a, d), Fraction(nums[d][a + H], dens[d])
+        a, d, num, den = box[i]
+        return Fraction(a, d), Fraction(num, den)
 
     return [
         pair(*value(i), *value(j))
