@@ -418,8 +418,7 @@ def cmd_trace(args) -> int:
         "trunc_bounds": trunc_bound_check(rows),
         "main_inequality": main_inequality_report(S, fam, args.epsilon, rows, validation),
     }
-    usable = [r for r in rows if r.u is not None]
-    dependence = dependence_detect(rows) if usable else None
+    dependence = dependence_detect(rows) if any(r.u is not None for r in rows) else None
     config = _common_config(
         args,
         n=fam.n,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache
 from typing import ClassVar
 
 from .arith import SContext, is_s_unit, ord_at, rational_str
@@ -139,22 +139,6 @@ class TraceRow:
     flags: tuple[str, ...]
 
 
-def _per_value(fn):
-    """fn memoised for one call by its argument's identity.  build_trace_rows
-    keeps one _TracedValue and returns one P(v) object per distinct value,
-    so on those this is once per distinct value; an id hashes faster than a
-    Fraction."""
-    memo = {}
-
-    def get(v):
-        hit = memo.get(id(v))
-        if hit is None:
-            hit = memo[id(v)] = v, fn(v)  # holding v keeps its id from reuse
-        return hit[1]
-
-    return get
-
-
 def _maybe_counting(S, value, level=None):
     if value is None or value == 0:
         return None
@@ -189,9 +173,10 @@ def build_trace_rows(S: SContext, fam: TrinomialFamily, pairs):
     sharing verdict was decided from, which roth_chain_report and
     unit_height_check take instead of evaluating P again.
 
-    Each distinct value is checked, evaluated and measured once per call,
-    whichever sides it takes (_TracedValue), and its counts are computed
-    the first time a sharing row asks for them; a pair adds only
+    This is the one place a trace dedupes its values.  Each distinct value
+    is checked, evaluated and measured once per call, whichever sides it
+    takes (_TracedValue), and its counts are computed the first time a
+    sharing row asks for them; a pair adds only
     u = P(x)/P(y), zeta = w(y)*u, their heights, read off their integers,
     and the identity, one integer cross-multiplication.  The pair shares
     when P(x) and P(y) have the same sharing.share_key, the key share_check
@@ -219,10 +204,10 @@ def build_trace_rows(S: SContext, fam: TrinomialFamily, pairs):
             t = traced[nd] = _TracedValue(fam, *_keyed_value(S, P, key, name, v))
         return t
 
-    # per value, on the first sharing row that asks
-    n1 = _per_value(lambda t: _maybe_counting(S, t.v, 1))
-    n2_eta = _per_value(lambda t: _maybe_counting(S, t.eta, 2))
-    n_shift = _per_value(lambda t: _maybe_counting(S, t.v**fam.m + fam.a))
+    # once per value, on the first sharing row that asks: _TracedValue hashes by id
+    n1 = cache(lambda t: _maybe_counting(S, t.v, 1))
+    n2_eta = cache(lambda t: _maybe_counting(S, t.eta, 2))
+    n_shift = cache(lambda t: _maybe_counting(S, t.v**fam.m + fam.a))
     unit = Magnitude(1)  # N^(2) of an S-unit
 
     rows = []
@@ -319,12 +304,11 @@ def _check_rows(check, *columns, needs_unit=True) -> tuple[dict, ...]:
 
 
 class _RowsReport:
-    """A report that is ok unless a row failed; a skipped row's ok is None.
-    The report is frozen, so ok is computed on its first read and kept."""
+    """A report that is ok unless a row failed; a skipped row's ok is None."""
 
     derived_keys: ClassVar[tuple[str, ...]] = ("ok",)
 
-    @cached_property
+    @property
     def ok(self) -> bool:
         return all(r["ok"] is not False for r in self.rows)
 
@@ -347,11 +331,10 @@ def roth_chain_report(
     key), bound_x_ok and bound_y_ok, so the row's ok.
 
     `values` holds (P(x), P(y)) for each row, as build_trace_rows returns
-    them; P itself is not evaluated here, and each distinct value is counted
-    once."""
+    them; P itself is not evaluated here.  Each sharing row counts its own
+    two values: counting strips S from the numerator, no factoring."""
     c_p = evaluation_height_constant(P)
     n = P.degree
-    count = _per_value(lambda v: counting(S, v))
 
     def check(row, pv):
         px, py = pv
@@ -359,8 +342,8 @@ def roth_chain_report(
             return None, {}, "vanishing P value on this row"
         if not row.shares:
             return None, {}, "row does not share; chain not applicable"
-        cx = count(px)
-        cy = count(py)
+        cx = counting(S, px)
+        cy = counting(S, py)
         counting_equal = cx == cy
         bound_x = cx.value <= c_p * row.h_x.value**n
         bound_y = cy.value <= c_p * row.h_y.value**n
@@ -384,18 +367,14 @@ def unit_height_check(rows, values) -> CheckReport:
     lemma: the row's ok.
 
     `values` holds (P(x), P(y)) for each row, as build_trace_rows returns
-    them; each distinct value is measured, and its height written, once."""
-
-    def measure(v):
-        h = height(v).value
-        return h, str(h)
-
-    measured = _per_value(measure)
+    them; each row reads their heights off their integers."""
 
     def check(row, pv):
-        (hpx, text_x), (hpy, text_y) = map(measured, pv)
+        px, py = pv
+        hpx = max(abs(px.numerator), px.denominator)
+        hpy = max(abs(py.numerator), py.denominator)
         ok = row.h_u.value <= hpx * hpy
-        return ok, {"h_u": str(row.h_u.value), "h_px": text_x, "h_py": text_y}
+        return ok, {"h_u": str(row.h_u.value), "h_px": str(hpx), "h_py": str(hpy)}
 
     return CheckReport("unit_height", _check_rows(check, rows, values), {})
 
@@ -488,7 +467,6 @@ def main_inequality_report(
     # C_total**e_ceil, e_ceil/e_over = 1/gap: cmp_scaled's exponents
     e_x, e_xy = n_eps.numerator, (2 + m) * n_eps.denominator
     e_over, e_ceil = gap.numerator, gap.denominator
-    floor = _per_value(lambda h: h.value**n)  # h(x)^n, once per x
 
     def check(row):
         detail: dict = {}
@@ -505,7 +483,7 @@ def main_inequality_report(
             detail["conjectural_max_height"] = str(hmax.value)
             detail["conjectural_step"] = inequality_verdict(one_minus, hmax, rhs)
             # eta height floor with the explicit constant
-            ok = detail["eta_floor_ok"] = row.h_eta.value * c_eta >= floor(row.h_x)
+            ok = detail["eta_floor_ok"] = row.h_eta.value * c_eta >= row.h_x.value**n
         # derived comparison (n-eps) h(x) vs (2+m)(h(x)+h(y))
         hx = row.h_x.value
         h_xy = hx * row.h_y.value

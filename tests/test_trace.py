@@ -416,7 +416,7 @@ def test_checks_reject_values_of_another_length():
 
 def test_checks_read_values_made_afresh_for_each_row():
     # each value is a new object, dropped after its row, so ids repeat for
-    # other values: a memo must hold what it keyed on
+    # other values: the checks work per row and must not key on identity
     rows, values = trace_for([(x, x) for x in BOX23[:30]] + list(zip(BOX23, BOX23[1:])))
 
     def fresh():
@@ -425,6 +425,29 @@ def test_checks_read_values_made_afresh_for_each_row():
 
     assert roth_chain_report(S23, P7, rows, fresh()) == roth_chain_report(S23, P7, rows, values)
     assert unit_height_check(rows, fresh()) == unit_height_check(rows, values)
+
+
+def test_build_trace_rows_counts_each_value_once(monkeypatch):
+    calls = []
+
+    def spy_trunc(S, level, v):
+        calls.append((level, v))
+        return counting_trunc(S, level, v)
+
+    def spy_counting(S, v):
+        calls.append((None, v))
+        return counting(S, v)
+
+    monkeypatch.setattr(trace, "counting_trunc", spy_trunc)
+    monkeypatch.setattr(trace, "counting", spy_counting)
+    diagonal = [(x, x) for x in BOX23]
+    shared = [(sp.x, sp.y) for sp in search_shared_pairs(S23, P7, 12, 1) if sp.x != sp.y]
+    assert shared
+    pairs = diagonal + shared + [(y, x) for x, y in shared] + diagonal[::-1]
+    rows, _ = trace_for(pairs)
+    assert all(r.shares for r in rows)
+    assert len(calls) == len(set(calls))
+    assert {v for level, v in calls if level == 1} == set(BOX23) - {0}
 
 
 def _maybe_counting(S, value, level=None):
