@@ -1,46 +1,53 @@
-"""Small exact linear algebra over Fractions: determinants, and nullspace
-bases that stop reading rows once the rank is full."""
+"""Small exact linear algebra over Fractions: fraction-free determinants, and
+nullspace bases that stop reading rows once the rank is full."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+
+def clear_denominators(vec) -> tuple[list[int], int]:
+    """(nums, d): the rationals of vec as the integers nums over d, the lcm of
+    their denominators."""
+    d = lcm(*(v.denominator for v in vec))
+    return [v.numerator * (d // v.denominator) for v in vec], d
 
 
 def det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant by exact Gaussian elimination, pivoting on the first
-    nonzero entry of each column."""
+    """Determinant by Bareiss fraction-free elimination on integers: each row
+    is cleared of denominators, and their product divides the result.  Each
+    step's division by the last pivot is exact; a zero pivot is swapped for
+    the first nonzero entry below it."""
     n = len(rows)
-    mat = [[Fraction(v) for v in row] for row in rows]
-    if any(len(row) != n for row in mat):
-        raise ValueError("determinant requires a square matrix")
-    result = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
-            result = -result
-        pivot = mat[col][col]
-        result *= pivot
-        for r in range(col + 1, n):
-            if mat[r][col] != 0:
-                scale = mat[r][col] / pivot
-                for c in range(col, n):
-                    mat[r][c] -= scale * mat[col][c]
-    return result
+    scale, sign, prev, ints = 1, 1, 1, []
+    for raw in rows:
+        row, den = clear_denominators([Fraction(v) for v in raw])
+        if len(row) != n:
+            raise ValueError("determinant requires a square matrix")
+        scale *= den
+        ints.append(row)
+    for k in range(n - 1):
+        if not ints[k][k]:
+            swap = next((r for r in range(k + 1, n) if ints[r][k]), None)
+            if swap is None:
+                return Fraction(0)
+            ints[k], ints[swap] = ints[swap], ints[k]
+            sign = -sign
+        top, pivot = ints[k], ints[k][k]
+        for r in range(k + 1, n):
+            row, lead = ints[r], ints[r][k]
+            ints[r] = [0] * (k + 1) + [
+                (pivot * row[c] - lead * top[c]) // prev for c in range(k + 1, n)
+            ]
+        prev = pivot
+    return Fraction(sign * ints[-1][-1] if n else 1, scale)
 
 
 def _primitive(vec: list[Fraction]) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers with first nonzero > 0."""
-    den_lcm = 1
-    for v in vec:
-        den_lcm = den_lcm * v.denominator // gcd(den_lcm, v.denominator)
-    ints = [int(v * den_lcm) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    ints, _ = clear_denominators(vec)
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     first = next((v for v in ints if v != 0), 0)

@@ -4,7 +4,8 @@ points, plus the two-variable linear-relation special case.
 Verdicts are per-point data: the inequality under test is asymptotic, so a
 single violated point never decides anything; the evaluator only ever reports
 exact comparisons.  Every holds/violated verdict on the inequality, here and
-in trace's conjectural step, comes from one function, inequality_verdict.
+in trace's conjectural step, comes from one function, inequality_verdict,
+which decides on integers through cmp_powers; no point is decided in Fractions.
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import ClassVar
+from operator import mul
+from typing import Callable, ClassVar
 
-from .arith import SContext, non_s_part, rational_str
-from .exactlinalg import det
+from .arith import SContext, _strip_supported, rational_str
+from .exactlinalg import clear_denominators, det
 from .heights import (
     Magnitude,
     ScaledLog,
-    cmp_scaled,
+    cmp_powers,
     counting_trunc,
     height,
     nonnegative_epsilon,
@@ -32,15 +34,15 @@ SKIPPED = "skipped"
 ERROR = "error"
 
 
-def inequality_verdict(coeff: Fraction, base: Magnitude, rhs: Magnitude) -> str:
-    """HOLDS when coeff * log(base) <= log(rhs), else VIOLATED.
-
-    A nonpositive coefficient holds against the nonnegative right side with
-    no comparison; otherwise cmp_scaled decides exactly.
-    """
-    if coeff <= 0 or cmp_scaled(ScaledLog(coeff, base), ScaledLog(Fraction(1), rhs)) <= 0:
-        return HOLDS
-    return VIOLATED
+def inequality_verdict(coeff: Fraction) -> Callable[[int, int], str]:
+    """The verdict HOLDS or VIOLATED on coeff * log(base) <= log(rhs), as a
+    function of integers base, rhs >= 1.  coeff = p/q is read once: a
+    nonpositive one holds against the nonnegative right side with no
+    comparison, and otherwise cmp_powers(base, p, rhs, q) decides exactly."""
+    p, q = coeff.numerator, coeff.denominator
+    return lambda base, rhs: (
+        HOLDS if p <= 0 or cmp_powers(base, p, rhs, q) <= 0 else VIOLATED
+    )
 
 
 @dataclass(frozen=True)
@@ -67,17 +69,24 @@ class LinearFormSystem:
     def q(self) -> int:
         return len(self.forms)
 
-    def apply(self, index: int, coords) -> Fraction:
-        return sum(
-            (c * v for c, v in zip(self.forms[index], coords)), Fraction(0)
-        )
+    def evaluator(self) -> Callable[[tuple[Fraction, ...]], tuple[Fraction, ...]]:
+        """The map from a point to its q form values: the forms are cleared of
+        denominators here, once, the point on each call, and each value is one
+        integer dot product over their common denominators."""
+        cleared = [clear_denominators(row) for row in self.forms]
+
+        def values(coords):
+            nums, den = clear_denominators(coords)
+            return tuple(Fraction(sum(map(mul, row, nums)), d * den) for row, d in cleared)
+
+        return values
 
 
 def general_position_check(sys: LinearFormSystem) -> tuple[int, ...] | None:
     """The first dependent (r+1)-subset of forms in itertools.combinations
     order, or None when every r+1 forms are linearly independent."""
     for subset in itertools.combinations(range(sys.q), sys.r + 1):
-        if det([list(sys.forms[i]) for i in subset]) == 0:
+        if det([sys.forms[i] for i in subset]) == 0:
             return subset
     return None
 
@@ -93,12 +102,12 @@ def normalize_point(S: SContext, coords) -> tuple[Fraction, ...]:
     nonzero coordinates, min ord_p(c) = ord_p(G) - ord_p(L) for every p
     outside S, so scaling by L/G sets each of those minima to 0.
     """
-    cs = [Fraction(c) for c in coords]
-    if all(c == 0 for c in cs):
+    cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coords]
+    if not any(cs):
         raise ValueError("cannot normalize the zero tuple")
-    parts = [non_s_part(S, c) for c in cs if c != 0]
-    scale = Fraction(lcm(*(den for _, den in parts)), gcd(*(num for num, _ in parts)))
-    return tuple(c * scale for c in cs)
+    G = gcd(*(_strip_supported(abs(c.numerator), S.primes) for c in cs if c))
+    L = lcm(*(_strip_supported(c.denominator, S.primes) for c in cs))
+    return tuple(Fraction(c.numerator * L, c.denominator * G) for c in cs)
 
 
 def check_primitive(S: SContext, coords) -> tuple[Fraction, ...]:
@@ -157,18 +166,20 @@ def evaluate_conjecture(
         raise ValueError(f"degenerate system: forms {witness} are dependent")
     reports = []
     coeff = Fraction(sys.q - sys.r - 1) - eps
+    form_values = sys.evaluator()
+    decide = inequality_verdict(coeff)
     for raw in points:
         coords = check_primitive(S, raw) if strict else normalize_point(S, raw)
         hs = tuple(height(c) for c in coords)
         hmax = max(hs)
-        values = tuple(sys.apply(i, coords) for i in range(sys.q))
+        values = form_values(coords)
         if 0 in values:
             counts, rhs = (None,) * sys.q, None
             verdict, reason = SKIPPED, "form vanishes at the point"
         else:
             counts = tuple(counting_trunc(S, sys.r, v) for v in values)
-            rhs = prod(counts, start=Magnitude(1))
-            verdict, reason = inequality_verdict(coeff, hmax, rhs), None
+            rhs = Magnitude(prod(c.value for c in counts))
+            verdict, reason = decide(hmax.value, rhs.value), None
         reports.append(
             DefectReport(coords, hs, hmax, values, counts, rhs, coeff, verdict, reason)
         )
@@ -250,6 +261,7 @@ def corollary_eval(
     points = [(Fraction(1), x) for (x, _), ok in zip(xys, on_line) if ok]
     reports = iter(evaluate_conjecture(S, sys, eps, points))
     coeff = Fraction(1) - eps
+    decide = inequality_verdict(coeff)
     rows = []
     for (x, y), ok in zip(xys, on_line):
         if not ok:
@@ -267,7 +279,7 @@ def corollary_eval(
             direct_verdict = HOLDS if coeff <= 0 or lhs_base.is_zero_quantity else SKIPPED
         else:
             direct_rhs = counting_trunc(S, 1, x) * counting_trunc(S, 1, y)
-            direct_verdict = inequality_verdict(coeff, lhs_base, direct_rhs)
+            direct_verdict = decide(lhs_base.value, direct_rhs.value)
         if delegated.verdict == SKIPPED:
             agree = None
             verdict = direct_verdict

@@ -461,7 +461,7 @@ def main_inequality_report(
     c_total = Magnitude(c_a**4 * c_eta**2)
     gap = Fraction(n - 2 * m - 4) - eps
     ceiling = ScaledLog(1 / gap, c_total) if gap > 0 else None
-    one_minus = 1 - eps
+    conjectural = inequality_verdict(1 - eps)
     n_eps = n - eps
     # h(x)**e_x vs (h(x)*h(y))**e_xy, and (h(x)*h(y))**e_over vs
     # C_total**e_ceil, e_ceil/e_over = 1/gap: cmp_scaled's exponents
@@ -477,11 +477,11 @@ def main_inequality_report(
                 "skipped (non-sharing row, zero auxiliary value, or identity failure)"
             )
         else:
-            hmax = max(row.h_eta, row.h_u, row.h_zeta)
-            rhs = row.n2_eta * row.n2_u * row.n2_zeta  # N^(2) of the sum is 0
-            detail["conjectural_rhs"] = str(rhs.value)
-            detail["conjectural_max_height"] = str(hmax.value)
-            detail["conjectural_step"] = inequality_verdict(one_minus, hmax, rhs)
+            hmax = max(row.h_eta.value, row.h_u.value, row.h_zeta.value)
+            rhs = row.n2_eta.value * row.n2_u.value * row.n2_zeta.value  # N^(2)(1) = 0
+            detail["conjectural_rhs"] = str(rhs)
+            detail["conjectural_max_height"] = str(hmax)
+            detail["conjectural_step"] = conjectural(hmax, rhs)
             # eta height floor with the explicit constant
             ok = detail["eta_floor_ok"] = row.h_eta.value * c_eta >= row.h_x.value**n
         # derived comparison (n-eps) h(x) vs (2+m)(h(x)+h(y))

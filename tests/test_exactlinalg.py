@@ -1,4 +1,6 @@
-"""Exact nullspaces: the early-exit row fold against full Gauss-Jordan."""
+"""Exact linear algebra: the early-exit nullspace row fold against full
+Gauss-Jordan, and the fraction-free determinant against Fraction
+elimination."""
 
 from fractions import Fraction as F
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urskit.exactlinalg import _primitive, nullspace_basis
+from urskit.exactlinalg import _primitive, det, nullspace_basis
 
 
 def gauss_jordan_nullspace(rows):
@@ -101,3 +103,76 @@ def test_empty_and_ragged_rejected():
         nullspace_basis([])
     with pytest.raises(ValueError, match="ragged"):
         nullspace_basis([[1, 0], [1]])
+
+
+def fraction_det(rows):
+    """Reference: Gaussian elimination over Fractions, pivoting on the first
+    nonzero entry of each column."""
+    n = len(rows)
+    mat = [[F(v) for v in row] for row in rows]
+    result = F(1)
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if mat[r][col] != 0), None)
+        if pivot_row is None:
+            return F(0)
+        if pivot_row != col:
+            mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
+            result = -result
+        pivot = mat[col][col]
+        result *= pivot
+        for r in range(col + 1, n):
+            if mat[r][col] != 0:
+                scale = mat[r][col] / pivot
+                for c in range(col, n):
+                    mat[r][c] -= scale * mat[col][c]
+    return result
+
+
+@st.composite
+def square_matrices(draw):
+    """n x n rational matrices, n <= 5, with zero leading entries that force
+    row swaps, and zero, repeated or combined rows that make them singular."""
+    n = draw(st.integers(0, 5))
+    rows = [draw(st.lists(small, min_size=n, max_size=n)) for _ in range(n)]
+    for i in range(n):
+        kind = draw(st.sampled_from(["plain", "lead_zeros", "zero", "repeat", "combination"]))
+        if kind == "lead_zeros":
+            k = draw(st.integers(0, n))
+            rows[i] = [F(0)] * k + rows[i][k:]
+        elif kind == "zero":
+            rows[i] = [F(0)] * n
+        elif kind == "repeat":
+            rows[i] = list(rows[draw(st.integers(0, n - 1))])
+        elif kind == "combination" and i >= 2:
+            a, b = draw(small), draw(small)
+            rows[i] = [a * u + b * v for u, v in zip(rows[0], rows[1])]
+    return rows
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(square_matrices())
+def test_det_matches_fraction_elimination(rows):
+    assert det(rows) == fraction_det(rows)
+
+
+@pytest.mark.parametrize(
+    "rows,expected",
+    [
+        ([], F(1)),
+        ([[F(-3, 7)]], F(-3, 7)),
+        ([[0]], F(0)),
+        # a zero leading pivot: one swap, then a second in the lower block
+        ([[0, 1, 2], [0, 0, 3], [F(1, 2), 5, 7]], F(3, 2)),
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], F(-1)),
+        # repeated and proportional rows
+        ([[1, F(2, 3)], [1, F(2, 3)]], F(0)),
+        ([[F(1, 2), F(1, 3), 1], [1, F(2, 3), 2], [5, 6, 7]], F(0)),
+    ],
+)
+def test_det_examples(rows, expected):
+    assert det(rows) == expected == fraction_det(rows)
+
+
+def test_det_rejects_non_square():
+    with pytest.raises(ValueError, match="square"):
+        det([[1, 2], [3]])

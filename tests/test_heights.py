@@ -570,12 +570,10 @@ def test_cmp_powers_builds_no_big_power(A, ea, B, eb, expected):
 def test_fine_epsilon_point_builds_no_big_power(monkeypatch):
     # a fine-eps benchmark point: 31-smooth coordinates of height in
     # [2^13, 10^4], three truncated counts with a 32-bit product, eps 1/10^5
-    def no_powers(*sides):
-        return cmp_scaled(
-            *(ScaledLog(s.coefficient, Magnitude(NoPowers(s.base.value))) for s in sides)
-        )
+    def no_powers(A, ea, B, eb):
+        return cmp_powers(NoPowers(A), ea, NoPowers(B), eb)
 
-    monkeypatch.setattr(subspace, "cmp_scaled", no_powers)
+    monkeypatch.setattr(subspace, "cmp_powers", no_powers)
     forms = LinearFormSystem.of(1, [[1, 0], [0, 1], [1, 1]])
     S = SContext.of([2, 3])
     (row,) = evaluate_conjecture(S, forms, F(1, 10**5), [[F(9918), F(-9269)]])

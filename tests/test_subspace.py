@@ -3,21 +3,31 @@ verdicts, and the two-variable delegation."""
 
 import json
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm, prod
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from urskit import subspace
-from urskit.arith import SContext, non_s_ord_profile, unit_equation_solutions
+from urskit.arith import SContext, non_s_ord_profile, non_s_part, unit_equation_solutions
 from urskit.cli import load_pairs_file
-from urskit.heights import Magnitude, counting, counting_trunc
+from urskit.heights import (
+    Magnitude,
+    ScaledLog,
+    cmp_scaled,
+    counting,
+    counting_trunc,
+    height,
+)
+from urskit.polys import TrinomialFamily
+from urskit.sharing import s_integer_box
 from urskit.subspace import (
     HOLDS,
     SKIPPED,
     VIOLATED,
+    DefectReport,
     LinearFormSystem,
     check_primitive,
     corollary_eval,
@@ -25,6 +35,7 @@ from urskit.subspace import (
     general_position_check,
     normalize_point,
 )
+from urskit.trace import build_trace_rows, main_inequality_report
 from urskit.report import stable_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -353,3 +364,133 @@ def test_delegated_point_matches_proof_reduction():
     delegated = rows[0].delegated
     assert delegated.form_values == (F(1), x, C - A * x)
     assert delegated.point == (F(1), x)
+
+
+# --- the Fraction point pipeline, kept as the oracle --------------------------
+# Form values as Fraction sums, normalization by a Fraction scale and the
+# verdict through cmp_scaled on two ScaledLogs: what evaluate_conjecture did
+# before it decided points on integers.
+
+
+def _form_values_oracle(sys, coords):
+    return tuple(sum((c * v for c, v in zip(row, coords)), F(0)) for row in sys.forms)
+
+
+def _normalize_fraction_oracle(S, coords):
+    cs = [F(c) for c in coords]
+    parts = [non_s_part(S, c) for c in cs if c != 0]
+    scale = F(lcm(*(den for _, den in parts)), gcd(*(num for num, _ in parts)))
+    return tuple(c * scale for c in cs)
+
+
+def _verdict_oracle(coeff, base, rhs):
+    if coeff <= 0 or cmp_scaled(ScaledLog(coeff, base), ScaledLog(F(1), rhs)) <= 0:
+        return HOLDS
+    return VIOLATED
+
+
+def _evaluate_oracle(S, sys, eps, points):
+    coeff = F(sys.q - sys.r - 1) - eps
+    reports = []
+    for raw in points:
+        coords = _normalize_fraction_oracle(S, raw)
+        hs = tuple(height(c) for c in coords)
+        hmax = max(hs)
+        values = _form_values_oracle(sys, coords)
+        if 0 in values:
+            counts, rhs = (None,) * sys.q, None
+            verdict, reason = SKIPPED, "form vanishes at the point"
+        else:
+            counts = tuple(counting_trunc(S, sys.r, v) for v in values)
+            rhs = prod(counts, start=Magnitude(1))
+            verdict, reason = _verdict_oracle(coeff, hmax, rhs), None
+        reports.append(
+            DefectReport(coords, hs, hmax, values, counts, rhs, coeff, verdict, reason)
+        )
+    return reports
+
+
+# S = {2, 3}: denominators inside S and outside it (5, 7, 35)
+_COORDS = st.builds(
+    F,
+    st.integers(-(10**4), 10**4),
+    st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 12, 35]),
+)
+_FORM_COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@st.composite
+def _point_cases(draw):
+    """A system in general position with r in {1, 2}, rational coefficients,
+    and points of which some are solved to make one form vanish."""
+    r = draw(st.sampled_from([1, 2]))
+    q = draw(st.integers(r + 1, r + 3))
+    sys = LinearFormSystem.of(
+        r, [draw(st.lists(_FORM_COEFFS, min_size=r + 1, max_size=r + 1)) for _ in range(q)]
+    )
+    assume(general_position_check(sys) is None)
+    points = []
+    for _ in range(draw(st.integers(1, 4))):
+        point = draw(st.lists(_COORDS, min_size=r + 1, max_size=r + 1))
+        if draw(st.booleans()):
+            row = sys.forms[draw(st.integers(0, q - 1))]
+            j = max(k for k, c in enumerate(row) if c)
+            rest = sum((c * v for k, (c, v) in enumerate(zip(row, point)) if k != j), F(0))
+            point[j] = -rest / row[j]
+        assume(any(point))
+        points.append(point)
+    gap = F(q - r - 1)
+    # coefficient gap, gap - 1/10^5, 0 and negative
+    eps = draw(st.sampled_from([F(0), F(1, 10**5), F(1, 10), gap, gap + F(1, 3)]))
+    return sys, eps, points
+
+
+# violated, holds and skipped points under each kind of coefficient
+_FIXED_POINTS = [[F(81), F(-80)], [F(5), F(-4)], [F(1), F(-1)], [F(1, 5), F(7, 2)]]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_point_cases())
+@example((FORMS_3, F(0), _FIXED_POINTS))
+@example((FORMS_3, F(1, 10**5), _FIXED_POINTS))
+@example((FORMS_3, F(1), _FIXED_POINTS))
+@example((FORMS_3, F(4, 3), _FIXED_POINTS))
+def test_point_pipeline_matches_fraction_oracle(case):
+    sys, eps, points = case
+    assert evaluate_conjecture(S23, sys, eps, points) == _evaluate_oracle(S23, sys, eps, points)
+
+
+@pytest.mark.parametrize("eps", [F(0), F(1, 10**5), F(1, 10), F(1), F(3, 2)])
+def test_corollary_rows_match_fraction_oracle(eps):
+    pairs = unit_equation_solutions(S23, 3) + [(F(81), F(-80)), (F(0), F(1)), (F(7), F(-6))]
+    rows = corollary_eval(S23, F(1), F(1), F(1), eps, pairs)
+    sys = LinearFormSystem.of(1, [[1, 0], [0, 1], [1, -1]])
+    assert [row.delegated for row in rows] == _evaluate_oracle(
+        S23, sys, eps, [(F(1), x) for x, _ in pairs]
+    )
+    for (x, y), row in zip(pairs, rows):
+        if x != 0 and y != 0:
+            rhs = counting_trunc(S23, 1, x) * counting_trunc(S23, 1, y)
+            assert row.direct_verdict == _verdict_oracle(1 - eps, height(x), rhs)
+
+
+# not 1/10^5: the diagonal rows' sides share a bit length, so each comparison
+# would build its powers (ROADMAP item 3), seconds per call on both sides
+@pytest.mark.parametrize("eps", [F(0), F(1, 1000), F(1, 10), F(1), F(3, 2)])
+def test_conjectural_step_matches_fraction_oracle(eps):
+    fam = TrinomialFamily(7, 1, F(1), F(1))
+    box = s_integer_box(S23, 12, 1)
+    pairs = [(x, x) for x in box] + load_pairs_file(str(GOLDEN / "trace_pairs.json"))
+    rows, _ = build_trace_rows(S23, fam, pairs)
+    report = main_inequality_report(S23, fam, eps, rows)
+    decided = 0
+    for row, out in zip(rows, report.rows):
+        if "conjectural_max_height" not in out:
+            continue
+        hmax = Magnitude(int(out["conjectural_max_height"]))
+        rhs = Magnitude(int(out["conjectural_rhs"]))
+        assert hmax == max(row.h_eta, row.h_u, row.h_zeta)
+        assert rhs == row.n2_eta * row.n2_u * row.n2_zeta
+        assert out["conjectural_step"] == _verdict_oracle(1 - eps, hmax, rhs)
+        decided += 1
+    assert decided > 0
