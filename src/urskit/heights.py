@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .arith import SContext, _strip_supported, truncated_radical
 
@@ -50,16 +49,8 @@ class Magnitude:
         # product of Magnitudes == sum of the log values
         return Magnitude(self.value * other.value)
 
-    def pow(self, k: int) -> "Magnitude":
-        if k < 0:
-            raise ValueError("Magnitude powers must be nonnegative")
-        return Magnitude(self.value**k)
-
     def divides(self, other: "Magnitude") -> bool:
         return other.value % self.value == 0
-
-    def log_display(self, digits: int = DEFAULT_DISPLAY_DIGITS) -> str:
-        return display_log(self, digits)
 
 
 @dataclass(frozen=True)
@@ -150,7 +141,7 @@ def cmp_scaled(lhs: ScaledLog, rhs: ScaledLog) -> int:
     verdict.
     """
     a, b = lhs.coefficient, rhs.coefficient
-    d = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
+    d = math.lcm(a.denominator, b.denominator)
     return cmp_powers(lhs.base.value, a.numerator * (d // a.denominator),
                       rhs.base.value, b.numerator * (d // b.denominator))
 

@@ -11,6 +11,7 @@ from math import gcd
 from typing import ClassVar
 
 from .arith import SContext, is_s_integer, is_s_unit, rational_str
+from .exactlinalg import clear_denominators
 
 
 @dataclass(frozen=True)
@@ -25,10 +26,6 @@ class RatPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         return cls(tuple(cs))
-
-    @classmethod
-    def constant(cls, c) -> "RatPoly":
-        return cls.of([c])
 
     @property
     def is_zero(self) -> bool:
@@ -48,10 +45,8 @@ class RatPoly:
     def _cleared(self) -> tuple[int, tuple[int, ...]]:
         """(L, (L*c_d, ..., L*c_0)) with L the lcm of the coefficient
         denominators: integer coefficients, leading first."""
-        lcm = self.coefficient_denominator_lcm()
-        return lcm, tuple(
-            c.numerator * (lcm // c.denominator) for c in reversed(self.coeffs)
-        )
+        cs, lcm = clear_denominators(self.coeffs[::-1])
+        return lcm, tuple(cs)
 
     def evaluate_unreduced(self, p: int, q: int) -> tuple[int, int]:
         """(num, den) with P(p/q) = num/den and den = L q^d > 0 for q > 0,
@@ -138,10 +133,7 @@ class RatPoly:
         return sum((abs(c) for c in self.coeffs), Fraction(0))
 
     def coefficient_denominator_lcm(self) -> int:
-        lcm = 1
-        for c in self.coeffs:
-            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-        return lcm
+        return self._cleared[0]
 
     def __str__(self):
         if self.is_zero:

@@ -27,25 +27,18 @@ from typing import ClassVar
 from .arith import SContext, is_s_unit, ord_at, rational_str
 from .exactlinalg import nullspace_basis
 from .heights import (
-    DEFAULT_DISPLAY_DIGITS,
     GREATER,
     Magnitude,
     ScaledLog,
     cmp_powers,
-    cmp_scaled,
     counting,
     counting_trunc,
     height,
     nonnegative_epsilon,
 )
-from .polys import RatPoly, TrinomialFamily, ValidationReport, validate_family
+from .polys import RatPoly, TrinomialFamily, ValidationReport
 from .sharing import _keyed_value, _pair_join, share_key
 from .subspace import inequality_verdict
-
-
-def _exact(v):
-    """v as an exact rational; ints and Fractions pass through as they are."""
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
 def _w(fam: TrinomialFamily, v: Fraction) -> Fraction:
@@ -68,7 +61,7 @@ def aux_build(fam: TrinomialFamily, x: Fraction, y: Fraction, u: Fraction):
     zeta = (1/b)*y^(n-m)*(y^m+a)*u, exactly."""
     if fam.b == 0:
         raise ValueError("auxiliary sequences require b != 0")
-    return -_w(fam, _exact(x)), _w(fam, _exact(y)) * _exact(u)
+    return -_w(fam, Fraction(x)), _w(fam, Fraction(y)) * Fraction(u)
 
 
 def identity_check(fam: TrinomialFamily, x: Fraction, y: Fraction, u: Fraction) -> bool:
@@ -78,7 +71,7 @@ def identity_check(fam: TrinomialFamily, x: Fraction, y: Fraction, u: Fraction) 
     every quotient-built row; it can fail only for externally supplied u.
     """
     eta, zeta = aux_build(fam, x, y, u)
-    return eta + _exact(u) + zeta == 1
+    return eta + Fraction(u) + zeta == 1
 
 
 def evaluation_height_constant(P: RatPoly) -> int:
@@ -139,14 +132,6 @@ class TraceRow:
     flags: tuple[str, ...]
 
 
-def _maybe_counting(S, value, level=None):
-    if value is None or value == 0:
-        return None
-    if level is None:
-        return counting(S, value)
-    return counting_trunc(S, level, value)
-
-
 class _TracedValue:
     """What the rows need of one value v, whichever side it is on: P(v) and
     its sharing key, as sharing._keyed_value gives them, h(v), w(v) =
@@ -204,10 +189,16 @@ def build_trace_rows(S: SContext, fam: TrinomialFamily, pairs):
             t = traced[nd] = _TracedValue(fam, *_keyed_value(S, P, key, name, v))
         return t
 
-    # once per value, on the first sharing row that asks: _TracedValue hashes by id
-    n1 = cache(lambda t: _maybe_counting(S, t.v, 1))
-    n2_eta = cache(lambda t: _maybe_counting(S, t.eta, 2))
-    n_shift = cache(lambda t: _maybe_counting(S, t.v**fam.m + fam.a))
+    # once per value, on the first sharing row that asks: _TracedValue hashes
+    # by id; a zero value has no count
+    n1 = cache(lambda t: counting_trunc(S, 1, t.v) if t.v else None)
+    n2_eta = cache(lambda t: counting_trunc(S, 2, t.eta) if t.eta else None)
+
+    @cache
+    def n_shift(t):
+        shift = t.v**fam.m + fam.a
+        return counting(S, shift) if shift else None
+
     unit = Magnitude(1)  # N^(2) of an S-unit
 
     rows = []
@@ -321,9 +312,7 @@ class CheckReport(_RowsReport):
     notes: tuple[str, ...] = ()
 
 
-def roth_chain_report(
-    S: SContext, P: RatPoly, rows, values, digits: int = DEFAULT_DISPLAY_DIGITS
-) -> CheckReport:
+def roth_chain_report(S: SContext, P: RatPoly, rows, values, digits: int) -> CheckReport:
     """Exact kernel of the height-comparability step: for sharing rows,
     counting(S, P(x)) == counting(S, P(y)) and both are bounded by
     C_P * h(.)^deg(P).  Height ratios are reported for display only, to
@@ -424,11 +413,7 @@ class MainInequalityReport(_RowsReport):
 
 
 def main_inequality_report(
-    S: SContext,
-    fam: TrinomialFamily,
-    eps: Fraction,
-    rows,
-    validation: ValidationReport | None = None,
+    S: SContext, fam: TrinomialFamily, eps: Fraction, rows, validation: ValidationReport
 ) -> MainInequalityReport:
     """Every quantity in the contradiction chain, with explicit constants.
 
@@ -443,12 +428,10 @@ def main_inequality_report(
     verdicts on the data.  The derived step and the ceiling are one
     heights.cmp_powers call each per row, with exponents found once per call.
 
-    `validation` is validate_family(S, fam) when the caller has it already;
-    without it the family is validated here.
+    `validation` is validate_family(S, fam); a family that fails it raises
+    ValueError.
     """
     eps = nonnegative_epsilon(eps)
-    if validation is None:
-        validation = validate_family(S, fam)
     if not validation.passed:
         failed = [c.name for c in validation.checks if not c.passed]
         raise ValueError(
@@ -561,7 +544,9 @@ def case_classify(S: SContext, fam: TrinomialFamily, triple, rows) -> CaseReport
     branch reports y^(n-m)*(y^m+a); build_trace_rows gives no row a unit
     when b = 0.  Lemmas on such rows: w_formula_ok, unit_relation_ok,
     displayed_relation_ok, trunc_product_ok and w_height_floor_ok; the other
-    keys are verdicts on the data."""
+    keys are verdicts on the data.  C2_C3_nonzero's growth_scale_cmp orders
+    n*log h(y) against log(C_a*h(y)^(m+1)) by one heights.cmp_powers call on
+    integers, as every verdict is ordered."""
     c1, c2, c3 = (Fraction(c) for c in triple)
     if c1 == c2 == c3 == 0:
         raise ValueError("the all-zero triple carries no relation")
@@ -634,11 +619,10 @@ def case_classify(S: SContext, fam: TrinomialFamily, triple, rows) -> CaseReport
                 n1_w = counting_trunc(S, 1, w)
                 n1_y = counting_trunc(S, 1, r.y)
                 trunc_ok = n1_w.value <= n1_y.value * counting_trunc(S, 1, shift).value
-                floor_ok = height(w).value * c_eta >= r.h_y.value**fam.n
-                scale = cmp_scaled(
-                    ScaledLog(Fraction(fam.n), r.h_y),
-                    ScaledLog(Fraction(1), Magnitude(c_a) * r.h_y.pow(fam.m + 1)),
-                )
+                h_y = r.h_y.value
+                floor_ok = height(w).value * c_eta >= h_y**fam.n
+                # n*log h(y) vs log(C_a * h(y)^(m+1))
+                scale = cmp_powers(h_y, fam.n, c_a * h_y ** (fam.m + 1), 1)
                 detail["n1_w"] = str(n1_w.value)
                 detail["trunc_product_ok"] = trunc_ok
                 detail["w_height_floor_ok"] = floor_ok

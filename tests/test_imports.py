@@ -1,4 +1,5 @@
-"""Every name a urskit module imports is used in that module.
+"""Every name a urskit module imports is used in that module, and the CLI
+loads nothing outside the standard library.
 
 No linter is part of the test run, so each module's syntax tree is walked
 with `ast`.  `__init__.py` is left out: its imports are the public
@@ -7,6 +8,8 @@ as uses.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +49,20 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_cli_imports_only_the_standard_library():
+    # -S keeps site out: it would add the environment's own modules, and the
+    # test dependencies (sympy, mpmath, hypothesis) with its site-packages
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+        "import urskit.cli\n"
+        "top = {name.split('.')[0] for name in sys.modules}\n"
+        "print(sorted(top - set(sys.stdlib_module_names) - {'__main__', 'urskit'}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", probe],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "[]\n"

@@ -2,6 +2,7 @@
 discriminants, family validation, root construction."""
 
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -99,9 +100,26 @@ def test_eval_matches_fraction_horner(coeffs, x):
 def test_eval_zero_and_constant_polynomials():
     assert RatPoly.of([]).evaluate(F(3, 4)) == 0
     assert RatPoly.of([0, 0]).evaluate(F(-7)) == 0
-    assert RatPoly.constant(F(-5, 6)).evaluate(F(9, 8)) == F(-5, 6)
+    assert RatPoly.of([F(-5, 6)]).evaluate(F(9, 8)) == F(-5, 6)
     assert RatPoly.of([F(1, 2), F(1, 3)]).evaluate(F(-3, 2)) == 0
     assert RatPoly.of([1, 2]).evaluate("1/2") == 2
+    # mixed denominators, constants and the zero polynomial: the lcm of the
+    # cleared form, and its integer Horner against the Fraction one
+    polys = [
+        RatPoly.of([F(1, 4), F(-5, 6), 0, F(7, 10)]),
+        RatPoly.of([F(1, 2), F(1, 3)]),
+        RatPoly.of([F(-5, 6)]),
+        RatPoly.of([3]),
+        RatPoly.of([]),
+        RatPoly.of([0, 0]),
+    ]
+    for P in polys:
+        lcm = math.lcm(*(c.denominator for c in P.coeffs))
+        assert P.coefficient_denominator_lcm() == lcm
+        for x in (F(0), F(1), F(-3, 2), F(9, 8), F(-7, 12)):
+            num, den = P.evaluate_unreduced(x.numerator, x.denominator)
+            assert F(num, den) == fraction_horner(P, x)
+            assert den == (lcm * x.denominator**P.degree if P.coeffs else 1)
 
 
 def test_divmod_identity():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urskit.arith import rational_str
-from urskit.heights import Magnitude, ScaledLog
+from urskit.heights import Magnitude, ScaledLog, display_log
 from urskit.report import _PLAN_CACHE_SIZE, render_table, stable_json
 
 
@@ -26,7 +26,7 @@ def to_json(value, digits=6):
     if t is F:
         return rational_str(value)
     if t is Magnitude:
-        return {"exact": str(value.value), "log": value.log_display(digits)}
+        return {"exact": str(value.value), "log": display_log(value, digits)}
     if t is tuple or t is list:
         return [to_json(v, digits) for v in value]
     if t is dict:

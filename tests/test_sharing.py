@@ -438,7 +438,7 @@ def test_over_budget_search_never_evaluates(monkeypatch):
     monkeypatch.setattr(sharing, "_box_points", spy("_box_points"))
     monkeypatch.setattr(RatPoly, "evaluate_unreduced", spy("evaluate_unreduced"))
     monkeypatch.setattr(RatPoly, "evaluate", spy("evaluate"))
-    one = RatPoly.constant(1)
+    one = RatPoly.of([1])
     n = 2 * 10**4 + 1
     with pytest.raises(SearchBudgetError) as err:
         search_shared_pairs(S23, one, 10**4, 0, pair_budget=10)

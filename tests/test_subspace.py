@@ -21,7 +21,7 @@ from urskit.heights import (
     counting_trunc,
     height,
 )
-from urskit.polys import TrinomialFamily
+from urskit.polys import TrinomialFamily, validate_family
 from urskit.sharing import s_integer_box
 from urskit.subspace import (
     HOLDS,
@@ -482,7 +482,7 @@ def test_conjectural_step_matches_fraction_oracle(eps):
     box = s_integer_box(S23, 12, 1)
     pairs = [(x, x) for x in box] + load_pairs_file(str(GOLDEN / "trace_pairs.json"))
     rows, _ = build_trace_rows(S23, fam, pairs)
-    report = main_inequality_report(S23, fam, eps, rows)
+    report = main_inequality_report(S23, fam, eps, rows, validate_family(S23, fam))
     decided = 0
     for row, out in zip(rows, report.rows):
         if "conjectural_max_height" not in out:

@@ -10,7 +10,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from urskit.arith import FactoringBudgetError, SContext, unit_equation_solutions
-from urskit.heights import Magnitude, ScaledLog, cmp_scaled, counting, counting_trunc, height
+from urskit.heights import (
+    DEFAULT_DISPLAY_DIGITS as DIGITS,
+    Magnitude,
+    ScaledLog,
+    cmp_scaled,
+    counting,
+    counting_trunc,
+    height,
+)
 from urskit.polys import RatPoly, TrinomialFamily, ValidationReport, validate_family
 from urskit.sharing import SearchBudgetError, s_integer_box, search_shared_pairs, share_check
 from urskit import trace
@@ -166,7 +174,7 @@ def test_build_trace_rows_flags():
 
 def test_roth_chain_examples():
     rows, values = trace_for([(F(0), F(-1)), (F(2), F(2)), (F(1), F(0))])
-    rep = roth_chain_report(S23, P7, rows, values)
+    rep = roth_chain_report(S23, P7, rows, values, DIGITS)
     assert rep.constants["C_P"] == 4
     assert rep.ok
     by_pair = {(r["x"], r["y"]): r for r in rep.rows}
@@ -178,7 +186,7 @@ def test_roth_chain_examples():
 def test_roth_chain_row_errors():
     rows = rows_for([(F(0), F(-1)), (F(2), F(3))])
     # P = X vanishes at 0; the values passed are X's, not those of P7
-    rep = roth_chain_report(S23, RatPoly.of([0, 1]), rows, [(r.x, r.y) for r in rows])
+    rep = roth_chain_report(S23, RatPoly.of([0, 1]), rows, [(r.x, r.y) for r in rows], DIGITS)
     vanish, nonshare = rep.rows
     assert vanish["ok"] is None and "vanishing" in vanish["error"]
     assert nonshare["ok"] is None and "share" in nonshare["error"]
@@ -395,7 +403,7 @@ def test_checks_on_row_values_match_reevaluating_oracles(case, eps):
     pairs += [(sp.x, sp.y) for sp in search_shared_pairs(S23, P, 8, 1)]
     rows, values = build_trace_rows(S23, fam, pairs)
     assert values == [(P.evaluate(r.x), P.evaluate(r.y)) for r in rows]
-    assert roth_chain_report(S23, P, rows, values) == _roth_chain_oracle(S23, P, rows)
+    assert roth_chain_report(S23, P, rows, values, DIGITS) == _roth_chain_oracle(S23, P, rows)
     assert unit_height_check(rows, values) == _unit_height_oracle(S23, P, rows)
     assert trunc_bound_check(rows).rows == _trunc_bound_oracle(S23, fam, rows)
     # a report with no hypothesis checks passes, so the rows of any drawn
@@ -409,7 +417,7 @@ def test_checks_on_row_values_match_reevaluating_oracles(case, eps):
 def test_checks_reject_values_of_another_length():
     rows, values = trace_for([(F(1), F(0)), (F(2), F(2))])
     with pytest.raises(ValueError):
-        roth_chain_report(S23, P7, rows, values[:1])
+        roth_chain_report(S23, P7, rows, values[:1], DIGITS)
     with pytest.raises(ValueError):
         unit_height_check(rows, values + values)
 
@@ -423,7 +431,9 @@ def test_checks_read_values_made_afresh_for_each_row():
         return ((F(px.numerator, px.denominator), F(py.numerator, py.denominator))
                 for px, py in values)
 
-    assert roth_chain_report(S23, P7, rows, fresh()) == roth_chain_report(S23, P7, rows, values)
+    assert roth_chain_report(S23, P7, rows, fresh(), DIGITS) == (
+        roth_chain_report(S23, P7, rows, values, DIGITS)
+    )
     assert unit_height_check(rows, fresh()) == unit_height_check(rows, values)
 
 
@@ -623,14 +633,14 @@ def test_bulk_chain_on_second_validated_family():
     assert pairs  # diagonal-free sharing pairs exist in the box
     rows, values = build_trace_rows(S, fam, pairs)
     assert trunc_bound_check(rows).ok
-    assert roth_chain_report(S, P, rows, values).ok
+    assert roth_chain_report(S, P, rows, values, DIGITS).ok
     assert unit_height_check(rows, values).ok
-    assert main_inequality_report(S, fam, F(1, 10), rows).ok
+    assert main_inequality_report(S, fam, F(1, 10), rows, validate_family(S, fam)).ok
 
 
 def test_main_inequality_constants_and_ceiling():
     rows = rows_for([(F(0), F(-1)), (F(5), F(5))])
-    rep = main_inequality_report(S23, FAM, F(1, 10), rows)
+    rep = main_inequality_report(S23, FAM, F(1, 10), rows, validate_family(S23, FAM))
     assert rep.constants == {
         "C_a": 2,
         "C_eta": 256,
@@ -649,17 +659,18 @@ def test_main_inequality_constants_and_ceiling():
 def test_main_inequality_ceiling_formula():
     # gap = n - 2m - 4 - eps = 1 - eps; the ceiling is log(C_total)/(1 - eps)
     rows = rows_for([(F(2), F(2))])
+    validation = validate_family(S23, FAM)
     for eps in (F(0), F(1, 10), F(1, 2)):
-        rep = main_inequality_report(S23, FAM, eps, rows)
+        rep = main_inequality_report(S23, FAM, eps, rows, validation)
         assert rep.ceiling == ScaledLog(1 / (1 - eps), Magnitude(2**20))
-    rep = main_inequality_report(S23, FAM, F(1), rows)
+    rep = main_inequality_report(S23, FAM, F(1), rows, validation)
     assert rep.ceiling is None
 
 
 def test_main_inequality_requires_valid_family():
     bad = TrinomialFamily(6, 1, F(1), F(1))
     with pytest.raises(ValueError, match="validate"):
-        main_inequality_report(S23, bad, F(1, 10), [])
+        main_inequality_report(S23, bad, F(1, 10), [], validate_family(S23, bad))
 
 
 # --- dependence and cases -------------------------------------------------------
@@ -737,6 +748,58 @@ def test_case_c2_c3_nonzero_growth_diagnostics():
     assert row["trunc_product_ok"]
     assert row["w_height_floor_ok"]
     assert row["growth_scale_cmp"] == "above"  # n > m+1 scale on data
+
+
+def _growth_scale_oracle(fam, h_y):
+    """growth_scale_cmp as it was before case_classify compared integers:
+    n*log h(y) against log(C_a*h(y)^(m+1)) through cmp_scaled."""
+    rhs = Magnitude(shift_height_constant(fam.a) * h_y.value ** (fam.m + 1))
+    verdict = cmp_scaled(ScaledLog(F(fam.n), h_y), ScaledLog(F(1), rhs))
+    return ("below", "equal", "above")[verdict + 1]
+
+
+@st.composite
+def _growth_scale_cases(draw):
+    """A family with b != 0 and diagonal pairs (these share, with u = 1), so
+    C2_C3_nonzero's diagnostics run on every row whose w, y and y^m + a are
+    nonzero; a of large height puts C_a above h(y)^(n-m-1) for small y."""
+    primes = draw(st.lists(st.sampled_from((2, 3, 5)), min_size=1, max_size=2, unique=True))
+    S = SContext.of(primes)
+    m = draw(st.integers(1, 2))
+    n = draw(st.integers(m + 1, m + 5))
+    a = draw(st.fractions(min_value=-2000, max_value=2000, max_denominator=30).filter(bool))
+    b = draw(_s_units(S))
+    v = st.builds(F, st.integers(-40, 40), st.sampled_from(_s_products(S, 36)))
+    ys = draw(st.lists(v, min_size=1, max_size=6))
+    return S, TrinomialFamily(n, m, a, b), [(y, y) for y in ys]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_growth_scale_cases())
+def test_growth_scale_cmp_matches_cmp_scaled_oracle(case):
+    S, fam, pairs = case
+    rows, _ = build_trace_rows(S, fam, pairs)
+    rep = case_classify(S, fam, (F(1), F(0), F(0)), rows)
+    assert rep.branch == "C2_C3_nonzero"
+    by_y = {r.y: r for r in rows}
+    for row in rep.rows:
+        if "growth_scale_cmp" in row:
+            assert row["growth_scale_cmp"] == _growth_scale_oracle(fam, by_y[row["y"]].h_y)
+
+
+@pytest.mark.parametrize(
+    "fam, y, expected",
+    [
+        (FAM, F(1), "below"),  # h(y) = 1 < C_a = 2
+        (TrinomialFamily(7, 1, F(2), F(1)), F(-1), "below"),  # y^m + a = 1, not 0
+        (TrinomialFamily(7, 1, F(31), F(1)), F(2), "equal"),  # C_a = 32, 2^7 = 32*2^2
+        (FAM, F(5), "above"),
+    ],
+)
+def test_growth_scale_cmp_verdicts(fam, y, expected):
+    rows, _ = build_trace_rows(S23, fam, [(y, y)])
+    (row,) = case_classify(S23, fam, (F(1), F(0), F(0)), rows).rows
+    assert row["growth_scale_cmp"] == expected == _growth_scale_oracle(fam, rows[0].h_y)
 
 
 def test_case_inconsistent():
@@ -913,10 +976,10 @@ def test_lemmas_hold_on_valid_families(case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trace, "_check_rows", recording)
         checks = [
-            roth_chain_report(S, P, rows, values),
+            roth_chain_report(S, P, rows, values, DIGITS),
             unit_height_check(rows, values),
             trunc_bound_check(rows),
-            main_inequality_report(S, fam, F(1, 10), rows),
+            main_inequality_report(S, fam, F(1, 10), rows, validate_family(S, fam)),
         ]
         assert all(rep.ok for rep in checks)  # each row's ok is made of lemmas
         triples = set(dependence_detect(unit_rows).basis)
