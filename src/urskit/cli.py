@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
 from operator import attrgetter, itemgetter
-from pathlib import Path
 
 from . import __version__
 from ._kernel import BACKEND
@@ -39,7 +39,7 @@ from .arith import (
 )
 from .heights import DEFAULT_DISPLAY_DIGITS, MAX_DISPLAY_DIGITS, nonnegative_epsilon
 from .polys import RatPoly, TrinomialFamily, validate_family
-from .report import SchemaError, render_table, stable_json
+from .report import SchemaError, render_table, write_json
 from .sharing import SearchBudgetError, search_shared_pairs, share_check
 from .subspace import (
     ERROR,
@@ -221,7 +221,7 @@ def _context(args) -> SContext:
 
 def _emit(args, config: dict, payload: dict, *tables) -> None:
     """Print the tables, each a (columns, items) pair for render_table and
-    separated by a blank line, and write the JSON report, as --format and
+    separated by a blank line, and stream the JSON report, as --format and
     --out ask; neither is rendered unless it is written.  The report names
     args.command."""
     if args.format in ("table", "both"):
@@ -234,14 +234,19 @@ def _emit(args, config: dict, payload: dict, *tables) -> None:
         "config": config,
         **payload,
     }
-    text = stable_json(report, args.digits)
     if args.out:
         try:
-            Path(args.out).write_text(text, encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as out:
+                try:
+                    write_json(report, out, args.digits)
+                    out.flush()
+                except BaseException:
+                    os.remove(args.out)  # a report that failed midway leaves no file
+                    raise
         except OSError as exc:
             raise SchemaError("--out", f"cannot write {args.out}: {exc.strerror}")
     else:
-        sys.stdout.write(text)
+        write_json(report, sys.stdout, args.digits)
 
 
 def _common_config(args, **extra) -> dict:

@@ -1,16 +1,16 @@
-"""Report serialization: the JSON wire format, written byte-stably in one
+"""Report serialization: the JSON wire format, streamed byte-stably in one
 pass, and plain-text tables for the console.
 
 This module owns the wire format; the report classes are plain dataclasses
-and know nothing of it.  `stable_json` writes a report value straight to
-text, with no intermediate dict tree, and encodes each value by its exact
-type: None, booleans, integers and strings as they are, rationals as 'a/b',
-magnitudes as the exact integer plus a display-only log, tuples and lists
-as lists, dicts by their values, and dataclasses by their fields.  A
-dataclass adds the attributes named in its `derived_keys` class variable as
-further keys.  Every key is a str, as in every urskit report (an instance of
-a subclass is written as its text); any other key raises TypeError.  Keys are sorted, items indented by two spaces, and
-strings escaped as JSON does with non-ASCII characters kept.
+and know nothing of it.  `write_json` streams a report value a chunk at a
+time, with no dict tree and never the whole text (`stable_json` returns it
+as one string), each value by its exact type: None, booleans, integers and
+strings as they are, rationals as 'a/b', magnitudes as the exact integer
+plus a display-only log, tuples and lists as lists, dicts by their values,
+and dataclasses by their fields, then the attributes their `derived_keys`
+name.  Every key is a str (a subclass instance is written as its text);
+any other key raises TypeError.  Keys are sorted, items indented by two
+spaces, and strings escaped as JSON does with non-ASCII characters kept.
 
 `render_table` writes a console table from a column spec, one (header,
 getter) pair per column, and the items that make its rows.  Each cell goes
@@ -21,6 +21,7 @@ anything else through str.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
@@ -94,23 +95,28 @@ def _cell(value) -> str:
     return _CELLS.get(type(value), str)(value)
 
 
-def _writer(digits: int, emit):
-    """write(value, nl) appends the text of `value` through `emit`; `nl` is
-    a newline plus the indent of the line `value` starts on.
+_CHUNK = 4096  # the parts gathered before one write to the stream
 
-    `write` alone maps a value's type to its text: the list loop emits an
-    item's separator, and the dict and dataclass loops a plan prefix, and
-    hand the item back to `write`.  `digits` is checked once, here.  What
-    stays cached pays for itself on the `trace` reports: the plans of
-    `_plan`, per dataclass type or dict key tuple, without which those
-    reports are written about half again as slowly; and, for the life of
-    the writer, the text of each Magnitude per value and indent, and of
-    each Fraction per object, keyed by id and held so that no other object
-    takes its id; a row's values recur in every check."""
+
+def write_json(value, out, digits: int = DEFAULT_DISPLAY_DIGITS) -> None:
+    """Write the report text of `value` to the text stream `out`: sorted
+    keys, two-space indent, trailing newline; `digits` sets the decimal
+    places of every display-only log, and below 1 raises ValueError before
+    any write.  write(value, nl) appends the text of `value` to `parts`; `nl`
+    is a newline plus the indent of its first line.  `write` alone maps a
+    type to its text; the list, dict and dataclass loops add a separator or
+    plan prefix and hand each item back to it.  After a list item, `_CHUNK`
+    parts are written out.  Cached, as the `trace` reports pay for it: the
+    plans of `_plan`, across calls (without them those reports take half
+    again as long); within the call, the text of each Magnitude per value
+    and indent, and of each Fraction per object, keyed by id and held so
+    that no other object takes its id; a row's values recur in every check."""
     _check_digits(digits)
     scalars = _SCALARS
     magnitudes: dict[tuple[int, str], str] = {}
     fractions: dict[int, tuple[Fraction, str]] = {}
+    parts: list[str] = []
+    emit = parts.append
 
     def write(value, nl: str) -> None:
         t = type(value)
@@ -143,6 +149,9 @@ def _writer(digits: int, emit):
                 emit(sep)
                 write(item, inner)
                 sep = "," + inner
+                if len(parts) >= _CHUNK:
+                    out.write("".join(parts))
+                    parts.clear()
             emit(nl + "]")
             return
         if t is dict:
@@ -167,21 +176,16 @@ def _writer(digits: int, emit):
             write(getattr(value, name), inner)
         emit(tail)
 
-    return write
+    write(value, "\n")
+    out.write("".join(parts) + "\n")
+    write = None  # ends the closure's cycle: the caches go now, not at a gc
 
 
 def stable_json(value, digits: int = DEFAULT_DISPLAY_DIGITS) -> str:
-    """The report text of `value`: sorted keys, two-space indent, trailing
-    newline; `digits` sets the decimal places of every display-only log.
-
-    A dataclass or dict is written from a plan of its keys at its indent,
-    built on first use and kept across calls.  Within one call, the text of
-    a Magnitude is made once per value and indent, and that of a Fraction
-    once per object; `digits` below 1 raises ValueError, whatever `value`."""
-    parts: list[str] = []
-    _writer(digits, parts.append)(value, "\n")
-    parts.append("\n")
-    return "".join(parts)
+    """The text `write_json` writes for `value`, as one string."""
+    out = io.StringIO()
+    write_json(value, out, digits)
+    return out.getvalue()
 
 
 def render_table(columns, items) -> str:

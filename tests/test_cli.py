@@ -4,8 +4,11 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +21,7 @@ from urskit.arith import parse_rational
 from urskit.cli import main
 from urskit.heights import MAX_DISPLAY_DIGITS
 from urskit.polys import RatPoly, validate_family
+from urskit.report import stable_json, write_json
 
 BUILD_PARSER = cli.build_parser
 PARSE_INVOKED = cli._parse_invoked
@@ -421,6 +425,82 @@ def test_unwritable_out_is_usage_error(fmt, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+class FailsAfterOneWrite:
+    """An --out file that takes its first write and then raises `error`."""
+
+    def __init__(self, file, error):
+        self.file, self.error, self.writes = file, error, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise self.error
+        return self.file.write(text)
+
+    def flush(self):
+        self.file.flush()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+
+@pytest.mark.parametrize("error, message", [
+    (ValueError("Exceeds the limit (4300 digits) for integer string conversion"),
+     "error: Exceeds the limit (4300 digits) for integer string conversion"),
+    (OSError(28, "No space left on device"),
+     "schema error: --out: cannot write {out}: No space left on device"),
+])
+def test_report_failing_midway_leaves_no_out_file(error, message, tmp_path, capsys,
+                                                  monkeypatch):
+    # 200 rows are more than one chunk of the writer, so the first chunk is
+    # in the file when the second write fails
+    out_file = tmp_path / "report.json"
+    files = []
+
+    def fails_after_one_write(path, *args, **kwargs):
+        file = open(path, *args, **kwargs)
+        if path != str(out_file):
+            return file
+        files.append(FailsAfterOneWrite(file, error))
+        return files[-1]
+
+    monkeypatch.setattr(cli, "open", fails_after_one_write, raising=False)
+    pairs = write(tmp_path, "pairs.json", [{"x": "0", "y": "-1"}] * 200)
+    code, out, err = run(["trace", *BASE, "--pairs", pairs, "--format", "json",
+                          "--out", str(out_file)], capsys)
+    assert [f.writes for f in files] == [2]
+    assert (code, out, err) == (2, "", message.format(out=out_file) + "\n")
+    assert not out_file.exists()
+
+
+def test_trace_report_is_written_in_less_memory_than_its_text(tmp_path, capsys,
+                                                              monkeypatch):
+    # 3000 seeded pairs, every fourth (x, x), so it shares and every count is
+    # written; the writer's caches grow with the rows, but slower than the text
+    rng = random.Random(3000)
+    xs = [rng.randrange(-60, 61) for _ in range(3000)]
+    pairs = write(tmp_path, "pairs.json", [
+        {"x": str(x), "y": str(x if k % 4 == 0 else rng.randrange(-60, 61))}
+        for k, x in enumerate(xs)
+    ])
+    reports = []
+    monkeypatch.setattr(cli, "write_json", lambda *args: reports.append(args))
+    assert run(["trace", *BASE, "--pairs", pairs, "--format", "json"], capsys)[0] == 0
+    ((report, _, digits),) = reports
+    length = len(stable_json(report, digits))
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        tracemalloc.start()
+        try:
+            write_json(report, sink, digits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < length
+
+
 def test_subspace_summary_and_strict(tmp_path, capsys):
     forms = write(tmp_path, "forms.json", {"r": 1, "forms": [["1", "0"], ["0", "1"], ["1", "1"]]})
     points = write(tmp_path, "points.json", [["10", "15"]])
@@ -484,9 +564,9 @@ def test_format_both_prints_table_and_writes_json(tmp_path, capsys):
 
 def test_table_format_builds_no_json(tmp_path, capsys, monkeypatch):
     def no_json(*_):
-        raise AssertionError("stable_json called under --format table")
+        raise AssertionError("write_json called under --format table")
 
-    monkeypatch.setattr(cli, "stable_json", no_json)
+    monkeypatch.setattr(cli, "write_json", no_json)
     pairs = write(tmp_path, "pairs.json", [{"x": "0", "y": "-1"}])
     code, out, _ = run(["trace", *BASE, "--pairs", pairs, "--format", "table"], capsys)
     assert code == 0

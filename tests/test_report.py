@@ -1,9 +1,11 @@
 """The wire format: `stable_json` writes report values by their exact type,
 byte for byte as `json.dumps` renders the dict tree of `to_json` below, for
-the string-keyed trees reports are.
-`render_table` writes each console cell by its exact type too."""
+the string-keyed trees reports are; `write_json` streams the same text in
+chunks.  `render_table` writes each console cell by its exact type too."""
 
+import gc
 import json
+import tracemalloc
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction as F
 from operator import itemgetter
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from urskit.arith import rational_str
 from urskit.heights import Magnitude, ScaledLog, display_log
-from urskit.report import _PLAN_CACHE_SIZE, render_table, stable_json
+from urskit.report import _PLAN_CACHE_SIZE, render_table, stable_json, write_json
 
 
 def to_json(value, digits=6):
@@ -249,6 +251,66 @@ def test_digits_below_one_are_rejected_for_every_value():
     for value in ([], {"a": 1}, Magnitude(3)):
         with pytest.raises(ValueError, match="digits must be >= 1"):
             stable_json(value, 0)
+
+
+class Recorder:
+    """A text stream that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+class Sink:
+    """A text stream that drops what it is given."""
+
+    def write(self, text):
+        pass
+
+
+def _rows(n):
+    return [{"x": F(i, 3), "h": Magnitude(i + 1), "flags": ["shares", i]} for i in range(n)]
+
+
+@pytest.mark.parametrize("n, several", [(3, False), (3000, True)])
+def test_write_json_streams_the_stable_json_text(n, several):
+    # 3000 rows are some 36,000 parts, more than one chunk: written in
+    # several pieces that join to the one text
+    out = Recorder()
+    write_json(_rows(n), out, 3)
+    assert "".join(out.writes) == stable_json(_rows(n), 3)
+    assert (len(out.writes) > 1) is several
+
+
+def test_write_json_checks_digits_before_any_write():
+    out = Recorder()
+    with pytest.raises(ValueError, match="digits must be >= 1"):
+        write_json(_rows(3000), out, 0)
+    assert out.writes == []
+
+
+def test_write_json_frees_its_caches_on_return():
+    # with the collector off, the call leaves no cycle to collect, such as
+    # one keeping the part list or the Fraction and Magnitude text caches,
+    # and its memory comes back; the collection also empties the tuple free
+    # list, where up to 2000 freed (Fraction, text) pairs would stay counted
+    value = _rows(3000)
+    write_json(value, Sink())  # the plans, kept across calls, are made here
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        write_json(value, Sink())
+        unreachable = gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert unreachable == 0
+    assert left < 4096
 
 
 def test_render_table_cells_by_type():
