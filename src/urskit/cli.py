@@ -23,6 +23,7 @@ import json
 import os
 import re
 import sys
+from contextlib import suppress
 from fractions import Fraction
 from operator import attrgetter, itemgetter
 
@@ -221,9 +222,11 @@ def _context(args) -> SContext:
 
 def _emit(args, config: dict, payload: dict, *tables) -> None:
     """Print the tables, each a (columns, items) pair for render_table and
-    separated by a blank line, and stream the JSON report, as --format and
-    --out ask; neither is rendered unless it is written.  The report names
-    args.command."""
+    separated by a blank line, and stream the JSON report, which names
+    args.command, as --format and --out ask; neither is rendered unless it is
+    written.  A new --out file is removed if the report fails; one already
+    there, or the file a link names, is replaced only by a whole report,
+    written beside it first; a device or a pipe is written straight through."""
     if args.format in ("table", "both"):
         print("\n\n".join(render_table(*table) for table in tables))
     if args.format == "table" and not args.out:
@@ -234,19 +237,26 @@ def _emit(args, config: dict, payload: dict, *tables) -> None:
         "config": config,
         **payload,
     }
-    if args.out:
+    if not args.out:
+        return write_json(report, sys.stdout, args.digits)
+    made = not os.path.lexists(args.out)  # a new file, made here
+    whole = not made and (os.path.isfile(args.out) or not os.path.exists(args.out))
+    path = os.path.realpath(args.out) if whole else args.out
+    part = f"{path}.{os.getpid()}.part" if whole else path
+    out = None
+    try:
         try:
-            with open(args.out, "w", encoding="utf-8") as out:
-                try:
-                    write_json(report, out, args.digits)
-                    out.flush()
-                except BaseException:
-                    os.remove(args.out)  # a report that failed midway leaves no file
-                    raise
-        except OSError as exc:
-            raise SchemaError("--out", f"cannot write {args.out}: {exc.strerror}")
-    else:
-        write_json(report, sys.stdout, args.digits)
+            with open(part, "x" if made else "w", encoding="utf-8") as out:
+                write_json(report, out, args.digits)
+            if whole:
+                os.replace(part, path)
+        except BaseException:
+            if out is not None and (made or whole):
+                with suppress(OSError):  # the report's own error is the one told
+                    os.remove(part)
+            raise
+    except OSError as exc:
+        raise SchemaError("--out", f"cannot write {args.out}: {exc.strerror}")
 
 
 def _common_config(args, **extra) -> dict:

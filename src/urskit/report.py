@@ -98,19 +98,18 @@ def _cell(value) -> str:
 _CHUNK = 4096  # the parts gathered before one write to the stream
 
 
-def write_json(value, out, digits: int = DEFAULT_DISPLAY_DIGITS) -> None:
-    """Write the report text of `value` to the text stream `out`: sorted
-    keys, two-space indent, trailing newline; `digits` sets the decimal
-    places of every display-only log, and below 1 raises ValueError before
-    any write.  write(value, nl) appends the text of `value` to `parts`; `nl`
-    is a newline plus the indent of its first line.  `write` alone maps a
-    type to its text; the list, dict and dataclass loops add a separator or
-    plan prefix and hand each item back to it.  After a list item, `_CHUNK`
-    parts are written out.  Cached, as the `trace` reports pay for it: the
-    plans of `_plan`, across calls (without them those reports take half
-    again as long); within the call, the text of each Magnitude per value
-    and indent, and of each Fraction per object, keyed by id and held so
-    that no other object takes its id; a row's values recur in every check."""
+def write_json(value, out, digits: int) -> None:
+    """Write the report text of `value` to the text stream `out`, `_CHUNK`
+    parts at a time after a list item: sorted keys, two-space indent,
+    trailing newline; `digits`, checked (>= 1) before any write, sets the
+    decimal places of every display-only log.  write(value, nl) maps a type
+    to its text in `parts`, `nl` a newline plus the indent of its first line;
+    the list, dict and dataclass loops add a separator or plan prefix and hand
+    each item back to it.  Cached for the `trace` reports: `_plan`'s plans,
+    across calls (without them those reports take half again as long); within
+    the call, the text of each Magnitude per value and indent, and of each
+    Fraction per object, keyed by id and held so that no other object takes
+    its id; a row's values recur in every check."""
     _check_digits(digits)
     scalars = _SCALARS
     magnitudes: dict[tuple[int, str], str] = {}

@@ -447,33 +447,113 @@ class FailsAfterOneWrite:
         self.file.close()
 
 
-@pytest.mark.parametrize("error, message", [
+FAILURES = pytest.mark.parametrize("error, message", [
     (ValueError("Exceeds the limit (4300 digits) for integer string conversion"),
      "error: Exceeds the limit (4300 digits) for integer string conversion"),
     (OSError(28, "No space left on device"),
      "schema error: --out: cannot write {out}: No space left on device"),
-])
-def test_report_failing_midway_leaves_no_out_file(error, message, tmp_path, capsys,
-                                                  monkeypatch):
-    # 200 rows are more than one chunk of the writer, so the first chunk is
-    # in the file when the second write fails
-    out_file = tmp_path / "report.json"
+], ids=["digit-limit", "disk-full"])
+
+
+def _fail_after_one_write(monkeypatch, name, error):
+    """Make every file `cli` opens whose path starts with `name` fail at its
+    second write; the returned list gathers them."""
     files = []
 
-    def fails_after_one_write(path, *args, **kwargs):
+    def open_failing(path, *args, **kwargs):
         file = open(path, *args, **kwargs)
-        if path != str(out_file):
+        if not path.startswith(name):
             return file
         files.append(FailsAfterOneWrite(file, error))
         return files[-1]
 
-    monkeypatch.setattr(cli, "open", fails_after_one_write, raising=False)
+    monkeypatch.setattr(cli, "open", open_failing, raising=False)
+    return files
+
+
+@FAILURES
+@pytest.mark.parametrize("before", [None, "the last whole report\n"], ids=["new", "existing"])
+def test_report_failing_midway_leaves_out_file_as_it_was(error, message, before, tmp_path,
+                                                         capsys, monkeypatch):
+    # 200 rows are more than one chunk of the writer, so the first chunk is
+    # written when the second write fails; a new --out file is removed, and
+    # one already there keeps its bytes, the report going to a file beside it
+    out_file = tmp_path / "report.json"
+    if before is not None:
+        out_file.write_text(before, encoding="utf-8")
+    files = _fail_after_one_write(monkeypatch, str(out_file), error)
     pairs = write(tmp_path, "pairs.json", [{"x": "0", "y": "-1"}] * 200)
     code, out, err = run(["trace", *BASE, "--pairs", pairs, "--format", "json",
                           "--out", str(out_file)], capsys)
     assert [f.writes for f in files] == [2]
     assert (code, out, err) == (2, "", message.format(out=out_file) + "\n")
-    assert not out_file.exists()
+    left = {p.name: p.read_text(encoding="utf-8") for p in tmp_path.iterdir()}
+    del left["pairs.json"]
+    assert left == ({} if before is None else {"report.json": before})
+
+
+@FAILURES
+def test_report_failing_midway_on_a_device_removes_nothing(error, message, tmp_path,
+                                                           capsys, monkeypatch):
+    # a device is written straight through: a failing report leaves it be,
+    # and its own error and exit code are the ones told
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+    files = _fail_after_one_write(monkeypatch, os.devnull, error)
+    pairs = write(tmp_path, "pairs.json", [{"x": "0", "y": "-1"}] * 200)
+    code, out, err = run(["trace", *BASE, "--pairs", pairs, "--format", "json",
+                          "--out", os.devnull], capsys)
+    assert [f.writes for f in files] == [2]
+    assert (code, out, err) == (2, "", message.format(out=os.devnull) + "\n")
+    assert removed == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.json"]
+
+
+@FAILURES
+def test_report_failing_midway_keeps_its_error_when_removal_fails(error, message, tmp_path,
+                                                                  capsys, monkeypatch):
+    def remove(path):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(os, "remove", remove)
+    out_file = tmp_path / "report.json"
+    _fail_after_one_write(monkeypatch, str(out_file), error)
+    pairs = write(tmp_path, "pairs.json", [{"x": "0", "y": "-1"}] * 200)
+    code, out, err = run(["trace", *BASE, "--pairs", pairs, "--format", "json",
+                          "--out", str(out_file)], capsys)
+    assert (code, out, err) == (2, "", message.format(out=out_file) + "\n")
+
+
+def test_out_file_made_meanwhile_by_another_writer_is_kept(tmp_path, capsys, monkeypatch):
+    # --out is absent when looked at, then made by someone else before it is
+    # opened: the exclusive open fails, and the file that run did not make
+    # is kept
+    out_file = tmp_path / "report.json"
+    out_file.write_text("another writer's report\n", encoding="utf-8")
+    monkeypatch.setattr(os.path, "lexists", lambda path: False)
+    pairs = write(tmp_path, "pairs.json", [{"x": "0", "y": "-1"}])
+    code, out, err = run(["trace", *BASE, "--pairs", pairs, "--format", "json",
+                          "--out", str(out_file)], capsys)
+    monkeypatch.undo()
+    assert (code, out, err) == (2, "", f"schema error: --out: cannot write {out_file}: File exists\n")
+    assert out_file.read_text(encoding="utf-8") == "another writer's report\n"
+
+
+def test_out_replaces_a_file_and_writes_through_a_link(tmp_path, capsys):
+    # a whole report replaces the file at --out, or the file a link there
+    # names, and leaves no file beside it; the link stays a link
+    pairs = write(tmp_path, "pairs.json", [{"x": "0", "y": "-1"}])
+    argv = ["trace", *BASE, "--pairs", pairs, "--format", "json"]
+    code, text, _ = run(argv, capsys)
+    assert code == 0
+    target, link = tmp_path / "report.json", tmp_path / "link.json"
+    link.symlink_to(target)
+    for out_file in (target, link):
+        target.write_text("an older and longer report than this one\n" * 100, encoding="utf-8")
+        assert run([*argv, "--out", str(out_file)], capsys) == (0, "", "")
+        assert target.read_text(encoding="utf-8") == text
+    assert link.is_symlink()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "pairs.json", "report.json"]
 
 
 def test_trace_report_is_written_in_less_memory_than_its_text(tmp_path, capsys,

@@ -297,13 +297,13 @@ def test_write_json_frees_its_caches_on_return():
     # and its memory comes back; the collection also empties the tuple free
     # list, where up to 2000 freed (Fraction, text) pairs would stay counted
     value = _rows(3000)
-    write_json(value, Sink())  # the plans, kept across calls, are made here
+    write_json(value, Sink(), 6)  # the plans, kept across calls, are made here
     gc.collect()
     gc.disable()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        write_json(value, Sink())
+        write_json(value, Sink(), 6)
         unreachable = gc.collect()
         left = tracemalloc.get_traced_memory()[0] - start
     finally:
